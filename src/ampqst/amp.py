@@ -11,14 +11,17 @@ low-rank denoiser:
 with threshold tau_t = alpha * sigma_t * sqrt(d), sigma_t = ||r_t||_2 / sqrt(M),
 starting from rho_0 = I/d and r_{-1} = 0. The Onsager coefficient c_t is the
 normalized divergence of the denoiser at the previous pseudo-data, estimated
-by a Monte Carlo difference quotient. ``A~`` is the sensing map rescaled by
-sqrt(d/M) so that its Gram operator is an identity on average; without that
-rescaling the iteration blows up, which run_amp reports as a DivergenceError.
+by Monte Carlo: the mean over random Hermitian probes h of the exact
+derivative Re <h, Df(v)[h]> (see ``SpectralDerivative``). ``A~`` is the
+sensing map rescaled by sqrt(d/M) so that its Gram operator is an identity on
+average; without that rescaling the iteration blows up, which run_amp
+reports as a DivergenceError.
 
 Denoisers: ``svt`` soft-shrinks the eigenvalue magnitudes (singular value
 thresholding specialized to Hermitian matrices), and ``psvt`` composes it
 with the projection onto the density-matrix set, so every damped iterate is
-a valid state.
+a valid state. Both are spectral functions evaluated from one ``eigh`` of
+the pseudo-data, so an iteration does a single eigendecomposition.
 
 Each run owns its mutable state; the shared SensingMap is read-only, so
 independent runs (trials, seeds) parallelize freely.
@@ -33,12 +36,14 @@ import numpy as np
 
 from .errors import DivergenceError
 from .pauli import SensingMap, apply_adjoint, apply_sensing, build_sensing_map
-from .states import as_rng, nmse, project_to_density, state_fidelity
+from .states import as_rng, nmse, state_fidelity
 
 __all__ = [
     "AmpConfig",
     "AmpState",
     "AmpTrace",
+    "SpectralDerivative",
+    "spectral_denoise",
     "svt",
     "psvt",
     "get_denoiser",
@@ -51,6 +56,66 @@ __all__ = [
 _SIGMA_BLOWUP = 1e6   # sigma_t above this multiple of sigma_0 counts as divergence
 
 
+@dataclass(frozen=True)
+class SpectralDerivative:
+    """Derivative of a spectral denoiser ``f(H) = V diag(w(lam)) V^dagger``.
+
+    By the Daleckii-Krein / Lewis formula, along a Hermitian h with
+    ``h~ = V^dagger h V`` and ``a = Re diag(h~)``, Re <h, Df(H)[h]>_F =
+    sum_{i != j} gamma_ij |h~_ij|^2 + a^T J a, where
+    gamma_ij = (w_i - w_j) / (lam_i - lam_j) and J = dw/dlam.
+    """
+
+    vecs: np.ndarray
+    gamma: np.ndarray       # zero diagonal
+    jac: np.ndarray
+
+    def probe(self, h: np.ndarray) -> float:
+        """Exact ``Re <h, Df(H)[h]>_F`` for a Hermitian direction ``h``."""
+        ht = self.vecs.conj().T @ h @ self.vecs
+        a = ht.diagonal().real
+        return float(np.sum(self.gamma * (ht.real ** 2 + ht.imag ** 2))
+                     + a @ self.jac @ a)
+
+
+def spectral_denoise(H: np.ndarray, tau: float, project: bool):
+    """``(f(H), SpectralDerivative)`` for ``svt`` or, with ``project``, ``psvt``.
+
+    One eigendecomposition: soft-threshold the eigenvalues to
+    ``s = sign(lam) (|lam| - tau)_+``; ``svt`` keeps ``w = s``, ``psvt`` keeps
+    the positive ``s`` divided by their sum, or returns I/d when none is
+    positive, as ``project_to_density`` does.
+    """
+    if tau < 0:
+        raise ValueError("threshold must be nonnegative")
+    lam, vecs = np.linalg.eigh(np.asarray(H, dtype=np.complex128))
+    d = lam.size
+    w = np.sign(lam) * np.clip(np.abs(lam) - tau, 0.0, None)
+    # the linear piece of the threshold each eigenvalue lies on, and its slope
+    piece = (w > 0.0) if project else np.sign(w)
+    slope = np.abs(piece).astype(np.float64)
+    jac = np.diag(slope)
+    if project:
+        total = w[piece].sum()
+        if total == 0.0:
+            zeros = np.zeros((d, d))
+            return (np.eye(d, dtype=np.complex128) / d,
+                    SpectralDerivative(vecs, zeros, zeros))
+        w = np.where(piece, w / total, 0.0)
+        slope /= total
+        jac = np.diag(slope) - np.outer(w, slope)
+    # Within one piece the divided difference is that piece's slope; across
+    # pieces the eigenvalues differ, so the quotient is safe from ties.
+    same = piece[:, None] == piece[None, :]
+    gamma = np.where(same, slope[:, None],
+                     (w[:, None] - w[None, :])
+                     / np.where(same, 1.0, lam[:, None] - lam[None, :]))
+    np.fill_diagonal(gamma, 0.0)
+    V = vecs[:, w != 0.0]
+    out = (V * w[w != 0.0]) @ V.conj().T
+    return 0.5 * (out + out.conj().T), SpectralDerivative(vecs, gamma, jac)
+
+
 def svt(H: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding of a Hermitian matrix.
 
@@ -58,22 +123,15 @@ def svt(H: np.ndarray, tau: float) -> np.ndarray:
     pairs sign(lambda_k) |psi_k><psi_k|, so one eigendecomposition gives
     sum_k sign(lambda_k) (|lambda_k| - tau)_+ |psi_k><psi_k| exactly.
     """
-    if tau < 0:
-        raise ValueError("threshold must be nonnegative")
-    H = np.asarray(H, dtype=np.complex128)
-    vals, vecs = np.linalg.eigh(H)
-    shrunk = np.sign(vals) * np.clip(np.abs(vals) - tau, 0.0, None)
-    keep = shrunk != 0.0
-    if not keep.any():
-        return np.zeros_like(H)
-    V = vecs[:, keep]
-    out = (V * shrunk[keep]) @ V.conj().T
-    return 0.5 * (out + out.conj().T)
+    return spectral_denoise(H, tau, project=False)[0]
 
 
 def psvt(H: np.ndarray, tau: float) -> np.ndarray:
-    """Projected SVT: threshold, then project onto the density-matrix set."""
-    return project_to_density(svt(H, tau))
+    """Projected SVT: threshold, then project onto the density-matrix set.
+
+    Equals ``project_to_density(svt(H, tau))`` from a single decomposition.
+    """
+    return spectral_denoise(H, tau, project=True)[0]
 
 
 def get_denoiser(name: str):
@@ -88,9 +146,10 @@ class AmpConfig:
     """Solver hyperparameters.
 
     ``damping`` is the convex blending weight lam; ``damping_enabled=False``
-    runs the undamped update (lam = 1). ``mc_epsilon`` is the relative probe
-    scale of the Monte Carlo divergence estimate: the finite-difference step
-    used at iteration t is ``mc_epsilon * max(||v||_F / d, 1e-12)``.
+    runs the undamped update (lam = 1). ``mc_samples`` is the number of
+    Hermitian probes averaged per Onsager estimate, drawn from a generator
+    seeded by ``seed``; each probe's directional derivative is exact, so
+    the only randomness is the probe itself.
     ``normalize=True`` rescales map and data by sqrt(d/M) before iterating;
     disabling it runs the raw (divergent) baseline.
     """
@@ -99,7 +158,6 @@ class AmpConfig:
     damping: float = 0.01
     damping_enabled: bool = True
     max_iter: int = 2000
-    mc_epsilon: float = 1e-4
     mc_samples: int = 1
     denoiser: str = "psvt"
     normalize: bool = True
@@ -116,8 +174,6 @@ class AmpConfig:
             raise ValueError("max_iter must be at least 1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be at least 1")
-        if self.mc_epsilon <= 0:
-            raise ValueError("mc_epsilon must be positive")
         get_denoiser(self.denoiser)
 
 
@@ -126,20 +182,20 @@ class AmpState:
     """One solver state: iterate rho_t plus the residual bookkeeping.
 
     ``residual`` is r_{t-1} as seen from the next step (the residual computed
-    while producing ``rho``); ``pseudo_data``, ``tau`` and ``denoised`` cache
-    v_{t-1}, tau_{t-1} and the denoiser output needed by the next Onsager
-    estimate.
+    while producing ``rho``); ``pseudo_data``, ``tau`` and ``denoised`` hold
+    v_{t-1}, tau_{t-1} and the denoiser output, and ``derivative`` the
+    denoiser's derivative at v_{t-1} that the next Onsager estimate probes.
     """
 
     rho: np.ndarray
     residual: np.ndarray
-    prev_residual: np.ndarray
     onsager: float
     sigma: float
     tau: float
     t: int
     pseudo_data: np.ndarray | None = None
     denoised: np.ndarray | None = None
+    derivative: SpectralDerivative | None = None
 
 
 @dataclass
@@ -185,12 +241,12 @@ def hermitian_probe(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def estimate_onsager(denoiser, v_prev: np.ndarray, tau_prev: float, M: int,
-                     epsilon: float, k: int, seed, f_v: np.ndarray | None = None) -> float:
+                     epsilon: float, k: int, seed) -> float:
     """Monte Carlo estimate of the normalized denoiser divergence.
 
     Averages ``Re <h, f(v + eps h) - f(v)>_F / eps`` over ``k`` Hermitian
-    probes ``h`` and divides by ``M``. ``f_v`` may pass in a precomputed
-    ``denoiser(v_prev, tau_prev)`` to save one evaluation.
+    probes ``h`` and divides by ``M``: the paper's finite-difference probe,
+    kept as the reference for the exact ``SpectralDerivative.probe``.
     """
     if epsilon <= 0:
         raise ValueError("probe scale must be positive")
@@ -198,8 +254,7 @@ def estimate_onsager(denoiser, v_prev: np.ndarray, tau_prev: float, M: int,
         raise ValueError("need at least one probe sample")
     rng = as_rng(seed)
     d = v_prev.shape[0]
-    if f_v is None:
-        f_v = denoiser(v_prev, tau_prev)
+    f_v = denoiser(v_prev, tau_prev)
     total = 0.0
     for _ in range(k):
         h = hermitian_probe(rng, d)
@@ -220,46 +275,43 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
     sqrt(d/M) rescaling). Raises DivergenceError on non-finite values.
     """
     d, M = smap.d, smap.M
-    denoiser = get_denoiser(config.denoiser)
     lam = config.damping if config.damping_enabled else 1.0
 
-    if state.t == 0 or state.pseudo_data is None:
+    if state.derivative is None:
         c_hat = 0.0
     else:
-        eps = config.mc_epsilon * max(np.linalg.norm(state.pseudo_data) / d, 1e-12)
         # The probe measures the divergence over the d^2-dimensional Hermitian
         # subspace; the residual recursion needs it over the full complex
         # matrix space (2 d^2 real coordinates), which for a spectral denoiser
         # is twice that. Without the factor the damped and undamped dynamics
         # collapse onto each other and the damping step loses its effect.
-        c_hat = 2.0 * estimate_onsager(denoiser, state.pseudo_data, state.tau,
-                                       M, eps, config.mc_samples, rng,
-                                       f_v=state.denoised)
+        total = sum(state.derivative.probe(hermitian_probe(rng, d))
+                    for _ in range(config.mc_samples))
+        c_hat = 2.0 * total / (M * config.mc_samples)
 
     r = y - apply_sensing(smap, state.rho) + c_hat * state.residual
     sigma = float(np.linalg.norm(r) / np.sqrt(M))
     tau = config.alpha * sigma * np.sqrt(d)
     v = state.rho + apply_adjoint(smap, r)
-    v = 0.5 * (v + v.conj().T)
     if not _check_finite(r, v):
         raise DivergenceError(f"non-finite values at iteration {state.t}",
                               iterate=state.rho)
-    denoised = denoiser(v, tau)
+    denoised, derivative = spectral_denoise(v, tau,
+                                            config.denoiser.lower() == "psvt")
     rho_next = lam * denoised + (1.0 - lam) * state.rho
     if not _check_finite(rho_next):
         raise DivergenceError(f"non-finite iterate at iteration {state.t}",
                               iterate=state.rho)
-    return AmpState(rho=rho_next, residual=r, prev_residual=state.residual,
-                    onsager=c_hat, sigma=sigma, tau=tau, t=state.t + 1,
-                    pseudo_data=v, denoised=denoised)
+    return AmpState(rho=rho_next, residual=r, onsager=c_hat, sigma=sigma,
+                    tau=tau, t=state.t + 1, pseudo_data=v, denoised=denoised,
+                    derivative=derivative)
 
 
 def initial_state(smap: SensingMap) -> AmpState:
     """rho_0 = I/d, r_{-1} = 0."""
     d, M = smap.d, smap.M
     return AmpState(rho=np.eye(d, dtype=np.complex128) / d,
-                    residual=np.zeros(M), prev_residual=np.zeros(M),
-                    onsager=0.0, sigma=0.0, tau=0.0, t=0)
+                    residual=np.zeros(M), onsager=0.0, sigma=0.0, tau=0.0, t=0)
 
 
 def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,

@@ -211,7 +211,7 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         except DivergenceError as err:
             failed = True
             rho_hat = err.iterate
-            iters = cfg.solver_max_iter()
+            iters = err.iterations
 
     if failed:
         # failed recovery reports a state infidelity of 1.0

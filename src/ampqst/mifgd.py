@@ -93,7 +93,7 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
         U_next = Z - config.eta * (grad @ Z)
         if not np.isfinite(U_next).all():
             raise DivergenceError(f"non-finite factor at iteration {iterations}",
-                                  iterate=rho_prev)
+                                  iterate=rho_prev, iterations=iterations)
         Z = U_next + mu * (U_next - U)
         U = U_next
         rho = U @ U.conj().T

@@ -10,6 +10,7 @@ from ampqst.amp import (
     amp_step,
     psvt,
     run_amp,
+    spectral_denoise,
     svt,
 )
 from ampqst.errors import DivergenceError
@@ -20,7 +21,13 @@ from ampqst.pauli import (
     pauli_word_from_index,
     sample_observables,
 )
-from ampqst.states import is_density, make_random_state, nmse, pure_density
+from ampqst.states import (
+    is_density,
+    make_random_state,
+    nmse,
+    project_to_density,
+    pure_density,
+)
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -32,6 +39,15 @@ def svd_oracle(X, tau):
     """Dense SVD soft-thresholding, the generic route."""
     U, s, Vh = np.linalg.svd(X)
     return (U * np.clip(s - tau, 0.0, None)) @ Vh
+
+
+def with_spectrum(rng, lam):
+    """Hermitian matrix with eigenvalues ``lam`` in a random eigenbasis."""
+    d = len(lam)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    H = (Q * np.asarray(lam, dtype=float)) @ Q.conj().T
+    return 0.5 * (H + H.conj().T)
 
 
 class TestSvt:
@@ -139,6 +155,62 @@ class TestOnsagerEstimator:
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.1
 
 
+class TestSpectralDenoise:
+    """The fused denoisers and their exact probe against the seed's routes:
+    two decompositions (threshold, then project) and a finite difference."""
+
+    def test_fused_matches_two_step_and_svd_oracle(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            H = random_hermitian(rng, 8, scale=rng.uniform(0.1, 5.0))
+            tau = float(rng.uniform(0, 2))
+            ref = svd_oracle(H, tau)
+            tol = 1e-14 * max(1.0, np.linalg.norm(H, 2))
+            assert np.max(np.abs(svt(H, tau) - ref)) < tol
+            out = psvt(H, tau)
+            assert np.max(np.abs(out - project_to_density(svt(H, tau)))) < 1e-14
+            assert np.max(np.abs(out - project_to_density(ref))) < 1e-14
+
+    @pytest.mark.parametrize("denoiser", [svt, psvt])
+    @pytest.mark.parametrize("lam", [
+        np.linspace(-2.5, 2.5, 10),                                  # generic
+        [2.0, 2.0, 2.0 + 1e-12, 1.2, 1.2, -1.5, -1.5, 0.1, 0.1, 0.0],  # ties
+        [0.4, 0.3, 0.3, 0.0, -0.2, -0.45, 0.1, 0.1, -0.1, 0.25],       # all killed
+    ], ids=["generic", "tied", "all-killed"])
+    def test_probe_matches_finite_difference(self, denoiser, lam):
+        rng = np.random.default_rng(11)
+        H = with_spectrum(rng, lam)
+        tau = 0.5
+        d = H.shape[0]
+        _, derivative = spectral_denoise(H, tau, project=denoiser is psvt)
+        for seed in range(5):
+            # M = 1 and one sample: estimate_onsager returns the bare quotient
+            fd = estimate_onsager(denoiser, H, tau, 1, 1e-7, 1, seed)
+            exact = derivative.probe(hermitian_probe(np.random.default_rng(seed), d))
+            assert abs(exact - fd) <= 1e-5 * max(1.0, abs(exact))
+            if max(abs(x) for x in lam) < tau:
+                assert exact == 0.0 and fd == 0.0
+
+    def test_probe_mean_matches_closed_form_psvt_divergence(self):
+        d = 12
+        rng = np.random.default_rng(12)
+        H = random_hermitian(rng, d)
+        tau = 1.0
+        lam = np.linalg.eigvalsh(H)
+        s = np.sign(lam) * np.clip(np.abs(lam) - tau, 0.0, None)
+        kept = s > 0
+        total = s[kept].sum()
+        w = np.where(kept, s / total, 0.0)
+        div = (kept.sum() - 1) / total
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    div += (w[i] - w[j]) / (lam[i] - lam[j])
+        _, derivative = spectral_denoise(H, tau, project=True)
+        probes = [derivative.probe(hermitian_probe(rng, d)) for _ in range(2000)]
+        assert abs(np.mean(probes) - div) < 0.03 * div
+
+
 def make_problem(n=3, M=None, seed=0, shots=None, rank=1):
     rho = make_random_state(n, rank, np.random.default_rng((seed, 1)))
     if M is None:
@@ -184,6 +256,20 @@ class TestAmpStep:
         for _ in range(5):
             state = amp_step(state, smap_n, smap_n.scale * y, AmpConfig(seed=0), rng)
             assert state.residual.dtype == np.float64
+
+    def test_onsager_is_twice_the_probe_estimate(self):
+        # the step probes the previous pseudo-data with the first draws of
+        # its generator, as estimate_onsager does with the same seed
+        rho, smap, y = make_problem(seed=12, M=40, shots=512)
+        smap_n = build_sensing_map(smap.paulis, normalized=True)
+        cfg = AmpConfig(seed=0, mc_samples=3)
+        rng = np.random.default_rng(5)
+        first = amp_step(initial_state(smap_n), smap_n, smap_n.scale * y, cfg, rng)
+        second = amp_step(first, smap_n, smap_n.scale * y, cfg, rng)
+        fd = estimate_onsager(psvt, first.pseudo_data, first.tau, smap_n.M,
+                              1e-7, 3, np.random.default_rng(5))
+        assert second.onsager != 0.0
+        assert abs(second.onsager - 2.0 * fd) <= 1e-5 * abs(second.onsager)
 
     def test_damping_convexity(self):
         rho, smap, y = make_problem(seed=3, shots=512)

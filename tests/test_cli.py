@@ -161,6 +161,13 @@ class TestReconstruct:
         assert results[0].fidelity_truth == 0.0
         assert results[0].fidelity_target == 0.0
 
+    def test_mifgd_divergence_reports_its_iteration(self):
+        cfg = fast_cfg(qubits=3, observables=32, algorithm="mifgd", eta=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_trial(cfg, 0)
+        assert result.fidelity_truth == 0.0
+        assert 0 < result.iters < cfg.solver_max_iter()
+
 
 class TestSettingsTable:
     def test_full_coverage_rows(self):

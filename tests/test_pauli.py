@@ -145,6 +145,24 @@ class TestSensingMap:
         assert abs(y[1] - smap.scale) < 1e-12
         assert abs(y[2]) < 1e-12
 
+    def test_apply_rejects_non_hermitian(self):
+        rng = np.random.default_rng(1)
+        smap = build_sensing_map(all_words(2), normalized=False)
+        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(ValueError):
+            apply_sensing(smap, X)
+
+    def test_apply_accepts_large_hermitian(self):
+        # entries of 1e6, as on a diverging run: the float64 round-off in the
+        # imaginary part (about 3e-10 here) scales with the output
+        rng = np.random.default_rng(0)
+        smap = build_sensing_map(all_words(3), normalized=False)
+        A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        X = 1e6 * (A + A.conj().T) / 2
+        y = apply_sensing(smap, X)
+        dense = [np.trace(kron_pauli(w) @ X).real for w in all_words(3)]
+        assert np.max(np.abs(y - dense)) < 1e-12 * np.max(np.abs(dense))
+
     def test_adjoint_basis_vector(self):
         smap = build_sensing_map(["XY", "ZZ"], normalized=True)
         e0 = np.array([1.0, 0.0])
