@@ -17,7 +17,6 @@ from .measure import (
     apply_readout,
     build_measurements,
     estimate_from_setting,
-    exact_expectations,
     noisy_basis_measurement,
     outcome_distribution,
     sample_shots_observable,

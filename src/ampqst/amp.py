@@ -12,10 +12,12 @@ with threshold tau_t = alpha * sigma_t * sqrt(d), sigma_t = ||r_t||_2 / sqrt(M),
 starting from rho_0 = I/d and r_{-1} = 0. The Onsager coefficient c_t is the
 normalized divergence of the denoiser at the previous pseudo-data, estimated
 by Monte Carlo: the mean over random Hermitian probes h of the exact
-derivative Re <h, Df(v)[h]> (see ``SpectralDerivative``). ``A~`` is the
-sensing map rescaled by sqrt(d/M) so that its Gram operator is an identity on
-average; without that rescaling the iteration blows up, which run_amp
-reports as a DivergenceError.
+derivative Re <h, Df(v)[h]> (see ``SpectralDerivative``). ``A~ = s A`` and
+``y~ = s y`` are the raw Pauli map and data rescaled by s = sqrt(d/M), so that
+the Gram operator is an identity on average. The rescaling belongs to AMP:
+``amp_step`` applies s as a scalar to the raw SensingMap and data, which
+stay unscaled everywhere else. Without it (``normalize=False``, s = 1) the
+iteration blows up, which run_amp reports as a DivergenceError.
 
 Denoisers: ``svt`` soft-shrinks the eigenvalue magnitudes (singular value
 thresholding specialized to Hermitian matrices), and ``psvt`` composes it
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .pauli import SensingMap, apply_adjoint, apply_sensing, build_sensing_map
+from .pauli import SensingMap, apply_adjoint, apply_sensing
 from .states import as_rng, nmse, state_fidelity
 
 __all__ = [
@@ -150,7 +152,7 @@ class AmpConfig:
     Hermitian probes averaged per Onsager estimate, drawn from a generator
     seeded by ``seed``; each probe's directional derivative is exact, so
     the only randomness is the probe itself.
-    ``normalize=True`` rescales map and data by sqrt(d/M) before iterating;
+    ``normalize=True`` rescales map and data by sqrt(d/M) inside each step;
     disabling it runs the raw (divergent) baseline.
     """
 
@@ -182,8 +184,7 @@ class AmpState:
     """One solver state: iterate rho_t plus the residual bookkeeping.
 
     ``residual`` is r_{t-1} as seen from the next step (the residual computed
-    while producing ``rho``); ``pseudo_data``, ``tau`` and ``denoised`` hold
-    v_{t-1}, tau_{t-1} and the denoiser output, and ``derivative`` the
+    while producing ``rho``); ``tau`` holds tau_{t-1}, and ``derivative`` the
     denoiser's derivative at v_{t-1} that the next Onsager estimate probes.
     """
 
@@ -193,8 +194,6 @@ class AmpState:
     sigma: float
     tau: float
     t: int
-    pseudo_data: np.ndarray | None = None
-    denoised: np.ndarray | None = None
     derivative: SpectralDerivative | None = None
 
 
@@ -271,10 +270,12 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
              config: AmpConfig, rng: np.random.Generator) -> AmpState:
     """Advance the AMP iteration by one step.
 
-    ``smap`` and ``y`` must already be in matching units (run_amp handles the
-    sqrt(d/M) rescaling). Raises DivergenceError on non-finite values.
+    ``smap`` is the raw map and ``y`` the raw data; with ``config.normalize``
+    both are rescaled here by s = sqrt(d/M). Raises DivergenceError on
+    non-finite values.
     """
     d, M = smap.d, smap.M
+    s = float(np.sqrt(d / M)) if config.normalize else 1.0
     lam = config.damping if config.damping_enabled else 1.0
 
     if state.derivative is None:
@@ -289,10 +290,10 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
                     for _ in range(config.mc_samples))
         c_hat = 2.0 * total / (M * config.mc_samples)
 
-    r = y - apply_sensing(smap, state.rho) + c_hat * state.residual
+    r = s * y - s * apply_sensing(smap, state.rho) + c_hat * state.residual
     sigma = float(np.linalg.norm(r) / np.sqrt(M))
     tau = config.alpha * sigma * np.sqrt(d)
-    v = state.rho + apply_adjoint(smap, r)
+    v = state.rho + apply_adjoint(smap, s * r)
     if not _check_finite(r, v):
         raise DivergenceError(f"non-finite values at iteration {state.t}",
                               iterate=state.rho)
@@ -303,8 +304,7 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
         raise DivergenceError(f"non-finite iterate at iteration {state.t}",
                               iterate=state.rho)
     return AmpState(rho=rho_next, residual=r, onsager=c_hat, sigma=sigma,
-                    tau=tau, t=state.t + 1, pseudo_data=v, denoised=denoised,
-                    derivative=derivative)
+                    tau=tau, t=state.t + 1, derivative=derivative)
 
 
 def initial_state(smap: SensingMap) -> AmpState:
@@ -318,21 +318,15 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
             ground_truth: np.ndarray | None = None):
     """Run the AMP solver and return ``(rho_hat, trace)``.
 
-    ``y`` holds raw sample means. With ``config.normalize`` (the default) the
-    map is rebuilt in normalized form if needed and both map and data are
-    rescaled by sqrt(d/M); with it disabled the map and data are used as
-    given (the divergent baseline). Raises DivergenceError (carrying the
-    trace so far and the last finite iterate) on blow-up.
+    ``smap`` is the raw map and ``y`` holds raw sample means. With
+    ``config.normalize`` (the default) each step rescales both by sqrt(d/M);
+    with it disabled they are used as given (the divergent baseline). Raises
+    DivergenceError (carrying the trace so far and the last finite iterate)
+    on blow-up.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (smap.M,):
         raise ValueError("data vector length does not match the map")
-    if config.normalize:
-        if not smap.normalized:
-            smap = build_sensing_map(smap.paulis, normalized=True)
-        y_run = smap.scale * y
-    else:
-        y_run = y
 
     rng = as_rng(config.seed)
     trace = AmpTrace()
@@ -345,7 +339,7 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
     history = []                      # ring buffer for the optional early stop
     try:
         for _ in range(config.max_iter):
-            state = amp_step(state, smap, y_run, config, rng)
+            state = amp_step(state, smap, y, config, rng)
             trace.sigma.append(state.sigma)
             trace.tau.append(state.tau)
             trace.onsager.append(state.onsager)

@@ -1,5 +1,5 @@
-"""Measurement data synthesis: exact expectations, shot noise, per-setting
-outcome distributions with parity marginalization, and noise channels.
+"""Measurement data synthesis: shot noise, per-setting outcome distributions
+with parity marginalization, and noise channels.
 
 Outcome bitstrings index the distribution vector with the leftmost qubit as
 the most significant bit, matching the Kronecker ordering used everywhere
@@ -14,13 +14,14 @@ without changing the results.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import (
+    LETTERS,
     MeasurementPlan,
-    SensingMap,
     apply_sensing,
     build_pauli,
     build_sensing_map,
@@ -35,7 +36,6 @@ __all__ = [
     "ShotRecord",
     "NoiseModel",
     "PhotonicNoise",
-    "exact_expectations",
     "sample_shots_observable",
     "outcome_distribution",
     "noisy_basis_measurement",
@@ -69,11 +69,6 @@ class OutcomeDistribution:
 # ---------------------------------------------------------------------------
 # Expectations and shot noise
 # ---------------------------------------------------------------------------
-
-def exact_expectations(rho: np.ndarray, smap: SensingMap) -> np.ndarray:
-    """Noiseless data: y_k = Tr[P_k rho], with no map rescaling applied."""
-    return apply_sensing(smap, rho) / smap.scale
-
 
 def sample_shots_observable(rho: np.ndarray, P, N: int, seed) -> float:
     """Sample-mean estimate of Tr[P rho] from N binomial shots."""
@@ -357,8 +352,7 @@ def _setting_seed(seed, index: int) -> np.random.Generator:
 
 def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
                        shots: int | None, noise: NoiseModel | None = None,
-                       seed=0, normalized: bool = False,
-                       return_record: bool = False):
+                       seed=0, return_record: bool = False):
     """Simulate a measurement plan on a state and assemble (SensingMap, y).
 
     Observable mode draws one binomial per Pauli (no measurement-side noise
@@ -370,8 +364,9 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
     with equal weight. ``shots=None`` means infinite shots (exact values).
 
     ``y`` is aligned with the returned map's Pauli order and holds raw
-    sample means (no sqrt(d/M) rescaling). Set ``return_record=True`` to
-    also get the ShotRecord.
+    sample means of ``Tr[P_k rho]``, in the units of the returned (raw) map;
+    the sqrt(d/M) rescaling is AMP's and happens inside the solver. Set
+    ``return_record=True`` to also get the ShotRecord.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     d = 1 << plan.n
@@ -384,10 +379,10 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
         if noise is not None and noise.measurement_side:
             raise ValueError("coherent/readout noise needs a settings-mode plan")
         paulis = [build_pauli(w) for w in plan.words]
-        smap = build_sensing_map(paulis, normalized=normalized)
+        smap = build_sensing_map(paulis)
         rng = _setting_seed(seed, 0)
         if shots is None:
-            y = exact_expectations(rho, smap)
+            y = apply_sensing(smap, rho)
         else:
             y = np.array([sample_shots_observable(rho, P, shots, rng)
                           for P in paulis])
@@ -421,8 +416,7 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
                 order.append(word)
             estimates[word].append(est)
     y = np.array([np.mean(estimates[w]) for w in order])
-    smap = build_sensing_map([build_pauli(w) for w in order],
-                             normalized=normalized)
+    smap = build_sensing_map([build_pauli(w) for w in order])
     record = None
     if return_record:
         if shots is None:
@@ -451,10 +445,12 @@ class ShotRecord:
     counts: tuple | None = None        # settings mode: outcome counts per word
 
     def __post_init__(self):
+        if not self.words:
+            raise ValueError("record has no words")
         if self.mode == "observables":
             if self.values is None or len(self.values) != len(self.words):
                 raise ValueError("observable record needs one value per word")
-            if np.max(np.abs(np.asarray(self.values))) > 1.0 + 1e-12:
+            if not np.all(np.abs(np.asarray(self.values)) <= 1.0 + 1e-12):
                 raise ValueError("sample means must lie in [-1, 1]")
         elif self.mode == "settings":
             if self.shots is None:
@@ -483,28 +479,49 @@ def write_shots(path, record: ShotRecord) -> None:
                 fh.write(w + " " + " ".join(parts) + "\n")
 
 
+_SHOTS_HEADER = re.compile(
+    r"SHOTS v1 n=([1-9][0-9]*) N=([1-9][0-9]*|inf) mode=(observables|settings)")
+
+
 def read_shots(path) -> ShotRecord:
+    """Read a SHOTS v1 file; a malformed line raises ValueError naming it."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[:2] != ["SHOTS", "v1"]:
-            raise ValueError("not a SHOTS v1 file")
-        n = int(header[2][2:])
-        shots = None if header[3][2:] == "inf" else int(header[3][2:])
-        mode = header[4][5:]
-        words, values, counts = [], [], []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            words.append(parts[0])
-            if mode == "observables":
-                values.append(float(parts[1]))
-            else:
-                c = np.zeros(1 << n, dtype=np.int64)
-                for item in parts[1:]:
-                    bits, _, cnt = item.partition(":")
-                    c[int(bits, 2)] = int(cnt)
-                counts.append(c)
+        lines = fh.read().splitlines()
+    header = _SHOTS_HEADER.fullmatch(" ".join(lines[0].split()) if lines else "")
+    if header is None:
+        raise ValueError("SHOTS v1: malformed header at line 1")
+    n = int(header[1])
+    shots = None if header[2] == "inf" else int(header[2])
+    mode = header[3]
+    alphabet = LETTERS if mode == "observables" else "XYZ"
+    item = re.compile(f"([01]{{{n}}}):([0-9]+)")
+    words, values, counts = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        word, fields = parts[0], parts[1:]
+        if len(word) != n or any(ch not in alphabet for ch in word):
+            raise ValueError(f"SHOTS v1: invalid {mode} word {word!r} "
+                             f"at line {lineno}")
+        words.append(word)
+        if mode == "observables":
+            try:
+                (text,) = fields
+                values.append(float(text))
+            except ValueError:
+                raise ValueError(
+                    f"SHOTS v1: malformed value at line {lineno}") from None
+            continue
+        matches = [item.fullmatch(f) for f in fields]
+        if not matches or not all(matches):
+            raise ValueError(f"SHOTS v1: malformed count at line {lineno}")
+        if len({m[1] for m in matches}) != len(matches):
+            raise ValueError(f"SHOTS v1: repeated outcome at line {lineno}")
+        c = np.zeros(1 << n, dtype=np.int64)
+        for m in matches:
+            c[int(m[1], 2)] = int(m[2])
+        counts.append(c)
     if mode == "observables":
         return ShotRecord(n=n, mode=mode, shots=shots, words=tuple(words),
                           values=np.array(values), counts=None)

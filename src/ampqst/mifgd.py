@@ -5,8 +5,8 @@ Estimates rho = U U^dagger with U of width ``rank_budget`` by the iteration
     U_{t+1} = Z_t - eta * A^dagger(A(Z_t Z_t^dagger) - y) @ Z_t
     Z_{t+1} = U_{t+1} + mu * (U_{t+1} - U_t)
 
-from a random U_0 (Z_0 = U_0), consuming the unnormalized sensing map and
-raw sample means. The Gram form keeps every estimate PSD; the trace is not
+from a random U_0 (Z_0 = U_0), consuming the raw sensing map and raw sample
+means. The Gram form keeps every estimate PSD; the trace is not
 constrained, so report fidelities only after projecting onto the
 density-matrix set.
 
@@ -70,8 +70,6 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
     ``rho_hat = U U^dagger`` is PSD with rank at most the budget but is not
     trace-normalized. Raises DivergenceError if the factor goes non-finite.
     """
-    if smap.normalized:
-        raise ValueError("the baseline consumes the unnormalized sensing map")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (smap.M,):
         raise ValueError("data vector length does not match the map")

@@ -7,12 +7,14 @@ qubit's bit between row and column index, I and Z preserve it, and the entry
 value is ``i**y_count`` times a sign picked up from Y and Z letters.
 
 The sensing map for an ordered list of ``M`` Pauli strings sends a Hermitian
-``X`` to the vector of (optionally rescaled) expectation values
-``scale * Tr[P_k X]``. Its matrix has rows ``scale * vec(P_k)^dagger``
-(row-major vectorization) and factors as ``D @ R`` where ``R`` is an integer
-sparse matrix with rows ``i**y_count * vec(P_k)^dagger`` (entries in
-{-1, 0, +1}) and ``D`` is diagonal with ``D_kk = scale * (-i)**y_count``.
-``R`` stores M*d signed bytes; nothing of size M*d^2 is ever materialized.
+``X`` to the vector of expectation values ``Tr[P_k X]``. It is stored as one
+real M x 2d^2 sparse matrix ``A`` acting on the interleaved real coordinates
+``X.reshape(-1).view(float64)`` of the row-major complex matrix: the entries
+of P_k are +-1 or +-i, so row k reads only the real parts (even ``y_count``)
+or only the imaginary parts (odd ``y_count``) of its d entries, with weights
++-1. ``A`` stores M*d nonzeros; nothing of size M*d^2 is ever materialized,
+and the adjoint is its transpose, a view sharing A's arrays. The sqrt(d/M)
+rescaling of AMP is applied by the solver, not by the map.
 
 PauliString and SensingMap are immutable after construction; applying a
 shared map from several threads is safe. Sampling functions take caller-owned
@@ -89,11 +91,6 @@ class PauliString:
         """Complex values of ``vec(P)^dagger`` at ``cols`` (modulus 1)."""
         return (-1j) ** (self.y_count % 4) * self.signs.astype(np.complex128)
 
-    @property
-    def sparse_row(self):
-        """(column indices, complex values) of the d nonzeros of vec(P)^dagger."""
-        return self.cols, self.values
-
     def dense(self) -> np.ndarray:
         """Materialize the d x d Pauli matrix (small n only)."""
         d = self.dim
@@ -169,26 +166,22 @@ def pauli_expectation(P: PauliString, rho: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SensingMap:
-    """Ordered Pauli observables with the sparse D*R factorization.
+    """Ordered Pauli observables with the real sparse matrix of their map.
 
-    ``R`` is an M x d^2 CSR matrix of signed bytes and ``D`` the diagonal
-    complex factor (scale included), so row k of the map's matrix is
-    ``D[k] * R[k]``. The float mirror of R is kept for fast matvecs and
-    shares R's index arrays.
+    ``A`` is the M x 2d^2 float CSR matrix of ``X -> (Tr[P_k X])_k`` on the
+    interleaved real coordinates of X; ``At`` is its transpose, a CSC view
+    that shares A's arrays.
     """
 
     paulis: tuple
     n: int
     d: int
     M: int
-    normalized: bool
-    scale: float
-    D: np.ndarray
-    R: sp.csr_matrix
-    _Rf: sp.csr_matrix = field(repr=False)
+    A: sp.csr_matrix
+    At: sp.csc_matrix = field(repr=False)
 
 
-def build_sensing_map(paulis, normalized: bool = True) -> SensingMap:
+def build_sensing_map(paulis) -> SensingMap:
     """Assemble a SensingMap from distinct PauliStrings (or words)."""
     plist = tuple(build_pauli(p) if isinstance(p, str) else p for p in paulis)
     if not plist:
@@ -201,48 +194,39 @@ def build_sensing_map(paulis, normalized: bool = True) -> SensingMap:
         raise ValueError("duplicate Pauli observables in sensing map")
     d = 1 << n
     M = len(plist)
-    scale = float(np.sqrt(d / M)) if normalized else 1.0
-    y_counts = np.array([p.y_count for p in plist])
-    D = scale * (-1j) ** (y_counts % 4)
-    data = np.concatenate([p.signs for p in plist])
-    indices = np.concatenate([p.cols for p in plist])
+    # entry j of vec(P_k)^dagger is (-i)**y_count * signs[j]: real (odd
+    # y_count: imaginary) coordinate of X, weighted by (-1)**(y_count // 2)
+    y_counts = np.array([p.y_count for p in plist])[:, None]
+    data = np.stack([p.signs for p in plist]) * (1.0 - 2.0 * ((y_counts >> 1) & 1))
+    indices = 2 * np.stack([p.cols for p in plist]) + (y_counts & 1)
     indptr = np.arange(0, (M + 1) * d, d, dtype=np.int64)
-    R = sp.csr_matrix((data, indices, indptr), shape=(M, d * d))
-    Rf = sp.csr_matrix((data.astype(np.float64), R.indices, R.indptr),
-                       shape=(M, d * d))
-    return SensingMap(paulis=plist, n=n, d=d, M=M, normalized=normalized,
-                      scale=scale, D=D, R=R, _Rf=Rf)
+    A = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
+                      shape=(M, 2 * d * d))
+    return SensingMap(paulis=plist, n=n, d=d, M=M, A=A, At=A.T)
 
 
 def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
-    """Apply the map: component k is ``scale * Tr[P_k X]``.
+    """Apply the map: component k is ``Tr[P_k X]``.
 
-    The tiny imaginary residue of a Hermitian input is checked against 1e-10
-    times ``max(1, max|Re y|)`` and dropped: round-off grows with the output,
-    which on a diverging run reaches 1e6 and more.
+    Rejects an input whose anti-Hermitian part reaches 1e-10 times
+    ``max(1, max|X|)``: round-off grows with the entries, which on a
+    diverging run reach 1e6 and more.
     """
-    X = np.asarray(X, dtype=np.complex128)
+    X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.shape != (smap.d, smap.d):
         raise ValueError("dimension mismatch between map and matrix")
-    x = np.ascontiguousarray(X).reshape(-1)
-    w = smap._Rf @ x.real + 1j * (smap._Rf @ x.imag)
-    y = smap.D * w
-    bound = _IMAG_RESIDUE_ATOL * max(1.0, float(np.max(np.abs(y.real))))
-    if np.max(np.abs(y.imag)) >= bound:
-        raise ValueError("sensing output has a non-negligible imaginary part; "
-                         "input is not Hermitian")
-    return np.ascontiguousarray(y.real)
+    bound = _IMAG_RESIDUE_ATOL * max(1.0, float(np.max(np.abs(X))))
+    if np.max(np.abs(X - X.conj().T)) >= bound:
+        raise ValueError("input is not Hermitian")
+    return smap.A @ X.reshape(-1).view(np.float64)
 
 
 def apply_adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:
-    """Adjoint map ``scale * sum_k y_k P_k``, exactly Hermitian."""
+    """Adjoint map ``sum_k y_k P_k``, exactly Hermitian."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (smap.M,):
         raise ValueError("dimension mismatch between map and data vector")
-    w = smap.D.conj() * y
-    v = smap._Rf.T @ w.real + 1j * (smap._Rf.T @ w.imag)
-    X = v.reshape(smap.d, smap.d)
-    return 0.5 * (X + X.conj().T)
+    return (smap.At @ y).view(np.complex128).reshape(smap.d, smap.d)
 
 
 def sample_observables(n: int, M: int, seed) -> list:

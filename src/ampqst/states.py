@@ -213,7 +213,6 @@ def project_to_density(H: np.ndarray) -> np.ndarray:
     """
     dec = spectral_decompose(H)
     vals = dec.eigenvalues.copy()
-    vals[(vals > -EIGENVALUE_CLIP) & (vals < 0.0)] = 0.0
     pos = vals > 0.0
     if not pos.any():
         d = vals.size
@@ -312,9 +311,13 @@ def read_density(path) -> np.ndarray:
         d = 1 << n
         flat = np.empty(d * d, dtype=np.complex128)
         for k in range(d * d):
-            parts = fh.readline().split()
-            if len(parts) != 2:
-                raise ValueError(f"DMAT v1: malformed entry at line {k + 2}")
-            flat[k] = float(parts[0]) + 1j * float(parts[1])
+            try:
+                re_part, im_part = fh.readline().split()
+                flat[k] = float(re_part) + 1j * float(im_part)
+            except ValueError:
+                raise ValueError(f"DMAT v1: malformed entry at line {k + 2}") from None
+        for k, line in enumerate(fh, start=d * d + 2):
+            if line.strip():
+                raise ValueError(f"DMAT v1: unexpected data at line {k}")
     rho = flat.reshape(d, d)
     return check_hermitian(rho)

@@ -192,7 +192,7 @@ def test_criterion_5_adjoint_and_gram():
     for n in (1, 2):
         d = 1 << n
         words = [pauli_word_from_index(i, n) for i in range(4 ** n)]
-        smap = build_sensing_map(words, normalized=False)
+        smap = build_sensing_map(words)
         A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         Xh = 0.5 * (A + A.conj().T)
         gram = apply_adjoint(smap, apply_sensing(smap, Xh))

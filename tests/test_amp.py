@@ -14,10 +14,11 @@ from ampqst.amp import (
     svt,
 )
 from ampqst.errors import DivergenceError
-from ampqst.measure import build_measurements, exact_expectations
+from ampqst.measure import build_measurements
 from ampqst.pauli import (
     MeasurementPlan,
-    build_sensing_map,
+    apply_adjoint,
+    apply_sensing,
     pauli_word_from_index,
     sample_observables,
 )
@@ -223,72 +224,72 @@ def make_problem(n=3, M=None, seed=0, shots=None, rank=1):
     return rho, smap, y
 
 
+def pseudo_data(prev_rho, smap, new):
+    """v = rho_prev + A~^dagger(r), recomputed as amp_step forms it."""
+    s = float(np.sqrt(smap.d / smap.M))
+    return prev_rho + apply_adjoint(smap, s * new.residual)
+
+
 class TestAmpStep:
     def test_truth_is_fixed_point_of_data_term(self):
         rho, smap, y = make_problem()
-        smap_n = build_sensing_map(smap.paulis, normalized=True)
-        y_n = smap_n.scale * y
         cfg = AmpConfig(seed=0)
-        state = initial_state(smap_n)
+        state = initial_state(smap)
         state.rho = rho
-        new = amp_step(state, smap_n, y_n, cfg, np.random.default_rng(0))
+        new = amp_step(state, smap, y, cfg, np.random.default_rng(0))
         assert np.max(np.abs(new.residual)) < 1e-10
         assert new.sigma < 1e-10
-        assert np.max(np.abs(new.pseudo_data - rho)) < 1e-9
+        assert np.max(np.abs(pseudo_data(rho, smap, new) - rho)) < 1e-9
         assert np.max(np.abs(new.rho - rho)) < 1e-12
 
     def test_first_step_has_no_onsager(self):
         rho, smap, y = make_problem(seed=1)
-        smap_n = build_sensing_map(smap.paulis, normalized=True)
-        y_n = smap_n.scale * y
+        s = np.sqrt(smap.d / smap.M)
         cfg = AmpConfig(seed=0)
-        new = amp_step(initial_state(smap_n), smap_n, y_n, cfg,
-                       np.random.default_rng(0))
-        expected_r = y_n - smap_n.scale * exact_expectations(np.eye(8) / 8, smap_n)
+        new = amp_step(initial_state(smap), smap, y, cfg, np.random.default_rng(0))
+        expected_r = s * y - s * apply_sensing(smap, np.eye(8) / 8)
         assert new.onsager == 0.0
         assert np.allclose(new.residual, expected_r, atol=1e-12)
 
     def test_residual_is_real_vector(self):
         rho, smap, y = make_problem(seed=2, shots=256)
-        smap_n = build_sensing_map(smap.paulis, normalized=True)
-        state = initial_state(smap_n)
+        state = initial_state(smap)
         rng = np.random.default_rng(1)
         for _ in range(5):
-            state = amp_step(state, smap_n, smap_n.scale * y, AmpConfig(seed=0), rng)
+            state = amp_step(state, smap, y, AmpConfig(seed=0), rng)
             assert state.residual.dtype == np.float64
 
     def test_onsager_is_twice_the_probe_estimate(self):
         # the step probes the previous pseudo-data with the first draws of
         # its generator, as estimate_onsager does with the same seed
         rho, smap, y = make_problem(seed=12, M=40, shots=512)
-        smap_n = build_sensing_map(smap.paulis, normalized=True)
         cfg = AmpConfig(seed=0, mc_samples=3)
         rng = np.random.default_rng(5)
-        first = amp_step(initial_state(smap_n), smap_n, smap_n.scale * y, cfg, rng)
-        second = amp_step(first, smap_n, smap_n.scale * y, cfg, rng)
-        fd = estimate_onsager(psvt, first.pseudo_data, first.tau, smap_n.M,
-                              1e-7, 3, np.random.default_rng(5))
+        start = initial_state(smap)
+        first = amp_step(start, smap, y, cfg, rng)
+        second = amp_step(first, smap, y, cfg, rng)
+        fd = estimate_onsager(psvt, pseudo_data(start.rho, smap, first), first.tau,
+                              smap.M, 1e-7, 3, np.random.default_rng(5))
         assert second.onsager != 0.0
         assert abs(second.onsager - 2.0 * fd) <= 1e-5 * abs(second.onsager)
 
     def test_damping_convexity(self):
         rho, smap, y = make_problem(seed=3, shots=512)
-        smap_n = build_sensing_map(smap.paulis, normalized=True)
         cfg = AmpConfig(seed=0, damping=0.3)
         rng = np.random.default_rng(2)
-        state = initial_state(smap_n)
+        state = initial_state(smap)
         prev_rho = state.rho.copy()
-        state = amp_step(state, smap_n, smap_n.scale * y, cfg, rng)
-        reassembled = 0.3 * state.denoised + 0.7 * prev_rho
+        state = amp_step(state, smap, y, cfg, rng)
+        denoised = psvt(pseudo_data(prev_rho, smap, state), state.tau)
+        reassembled = 0.3 * denoised + 0.7 * prev_rho
         assert np.linalg.norm(state.rho - reassembled) == 0.0
 
     def test_psvt_iterates_are_densities(self):
         rho, smap, y = make_problem(seed=4, shots=512)
-        smap_n = build_sensing_map(smap.paulis, normalized=True)
         rng = np.random.default_rng(3)
-        state = initial_state(smap_n)
+        state = initial_state(smap)
         for _ in range(10):
-            state = amp_step(state, smap_n, smap_n.scale * y, AmpConfig(seed=0), rng)
+            state = amp_step(state, smap, y, AmpConfig(seed=0), rng)
             assert is_density(state.rho)
 
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ampqst.measure import (
     NoiseModel,
@@ -16,7 +18,6 @@ from ampqst.measure import (
     apply_readout,
     build_measurements,
     estimate_from_setting,
-    exact_expectations,
     noisy_basis_measurement,
     outcome_distribution,
     overrotation_unitary,
@@ -24,7 +25,13 @@ from ampqst.measure import (
     sample_shots_observable,
     write_shots,
 )
-from ampqst.pauli import MeasurementPlan, build_pauli, build_sensing_map, covered_words
+from ampqst.pauli import (
+    MeasurementPlan,
+    apply_sensing,
+    build_pauli,
+    build_sensing_map,
+    covered_words,
+)
 from ampqst.states import (
     is_density,
     make_named_state,
@@ -70,21 +77,14 @@ def kron_word(word):
 
 class TestExpectations:
     def test_mixed_state_traceless(self):
-        smap = build_sensing_map(["XZ", "YY", "IX"], normalized=False)
-        assert np.allclose(exact_expectations(np.eye(4) / 4, smap), 0.0)
+        smap = build_sensing_map(["XZ", "YY", "IX"])
+        assert np.allclose(apply_sensing(smap, np.eye(4) / 4), 0.0)
 
     def test_ghz_stabilizers(self):
         rho = pure_density(make_named_state("GHZ", 2))
-        smap = build_sensing_map(["ZZ", "ZI", "XX"], normalized=True)
-        y = exact_expectations(rho, smap)
+        smap = build_sensing_map(["ZZ", "ZI", "XX"])
+        y = apply_sensing(smap, rho)
         assert np.allclose(y, [1.0, 0.0, 1.0], atol=1e-12)
-
-    def test_normalization_independent(self):
-        rho = make_random_state(2, 2, 0)
-        words = ["XY", "ZZ", "IX"]
-        y1 = exact_expectations(rho, build_sensing_map(words, normalized=True))
-        y2 = exact_expectations(rho, build_sensing_map(words, normalized=False))
-        assert np.allclose(y1, y2)
 
 
 class TestShotSampling:
@@ -111,7 +111,7 @@ class TestShotSampling:
     def test_unbiasedness_four_sigma(self):
         rho = make_random_state(2, 2, 3)
         p = build_pauli("XZ")
-        exact = exact_expectations(rho, build_sensing_map([p], normalized=False))[0]
+        exact = apply_sensing(build_sensing_map([p]), rho)[0]
         N, K = 64, 10_000
         rng = np.random.default_rng(11)
         draws = [sample_shots_observable(rho, p, N, rng) for _ in range(K)]
@@ -410,7 +410,7 @@ class TestBuildMeasurements:
         plan = MeasurementPlan(n=3, mode="observables",
                                words=("XYZ", "ZZI", "IXI", "YYY"))
         smap, y = build_measurements(rho, plan, shots=None, seed=0)
-        assert np.allclose(y, exact_expectations(rho, smap), atol=1e-12)
+        assert np.allclose(y, apply_sensing(smap, rho), atol=1e-12)
 
     def test_modes_agree_at_infinite_shots(self):
         rho = make_random_state(2, 2, 2)
@@ -500,6 +500,12 @@ class TestShotsFormat:
             ShotRecord(n=1, mode="observables", shots=8, words=("Z",),
                        values=np.array([1.5]))
         with pytest.raises(ValueError):
+            ShotRecord(n=1, mode="observables", shots=8, words=("Z",),
+                       values=np.array([np.nan]))
+        with pytest.raises(ValueError):
+            ShotRecord(n=1, mode="observables", shots=8, words=(),
+                       values=np.array([]))
+        with pytest.raises(ValueError):
             ShotRecord(n=1, mode="settings", shots=8, words=("Z",),
                        counts=(np.array([3, 3]),))
 
@@ -514,3 +520,73 @@ class TestShotsFormat:
         back = read_shots(path)
         for a, b in zip(back.counts, rec.counts):
             assert np.array_equal(a, b)
+
+
+@st.composite
+def shot_records(draw):
+    """A valid ShotRecord on 1..3 qubits, in either mode."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        words = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n),
+                              min_size=1, max_size=6, unique=True))
+        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(words),
+                               max_size=len(words)))
+        return ShotRecord(n=n, mode="observables",
+                          shots=draw(st.none() | st.integers(1, 10**6)),
+                          words=tuple(words), values=np.array(values))
+    words = draw(st.lists(st.text("XYZ", min_size=n, max_size=n),
+                          min_size=1, max_size=6, unique=True))
+    shots = draw(st.integers(1, 10**6))
+    counts = []
+    for _ in words:
+        cuts = draw(st.lists(st.integers(0, shots), min_size=(1 << n) - 1,
+                             max_size=(1 << n) - 1))
+        counts.append(np.diff([0] + sorted(cuts) + [shots]))
+    return ShotRecord(n=n, mode="settings", shots=shots, words=tuple(words),
+                      counts=tuple(counts))
+
+
+
+class TestShotsReader:
+    @given(shot_records())
+    def test_round_trip(self, tmp_path_factory, rec):
+        path = tmp_path_factory.mktemp("shots") / "shots.txt"
+        write_shots(path, rec)
+        back = read_shots(path)
+        assert (back.n, back.mode, back.shots, back.words) \
+            == (rec.n, rec.mode, rec.shots, rec.words)
+        if rec.mode == "observables":
+            assert np.array_equal(back.values, rec.values)
+        else:
+            for a, b in zip(back.counts, rec.counts):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("text, line", [
+        ("SHOTS v1 n=2 N=8 mode=settings\nXY 1:8\n", 2),        # short bitstring
+        ("SHOTS v1 n=2 N=8 mode=settings\nXY 111:8\n", 2),      # long bitstring
+        ("SHOTS v1 q=2 N=8 mode=settings\nXY 00:8\n", 1),       # wrong prefix
+        ("SHOTS v1 n=2 N=8 mode=settings\nXYZ 00:8\n", 2),      # word too long
+        ("SHOTS v1 n=2 N=8 mode=settings\nZZ 00:8\nQQ 00:8\n", 3),
+        ("SHOTS v1 n=2 N=8 mode=observables\nQQ 0.5\n", 2),
+        ("SHOTS v1 n=2 N=8 mode=settings\nXY 00:4 00:4\n", 2),  # repeated outcome
+        ("SHOTS v1 n=2 N=8 mode=observables\nXX 0.5 0.25\n", 2),  # extra field
+        ("SHOTS v1 n=2 N=8 mode=observables\nXX\n", 2),         # missing value
+        ("SHOTS v1 n=2 N=8 mode=settings\nXY 00:x\n", 2),
+        ("SHOTS v1 n=2 N=8 mode=settings\nXY\n", 2),
+    ])
+    def test_malformed_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "shots.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}"):
+            read_shots(path)
+
+    @given(st.sampled_from(["observables", "settings"]),
+           st.text("IXYZQ01:.-e ", max_size=16))
+    def test_fuzzed_line_reads_or_raises_value_error(self, tmp_path_factory,
+                                                     mode, line):
+        path = tmp_path_factory.mktemp("shots") / "shots.txt"
+        path.write_text(f"SHOTS v1 n=2 N=8 mode={mode}\n{line}\n")
+        try:
+            read_shots(path)
+        except ValueError:
+            pass

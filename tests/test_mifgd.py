@@ -76,13 +76,6 @@ class TestRunMifgd:
         diffs = np.diff(fits)
         assert np.all(diffs <= 1e-12)
 
-    def test_rejects_normalized_map(self):
-        rho, smap, y = full_basis_problem(2, seed=5)
-        from ampqst.pauli import build_sensing_map
-        smap_n = build_sensing_map(smap.paulis, normalized=True)
-        with pytest.raises(ValueError):
-            run_mifgd(smap_n, y, MifgdConfig())
-
     def test_stops_on_relative_tolerance(self):
         rho, smap, y = full_basis_problem(2, seed=6)
         cfg = MifgdConfig(rank_budget=1, mu=0.0, rel_tol=1e-3, seed=8)

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ampqst.pauli import (
     MeasurementPlan,
@@ -38,6 +40,22 @@ def kron_pauli(word):
 
 def all_words(n):
     return ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+
+
+def random_hermitian(rng, d):
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (A + A.conj().T)
+
+
+@st.composite
+def maps_and_rngs(draw):
+    """A sensing map on 1..4 qubits with distinct random words, and a seeded rng."""
+    n = draw(st.integers(1, 4))
+    words = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n),
+                          min_size=1, max_size=12, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return build_sensing_map(words), np.random.default_rng(seed)
+
 
 
 class TestBuildPauli:
@@ -96,67 +114,61 @@ class TestBuildPauli:
 
 
 class TestSensingMap:
-    def test_scale_normalized(self):
-        smap = build_sensing_map(["I", "X", "Y", "Z"], normalized=True)
-        assert abs(smap.scale - np.sqrt(2 / 4)) < 1e-15
-
-    def test_scale_full_basis(self):
-        smap = build_sensing_map(all_words(1), normalized=True)
-        assert abs(smap.scale - 1 / np.sqrt(2)) < 1e-15
-        smap2 = build_sensing_map(all_words(2), normalized=True)
-        assert abs(smap2.scale - 0.5) < 1e-15
-
-    def test_scale_unnormalized(self):
-        smap = build_sensing_map(["XX", "ZZ"], normalized=False)
-        assert smap.scale == 1.0
-
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             build_sensing_map(["XX", "XX"])
 
     def test_rows_factorize(self):
-        # row k of the (scaled) sensing matrix equals D[k] * R[k]
-        smap = build_sensing_map(["XY", "ZI", "YY", "IZ"], normalized=True)
-        R = smap.R.toarray()
+        # row k of A, read as a complex row (real coordinate + i * imaginary
+        # coordinate of each entry), is vec(P_k)^dagger
+        smap = build_sensing_map(["XY", "ZI", "YY", "IZ", "YI", "YX"])
+        A = smap.A.toarray()
         for k, p in enumerate(smap.paulis):
-            expected = smap.scale * kron_pauli(p.letters).conj().reshape(-1)
-            assert np.allclose(smap.D[k] * R[k], expected), p.letters
+            expected = kron_pauli(p.letters).conj().reshape(-1)
+            row = A[k, 0::2] - 1j * A[k, 1::2]
+            assert np.array_equal(row, expected), p.letters
 
     def test_memory_contract(self):
-        smap = build_sensing_map(all_words(3)[:40], normalized=True)
-        assert sp.issparse(smap.R)
-        assert smap.R.nnz == 40 * 8
-        assert smap.R.dtype == np.int8
+        smap = build_sensing_map(all_words(3)[:40])
+        assert sp.issparse(smap.A)
+        assert smap.A.shape == (40, 2 * 64)
+        assert smap.A.nnz == 40 * 8
+        assert smap.A.dtype == np.float64
+
+    def test_adjoint_shares_the_matrix(self):
+        smap = build_sensing_map(all_words(2))
+        assert np.shares_memory(smap.At.data, smap.A.data)
+        assert np.shares_memory(smap.At.indices, smap.A.indices)
 
     def test_apply_traceless(self):
-        smap = build_sensing_map(["XI", "YZ", "ZZ"], normalized=False)
+        smap = build_sensing_map(["XI", "YZ", "ZZ"])
         y = apply_sensing(smap, np.eye(4) / 4)
         assert np.allclose(y, 0.0)
 
     def test_apply_identity_observable(self):
-        smap = build_sensing_map(["II", "XX"], normalized=False)
+        smap = build_sensing_map(["II", "XX"])
         y = apply_sensing(smap, np.eye(4) / 4)
         assert abs(y[0] - 1.0) < 1e-12
 
     def test_apply_ghz_stabilizer(self):
-        smap = build_sensing_map(["XX", "ZZ", "ZI"], normalized=True)
+        smap = build_sensing_map(["XX", "ZZ", "ZI"])
         y = apply_sensing(smap, pure_density(make_named_state("GHZ", 2)))
-        assert abs(y[0] - smap.scale) < 1e-12
-        assert abs(y[1] - smap.scale) < 1e-12
+        assert abs(y[0] - 1.0) < 1e-12
+        assert abs(y[1] - 1.0) < 1e-12
         assert abs(y[2]) < 1e-12
 
     def test_apply_rejects_non_hermitian(self):
         rng = np.random.default_rng(1)
-        smap = build_sensing_map(all_words(2), normalized=False)
+        smap = build_sensing_map(all_words(2))
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with pytest.raises(ValueError):
             apply_sensing(smap, X)
 
     def test_apply_accepts_large_hermitian(self):
-        # entries of 1e6, as on a diverging run: the float64 round-off in the
-        # imaginary part (about 3e-10 here) scales with the output
+        # entries of 1e6, as on a diverging run: the Hermiticity bound scales
+        # with the entries, and the output keeps its relative accuracy
         rng = np.random.default_rng(0)
-        smap = build_sensing_map(all_words(3), normalized=False)
+        smap = build_sensing_map(all_words(3))
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         X = 1e6 * (A + A.conj().T) / 2
         y = apply_sensing(smap, X)
@@ -164,9 +176,9 @@ class TestSensingMap:
         assert np.max(np.abs(y - dense)) < 1e-12 * np.max(np.abs(dense))
 
     def test_adjoint_basis_vector(self):
-        smap = build_sensing_map(["XY", "ZZ"], normalized=True)
+        smap = build_sensing_map(["XY", "ZZ"])
         e0 = np.array([1.0, 0.0])
-        assert np.allclose(apply_adjoint(smap, e0), smap.scale * kron_pauli("XY"))
+        assert np.array_equal(apply_adjoint(smap, e0), kron_pauli("XY"))
         assert np.allclose(apply_adjoint(smap, np.zeros(2)), 0.0)
 
     def test_adjoint_output_exactly_hermitian(self):
@@ -194,7 +206,7 @@ class TestSensingMap:
         rng = np.random.default_rng(2)
         for n in (1, 2):
             d = 1 << n
-            smap = build_sensing_map(all_words(n), normalized=False)
+            smap = build_sensing_map(all_words(n))
             A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             Xh = 0.5 * (A + A.conj().T)
             acc = apply_adjoint(smap, apply_sensing(smap, Xh))
@@ -210,7 +222,7 @@ class TestSensingMap:
     def test_pauli_expectation_matches_apply(self):
         rng = np.random.default_rng(3)
         rho = make_random_state(2, 3, rng)
-        smap = build_sensing_map(["XY", "ZZ", "IX"], normalized=False)
+        smap = build_sensing_map(["XY", "ZZ", "IX"])
         y = apply_sensing(smap, rho)
         for k, p in enumerate(smap.paulis):
             assert abs(pauli_expectation(p, rho) - y[k]) < 1e-12
@@ -220,9 +232,8 @@ class TestSensingMap:
         rng = np.random.default_rng(9)
         for n in (1, 2):
             d = 1 << n
-            smap = build_sensing_map(sample_observables(n, 3 ** n, rng),
-                                     normalized=True)
-            B = np.vstack([smap.scale * kron_pauli(p.letters).conj().reshape(-1)
+            smap = build_sensing_map(sample_observables(n, 3 ** n, rng))
+            B = np.vstack([kron_pauli(p.letters).conj().reshape(-1)
                            for p in smap.paulis])
             A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             Xh = 0.5 * (A + A.conj().T)
@@ -232,6 +243,27 @@ class TestSensingMap:
             adj_of_fwd = apply_adjoint(smap, apply_sensing(smap, Xh))
             dense = (B.conj().T @ (B @ Xh.reshape(-1))).reshape(d, d)
             assert np.max(np.abs(adj_of_fwd - dense)) < 1e-10
+
+
+class TestSensingMapProperties:
+    @given(maps_and_rngs())
+    def test_matches_dense_oracle_and_adjoint(self, case):
+        smap, rng = case
+        Xh = random_hermitian(rng, smap.d)
+        y = apply_sensing(smap, Xh)
+        dense = [np.trace(kron_pauli(p.letters) @ Xh).real for p in smap.paulis]
+        assert np.max(np.abs(y - dense)) < 1e-10
+        z = rng.standard_normal(smap.M)
+        lhs = float(y @ z)
+        rhs = float(np.real(np.sum(Xh.conj() * apply_adjoint(smap, z))))
+        assert abs(lhs - rhs) <= 1e-10
+
+    @given(maps_and_rngs())
+    def test_rejects_small_anti_hermitian_part(self, case):
+        smap, rng = case
+        K = 1j * random_hermitian(rng, smap.d)
+        with pytest.raises(ValueError):
+            apply_sensing(smap, random_hermitian(rng, smap.d) + 1e-6 * K)
 
 
 class TestSampling:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ampqst.states import (
     SpectralDecomposition,
@@ -241,6 +243,25 @@ class TestDmatFormat:
         path = tmp_path / "junk.txt"
         path.write_text("hello\n")
         with pytest.raises(ValueError):
+            read_density(path)
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_round_trip_random_states(self, tmp_path_factory, n, rank, seed):
+        rho = make_random_state(n, min(rank, 1 << n), seed)
+        path = tmp_path_factory.mktemp("dmat") / "state.dmat"
+        write_density(path, rho)
+        assert np.array_equal(read_density(path), rho)
+
+    @pytest.mark.parametrize("text, line", [
+        ("DMAT v1 n=1\n0.5 0\n0 0\n0 0\n0.5 0\n\n0 0\n", 7),  # trailing entry
+        ("DMAT v1 n=1\n0.5 0\n0 0\n0 0\n0.5 0 0\n", 5),          # extra field
+        ("DMAT v1 n=1\n0.5 0\n0 x\n0 0\n0.5 0\n", 3),            # not a number
+        ("DMAT v1 n=1\n0.5 0\n0 0\n", 4),                          # too few entries
+    ])
+    def test_malformed_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.dmat"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}"):
             read_density(path)
 
 
