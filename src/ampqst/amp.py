@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .pauli import SensingMap, apply_adjoint, apply_sensing
-from .states import as_rng, nmse, state_fidelity
+from .states import as_rng, factor_density, nmse, state_fidelity
 
 __all__ = [
     "AmpConfig",
@@ -333,6 +333,7 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
     if ground_truth is not None:
         trace.nmse = []
         trace.fidelity = []
+        truth = factor_density(ground_truth)
 
     state = initial_state(smap)
     sigma0 = None
@@ -346,7 +347,7 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
             trace.residual_norm.append(state.sigma * np.sqrt(smap.M))
             if ground_truth is not None:
                 trace.nmse.append(nmse(ground_truth, state.rho))
-                trace.fidelity.append(state_fidelity(ground_truth, state.rho))
+                trace.fidelity.append(state_fidelity(truth, state.rho))
             if sigma0 is None:
                 sigma0 = state.sigma
             elif sigma0 > 0 and state.sigma > _SIGMA_BLOWUP * sigma0:

@@ -35,6 +35,7 @@ from .measure import (
 from .mifgd import MifgdConfig, run_mifgd
 from .pauli import MeasurementPlan, sample_observables, sample_settings_until
 from .states import (
+    factor_density,
     make_named_state,
     make_random_state,
     nmse,
@@ -182,6 +183,7 @@ def run_trial(cfg: ExperimentConfig, trial: int,
     start = time.perf_counter()
     target = build_target_state(cfg, trial)
     rho_star = prepare_state(cfg, target)
+    target_factor = factor_density(target)
     plan, T = build_plan(cfg, trial)
     smap, y = build_measurements(rho_star, plan, cfg.shots, cfg.noise,
                                  seed=(cfg.seed, trial, _ROLE_MEAS))
@@ -221,9 +223,9 @@ def run_trial(cfg: ExperimentConfig, trial: int,
             if rho_hat is not None and np.isfinite(rho_hat).all() else float("inf")
     else:
         fid_truth = state_fidelity(rho_star, rho_hat)
-        fid_target = state_fidelity(target, rho_hat)
+        fid_target = state_fidelity(target_factor, rho_hat)
         err_nmse = nmse(rho_star, rho_hat)
-    fid_prep = state_fidelity(target, rho_star)
+    fid_prep = state_fidelity(target_factor, rho_star)
     seconds = time.perf_counter() - start
     return TrialResult(trial=trial, M=smap.M, T=T, nmse=err_nmse,
                        fidelity_truth=fid_truth, fidelity_target=fid_target,
@@ -469,47 +471,16 @@ def parse_noise(text: str | None) -> NoiseModel | None:
 
 
 def _experiment_from(args, file_values: dict) -> ExperimentConfig:
+    """Each setting from its flag, else from the config file, else the default."""
+    convert = {"state": str.lower, "algorithm": str.lower, "denoiser": str.lower,
+               "shots": parse_shots, "noise": parse_noise}
     cfg = ExperimentConfig()
-
-    def pick(name, convert=None):
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            return convert(cli_val) if convert else cli_val
-        if name in file_values:
-            v = file_values[name]
-            return convert(v) if convert else v
-        return getattr(cfg, name)
-
-    cfg.state = str(pick("state")).lower()
-    cfg.qubits = pick("qubits")
-    cfg.rank = pick("rank")
-    cfg.seed = pick("seed")
-    cfg.observables = pick("observables")
-    cfg.fraction = pick("fraction")
-    cfg.settings_target = pick("settings_target")
-    cfg.shots = pick("shots", parse_shots) if (
-        getattr(args, "shots", None) is not None or "shots" in file_values
-    ) else cfg.shots
-    cfg.algorithm = str(pick("algorithm")).lower()
-    cfg.alpha = pick("alpha")
-    cfg.damping = pick("damping")
-    cfg.damping_enabled = pick("damping_enabled")
-    cfg.max_iter = pick("max_iter")
-    cfg.denoiser = str(pick("denoiser")).lower()
-    cfg.normalize = pick("normalize")
-    cfg.eta = pick("eta")
-    cfg.mu = pick("mu")
-    cfg.rank_budget = pick("rank_budget")
-    cfg.rel_tol = pick("rel_tol")
-    noise_text = getattr(args, "noise", None)
-    if noise_text is None:
-        noise_text = file_values.get("noise")
-    cfg.noise = parse_noise(noise_text)
-    cfg.trials = pick("trials")
-    cfg.out = pick("out")
-    cfg.trace = pick("trace")
-    cfg.workers = pick("workers")
-    cfg.timing = pick("timing")
+    for name in _CONFIG_KEYS:
+        value = getattr(args, name, None)
+        if value is None:
+            value = file_values.get(name)
+        if value is not None:
+            setattr(cfg, name, convert.get(name, lambda v: v)(value))
     return cfg
 
 

@@ -23,6 +23,7 @@ seeds or Generators.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,13 +347,25 @@ def write_plan(path, plan: MeasurementPlan) -> None:
             fh.write(w + "\n")
 
 
+_PLAN_HEADER = re.compile(r"PLAN v1 n=([1-9][0-9]*) mode=(observables|settings)")
+
+
 def read_plan(path) -> MeasurementPlan:
+    """Read a PLAN v1 file; a malformed line raises ValueError naming it."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[:2] != ["PLAN", "v1"] \
-                or not header[2].startswith("n=") or not header[3].startswith("mode="):
-            raise ValueError("not a PLAN v1 file")
-        n = int(header[2][2:])
-        mode = header[3][5:]
-        words = tuple(line.strip() for line in fh if line.strip())
-    return MeasurementPlan(n=n, mode=mode, words=words)
+        lines = fh.read().splitlines()
+    header = _PLAN_HEADER.fullmatch(" ".join(lines[0].split()) if lines else "")
+    if header is None:
+        raise ValueError("PLAN v1: malformed header at line 1")
+    n, mode = int(header[1]), header[2]
+    alphabet = LETTERS if mode == "observables" else "XYZ"
+    words = {}                         # ordered, with O(1) repeat lookup
+    for lineno, line in enumerate(lines[1:], start=2):
+        word = line.strip()
+        if not word:
+            continue
+        if len(word) != n or any(ch not in alphabet for ch in word) or word in words:
+            raise ValueError(f"PLAN v1: invalid or repeated {mode} word {word!r} "
+                             f"at line {lineno}")
+        words[word] = None
+    return MeasurementPlan(n=n, mode=mode, words=tuple(words))

@@ -24,6 +24,7 @@ __all__ = [
     "HERMITIAN_ATOL",
     "EIGENVALUE_CLIP",
     "SpectralDecomposition",
+    "DensityFactor",
     "as_rng",
     "complex_normal",
     "check_hermitian",
@@ -35,7 +36,7 @@ __all__ = [
     "make_random_state",
     "spectral_decompose",
     "project_to_density",
-    "sqrtm_psd",
+    "factor_density",
     "numerical_rank",
     "nmse",
     "state_fidelity",
@@ -182,11 +183,7 @@ def spectral_decompose(H: np.ndarray, atol: float = 1e-8) -> SpectralDecompositi
     Ordering is deterministic: descending eigenvalues, exact ties broken by
     lexicographic comparison of eigenvector coordinates.
     """
-    H = np.asarray(H, dtype=np.complex128)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(H - H.conj().T)) > atol:
-        raise ValueError(f"matrix is not Hermitian within {atol:g}")
+    H = check_hermitian(H, atol)
     vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
@@ -209,25 +206,16 @@ def project_to_density(H: np.ndarray) -> np.ndarray:
 
     Keeps the eigenvectors, drops nonpositive eigenvalues, and renormalizes
     the positive ones by their sum. If no eigenvalue is positive, returns the
-    maximally mixed state I/d so that downstream solvers stay total.
+    maximally mixed state I/d so that downstream solvers stay total. The
+    eigenvalue order cannot change the result, so no tie-break sort is done.
     """
-    dec = spectral_decompose(H)
-    vals = dec.eigenvalues.copy()
+    H = check_hermitian(H, 1e-8)
+    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     pos = vals > 0.0
     if not pos.any():
-        d = vals.size
-        return np.eye(d, dtype=np.complex128) / d
-    w = vals[pos] / vals[pos].sum()
-    V = dec.eigenvectors[:, pos]
-    out = (V * w) @ V.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def sqrtm_psd(H: np.ndarray) -> np.ndarray:
-    """Matrix square root via eigendecomposition, negative round-off clipped to 0."""
-    dec = spectral_decompose(H)
-    w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    out = (dec.eigenvectors * w) @ dec.eigenvectors.conj().T
+        return np.eye(vals.size, dtype=np.complex128) / vals.size
+    V = vecs[:, pos]
+    out = (V * (vals[pos] / vals[pos].sum())) @ V.conj().T
     return 0.5 * (out + out.conj().T)
 
 
@@ -252,27 +240,54 @@ def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     return float(np.linalg.norm(estimate - truth) ** 2 / denom)
 
 
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+@dataclass(frozen=True)
+class DensityFactor:
+    """Read-only d x r ``factor`` B of a validated rho = B B^dagger.
+
+    Built only by ``factor_density``.
+    """
+
+    factor: np.ndarray
+
+
+def _round_off_floor(vals: np.ndarray, d: int) -> float:
+    # eigenvalues at round-off level would contribute sqrt(eps) each; drop them
+    return d * np.finfo(np.float64).eps * max(float(vals.max()), 1.0)
+
+
+def factor_density(rho: np.ndarray) -> DensityFactor:
+    """Validate a density matrix and factor it as rho = B B^dagger.
+
+    One ``eigh``; B = V_r sqrt(lam_r) keeps the eigenvalues above the
+    round-off floor ``d eps max(lam_max, 1)``.
+    """
+    rho = check_density(rho)
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    keep = vals > _round_off_floor(vals, vals.size)
+    B = vecs[:, keep] * np.sqrt(vals[keep])
+    B.flags.writeable = False
+    return DensityFactor(B)
+
+
+def state_fidelity(rho, sigma: np.ndarray) -> float:
     """State fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
-    ``rho`` must be a valid density matrix. ``sigma`` may be any Hermitian
-    matrix; if it is not PSD with unit trace it is first projected onto the
-    density-matrix set. When both arguments are unphysical only the second is
-    projected.
+    ``rho`` is a valid density matrix or its ``factor_density``; a matrix is
+    factored here. With rho = B B^dagger, F = (sum_i sqrt(mu_i))^2 over the
+    eigenvalues mu of the r x r matrix B^dagger sigma B, the nonzero ones of
+    sqrt(rho) sigma sqrt(rho). ``sigma`` may be any Hermitian matrix; one that
+    is not PSD with unit trace is first projected onto the density-matrix set.
+    When both arguments are unphysical only the second is projected.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
+    B = (rho if isinstance(rho, DensityFactor) else factor_density(rho)).factor
     sigma = np.asarray(sigma, dtype=np.complex128)
-    if rho.shape != sigma.shape:
+    if sigma.shape != (B.shape[0], B.shape[0]):
         raise ValueError("dimension mismatch between rho and sigma")
-    rho = check_density(rho)
     if not is_density(sigma):
         sigma = project_to_density(sigma)
-    s = sqrtm_psd(rho)
-    m = s @ sigma @ s
+    m = B.conj().T @ sigma @ B
     vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    # eigenvalues at round-off level would contribute sqrt(eps) each; drop them
-    floor = vals.size * np.finfo(np.float64).eps * max(float(vals.max()), 1.0)
-    vals = np.where(vals > floor, vals, 0.0)
+    vals = np.where(vals > _round_off_floor(vals, B.shape[0]), vals, 0.0)
     f = float(np.sum(np.sqrt(vals)) ** 2)
     if f > 1.0 + 1e-6:
         raise ArithmeticError(f"fidelity {f} exceeds 1 beyond round-off")

@@ -28,6 +28,7 @@ from ampqst.states import (
     nmse,
     project_to_density,
     pure_density,
+    state_fidelity,
 )
 
 
@@ -319,6 +320,31 @@ class TestRunAmp:
         assert len(trace.nmse) == 40 and len(trace.fidelity) == 40
         for s, t in zip(trace.sigma, trace.tau):
             assert abs(t - 2.0 * s * np.sqrt(smap.d)) < 1e-12
+
+    def test_trace_fidelity_matches_dense_recomputation(self):
+        # replay the iterates and judge each against the dense truth array
+        rho, smap, y = make_problem(n=3, M=40, seed=12, shots=512, rank=3)
+        cfg = AmpConfig(seed=7, max_iter=25)
+        _, trace = run_amp(smap, y, cfg, ground_truth=rho)
+        state, rng = initial_state(smap), np.random.default_rng(cfg.seed)
+        for t in range(cfg.max_iter):
+            state = amp_step(state, smap, y, cfg, rng)
+            assert trace.nmse[t] == nmse(rho, state.rho)
+            assert abs(trace.fidelity[t] - state_fidelity(rho, state.rho)) < 1e-12
+
+    def test_truth_is_factored_once_per_run(self, eigensolver_calls):
+        # per iteration: the denoiser's one d x d eigh, and the fidelity's
+        # d x d eigvalsh (is_density of the iterate) and r x r eigvalsh;
+        # once per run: check_density's eigvalsh and the factor's eigh
+        rho, smap, y = make_problem(n=3, M=40, seed=13, shots=512, rank=2)
+        calls = eigensolver_calls
+        calls.clear()
+        iters = 30
+        run_amp(smap, y, AmpConfig(seed=8, max_iter=iters), ground_truth=rho)
+        assert calls.count(("eigh", 8)) == iters + 1
+        assert calls.count(("eigvalsh", 8)) == iters + 1
+        assert calls.count(("eigvalsh", 2)) == iters
+        assert len(calls) == 3 * iters + 2
 
     def test_trace_csv_export(self, tmp_path):
         rho, smap, y = make_problem(n=2, seed=8, shots=128)

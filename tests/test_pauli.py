@@ -356,3 +356,39 @@ class TestPlanFormat:
     def test_duplicate_words_rejected(self):
         with pytest.raises(ValueError):
             MeasurementPlan(n=1, mode="observables", words=("X", "X"))
+
+    @given(st.integers(1, 3), st.sampled_from(["observables", "settings"]),
+           st.data())
+    def test_round_trip_random_plans(self, tmp_path_factory, n, mode, data):
+        alphabet = "IXYZ" if mode == "observables" else "XYZ"
+        words = data.draw(st.lists(st.text(alphabet, min_size=n, max_size=n),
+                                   min_size=1, max_size=8, unique=True))
+        plan = MeasurementPlan(n=n, mode=mode, words=tuple(words))
+        path = tmp_path_factory.mktemp("plan") / "plan.txt"
+        write_plan(path, plan)
+        assert read_plan(path) == plan
+
+    @pytest.mark.parametrize("text, line", [
+        ("PLAN v1 n=x mode=observables\nXX\n", 1),
+        ("PLAN v1 n=2 mode=pairs\nXX\n", 1),
+        ("PLAN v2 n=2 mode=observables\nXX\n", 1),
+        ("PLAN v1 n=2\nXX\n", 1),
+        ("", 1),
+        ("PLAN v1 n=2 mode=observables\nXX\nQQ\n", 3),
+        ("PLAN v1 n=2 mode=observables\nXX\n\nQQ\n", 4),   # blank line counts
+        ("PLAN v1 n=2 mode=observables\nXXX\n", 2),        # word too long
+        ("PLAN v1 n=2 mode=observables\nXX YY\n", 2),      # two fields
+        ("PLAN v1 n=2 mode=settings\nXY\nXI\n", 3),        # I in a setting
+        ("PLAN v1 n=2 mode=settings\nXY\nZZ\nXY\n", 4),   # repeated word
+    ])
+    def test_malformed_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "plan.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}"):
+            read_plan(path)
+
+    def test_header_only_is_an_empty_plan(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_text("PLAN v1 n=2 mode=observables\n")
+        with pytest.raises(ValueError, match="empty"):
+            read_plan(path)

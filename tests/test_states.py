@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ampqst.states import (
+    DensityFactor,
     SpectralDecomposition,
     check_density,
+    factor_density,
     is_density,
     make_named_state,
     make_random_state,
@@ -157,6 +160,168 @@ class TestProjection:
             twice = project_to_density(once)
             assert np.max(np.abs(twice - once)) < 1e-10
             assert is_density(once)
+
+
+def project_via_sorted_spectrum(H):
+    """``project_to_density`` through the sorted, tie-broken decomposition."""
+    dec = spectral_decompose(H)
+    pos = dec.eigenvalues > 0.0
+    if not pos.any():
+        return np.eye(len(H), dtype=complex) / len(H)
+    V = dec.eigenvectors[:, pos]
+    out = (V * (dec.eigenvalues[pos] / dec.eigenvalues[pos].sum())) @ V.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def in_random_basis(rng, lam):
+    d = len(lam)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    H = (Q * np.asarray(lam, dtype=float)) @ Q.conj().T
+    return 0.5 * (H + H.conj().T)
+
+
+class TestProjectionOrder:
+    """The eigenvalue order of the decomposition cannot change the projector."""
+
+    def test_matches_sorted_decomposition_on_random_spectra(self):
+        rng = np.random.default_rng(12)
+        for d in (2, 4, 8, 16):
+            for _ in range(10):
+                A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                H = 0.5 * (A + A.conj().T)
+                diff = project_to_density(H) - project_via_sorted_spectrum(H)
+                assert np.max(np.abs(diff)) < 1e-14
+
+    @pytest.mark.parametrize("lam", [
+        [0.25, 0.25, 0.25, 0.25],                 # I/4
+        [0.3, 0.3, 0.2, 0.2],                     # repeated pairs
+        [0.5, 0.5, -0.1, -0.1, 0.0, 0.0, 0.1, 0.1],
+        [-1.0, -1.0, -2.0, 0.0],                  # no positive eigenvalue
+        [-0.3, -0.7],
+    ])
+    def test_matches_sorted_decomposition_on_tied_spectra(self, lam):
+        rng = np.random.default_rng(13)
+        for H in (np.diag(np.asarray(lam, dtype=complex)), in_random_basis(rng, lam)):
+            diff = project_to_density(H) - project_via_sorted_spectrum(H)
+            assert np.max(np.abs(diff)) < 1e-14
+
+    def test_keeps_hermiticity_rejection(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            project_to_density(np.array([[0.5, 1e-6], [0.0, 0.5]]))
+
+
+def random_factor(rng, d, r):
+    """A d x r matrix W with Tr(W W^dagger) = 1, so W W^dagger has rank r."""
+    W = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    return W / np.linalg.norm(W)
+
+
+def trace_norm_fidelity(W, sigma):
+    """Dense oracle ||sqrt(sigma) W||_1^2 = F(W W^dagger, sigma).
+
+    ``scipy.linalg.sqrtm`` of a rank-deficient matrix turns its round-off
+    eigenvalues (~1e-17) into errors of order sqrt(eps) ~ 1e-8, so the oracle
+    roots the full-rank sigma and reads rho through the factor it was built
+    from; the fidelity is symmetric in its two arguments.
+    """
+    root = scipy.linalg.sqrtm(sigma)
+    return float(np.sum(np.linalg.svd(root @ W, compute_uv=False)) ** 2)
+
+
+class TestFactoredFidelity:
+    def test_matches_dense_oracle_every_rank(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 5):
+            d = 1 << n
+            for r in range(1, d + 1):
+                W = random_factor(rng, d, r)
+                rho = W @ W.conj().T
+                sigma = make_random_state(n, d, rng)
+                oracle = trace_norm_fidelity(W, sigma)
+                assert abs(state_fidelity(rho, sigma) - oracle) < 1e-10, (n, r)
+                assert abs(state_fidelity(factor_density(rho), sigma)
+                           - oracle) < 1e-10, (n, r)
+
+    def test_factor_reconstructs_and_has_the_rank(self):
+        rng = np.random.default_rng(22)
+        for n, r in ((1, 1), (2, 3), (3, 2), (4, 16)):
+            W = random_factor(rng, 1 << n, r)
+            rho = W @ W.conj().T
+            truth = factor_density(rho)
+            assert isinstance(truth, DensityFactor)
+            B = truth.factor
+            assert B.shape == (1 << n, r)
+            assert np.max(np.abs(B @ B.conj().T - rho)) < 1e-14
+            assert not B.flags.writeable
+
+    def test_round_off_eigenvalues_are_dropped(self):
+        # eigenvalues of +-1e-16 sit below the floor d eps max(lam_max, 1)
+        rng = np.random.default_rng(23)
+        exact = [0.6, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        noisy = [0.6, 0.4, 1e-16, -1e-16, 3e-17, 0.0, -2e-17, 0.0]
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 8))
+                            + 1j * rng.standard_normal((8, 8)))
+        rho_exact = (Q * np.array(exact)) @ Q.conj().T
+        rho_noisy = (Q * np.array(noisy)) @ Q.conj().T
+        assert factor_density(rho_noisy).factor.shape == (8, 2)
+        sigma = make_random_state(3, 8, rng)
+        oracle = trace_norm_fidelity(Q[:, :2] * np.sqrt([0.6, 0.4]), sigma)
+        for rho in (rho_exact, rho_noisy):
+            assert abs(state_fidelity(rho, sigma) - oracle) < 1e-10
+
+    def test_unphysical_sigma_is_projected(self):
+        # sigma has a negative eigenvalue, so it is first projected; the
+        # projection drops that eigenvalue and renormalizes the rest
+        rng = np.random.default_rng(24)
+        for n in (1, 2, 3):
+            d = 1 << n
+            lam = rng.random(d)
+            lam[0] = -0.3
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                                + 1j * rng.standard_normal((d, d)))
+            sigma = (Q * lam) @ Q.conj().T
+            assert not is_density(sigma)
+            projected = Q[:, 1:] * np.sqrt(lam[1:] / lam[1:].sum())
+            rho = make_random_state(n, d, rng)
+            f = state_fidelity(factor_density(rho), sigma)
+            assert f == state_fidelity(rho, sigma)
+            assert abs(f - trace_norm_fidelity(projected, rho)) < 1e-10
+
+    def test_pure_truth_gives_expectation(self):
+        rng = np.random.default_rng(25)
+        for n in range(1, 5):
+            d = 1 << n
+            psi = random_factor(rng, d, 1)[:, 0]
+            sigma = make_random_state(n, int(rng.integers(1, d + 1)), rng)
+            direct = float(np.real(psi.conj() @ sigma @ psi))
+            truth = factor_density(pure_density(psi))
+            assert truth.factor.shape == (d, 1)
+            assert abs(state_fidelity(truth, sigma) - direct) < 1e-12
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.5, -0.5]),                     # negative eigenvalue
+        np.eye(2),                                # trace 2
+        np.array([[0.5, 0.1], [0.0, 0.5]]),       # not Hermitian
+        np.ones((2, 3)) / 2,                      # not square
+    ])
+    def test_factor_rejects_non_density(self, bad):
+        with pytest.raises(ValueError):
+            factor_density(bad)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            state_fidelity(factor_density(np.eye(2) / 2), np.eye(4) / 4)
+
+    def test_eigensolver_budget(self, eigensolver_calls):
+        # one call on a factored rank-3 truth at d=32: is_density's d x d
+        # eigvalsh and one 3 x 3 eigvalsh, no eigh at all
+        rng = np.random.default_rng(26)
+        truth = factor_density(make_random_state(5, 3, rng))
+        sigma = make_random_state(5, 4, rng)
+        eigensolver_calls.clear()
+        state_fidelity(truth, sigma)
+        assert sorted(eigensolver_calls) == [("eigvalsh", 3), ("eigvalsh", 32)]
 
 
 class TestMetrics:
