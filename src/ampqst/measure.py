@@ -26,8 +26,9 @@ from .pauli import (
     build_pauli,
     build_sensing_map,
     check_setting,
-    covered_words,
+    covered_codes,
     pauli_expectation,
+    pauli_word_from_index,
 )
 from .states import as_rng
 
@@ -40,6 +41,7 @@ __all__ = [
     "outcome_distribution",
     "noisy_basis_measurement",
     "estimate_from_setting",
+    "parity_estimates",
     "apply_readout",
     "apply_depolarizing",
     "apply_coherent",
@@ -183,6 +185,20 @@ def estimate_from_setting(dist, a) -> float:
     parity = np.bitwise_count(b & np.uint64(mask)) & 1
     signs = 1.0 - 2.0 * parity.astype(np.float64)
     return float(signs @ freqs)
+
+
+def parity_estimates(freqs: np.ndarray) -> np.ndarray:
+    """``out[k, a] = estimate_from_setting(freqs[k], a)`` for a (T, 2^n) array
+    of counts or probabilities: one Walsh-Hadamard transform, n butterfly
+    passes that are exact on integers, divided by each row's total."""
+    out = freqs = np.asarray(freqs)
+    total = freqs.sum(axis=-1, keepdims=True)
+    if freqs.ndim != 2 or freqs.shape[1] & (freqs.shape[1] - 1) or np.any(total <= 0):
+        raise ValueError("need (T, 2^n) frequencies, no empty outcome distribution")
+    for k in range(freqs.shape[1].bit_length() - 1):
+        pairs = out.reshape(-1, 2, 1 << k)
+        out = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+    return out.reshape(freqs.shape) / total
 
 
 def apply_readout(dist: OutcomeDistribution, q: float) -> OutcomeDistribution:
@@ -378,54 +394,43 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
     if plan.mode == "observables":
         if noise is not None and noise.measurement_side:
             raise ValueError("coherent/readout noise needs a settings-mode plan")
-        paulis = [build_pauli(w) for w in plan.words]
-        smap = build_sensing_map(paulis)
+        smap = build_sensing_map(plan.words)
         rng = _setting_seed(seed, 0)
         if shots is None:
             y = apply_sensing(smap, rho)
         else:
             y = np.array([sample_shots_observable(rho, P, shots, rng)
-                          for P in paulis])
+                          for P in smap.paulis])
         record = ShotRecord(n=plan.n, mode="observables", shots=shots,
                             words=tuple(plan.words), values=y.copy(), counts=None)
         return (smap, y, record) if return_record else (smap, y)
 
-    # settings mode
+    # settings mode: per-setting draws, then every (setting, mask) word at once
     theta = noise.coherent_theta if noise is not None else 0.0
     q = noise.readout_q if noise is not None else 0.0
-    estimates: dict[str, list] = {}
-    order: list[str] = []
-    counts_per_setting = []
+    freqs = np.empty((len(plan.words), d), np.float64 if shots is None else np.int64)
     for k, setting in enumerate(plan.words):
         dist = _distribution(rho, setting, theta)
         if q:
             dist = apply_readout(dist, q)
         if shots is None:
-            freqs = dist.probs
-            counts_per_setting.append(None)
+            freqs[k] = dist.probs
         else:
-            rng = _setting_seed(seed, k)
             p = dist.probs / dist.probs.sum()
-            counts = rng.multinomial(shots, p)
-            freqs = counts / shots
-            counts_per_setting.append(counts)
-        for mask, word in enumerate(covered_words(setting)):
-            est = estimate_from_setting(freqs, mask)
-            if word not in estimates:
-                estimates[word] = []
-                order.append(word)
-            estimates[word].append(est)
-    y = np.array([np.mean(estimates[w]) for w in order])
-    smap = build_sensing_map([build_pauli(w) for w in order])
-    record = None
-    if return_record:
-        if shots is None:
-            record = ShotRecord(n=plan.n, mode="observables", shots=None,
-                                words=tuple(order), values=y.copy(), counts=None)
-        else:
-            record = ShotRecord(n=plan.n, mode="settings", shots=shots,
-                                words=tuple(plan.words), values=None,
-                                counts=tuple(counts_per_setting))
+            freqs[k] = _setting_seed(seed, k).multinomial(shots, p)
+    codes = covered_codes(plan.words).reshape(-1)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    group = np.argsort(np.argsort(first))[inverse]      # words by first appearance
+    y = np.bincount(group, parity_estimates(freqs).reshape(-1)) / np.bincount(group)
+    order = [pauli_word_from_index(int(c), plan.n) for c in codes[np.sort(first)]]
+    smap = build_sensing_map(order)
+    if shots is None:
+        record = ShotRecord(n=plan.n, mode="observables", shots=None,
+                            words=tuple(order), values=y.copy(), counts=None)
+    else:
+        record = ShotRecord(n=plan.n, mode="settings", shots=shots,
+                            words=tuple(plan.words), values=None,
+                            counts=tuple(freqs))
     return (smap, y, record) if return_record else (smap, y)
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "setting_word_from_index",
     "covered_word",
     "covered_words",
+    "covered_codes",
     "sample_settings_until",
     "write_plan",
     "read_plan",
@@ -100,36 +101,34 @@ class PauliString:
         return P
 
 
-def build_pauli(word: str) -> PauliString:
-    """Build a PauliString from its letter word without Kronecker products.
+def _pauli_batch(words):
+    """``(paulis, y_count, cols, signs)`` of equal-length words in one pass;
+    ``paulis[k]`` views row k of the read-only (M, d) ``cols`` and ``signs``.
+    Row j's sign is ``(-1)**(y_count + |j & bits of Y and Z letters|)``."""
+    words = [str(w).upper() for w in words]
+    bad = [w for w in words if not w or w.strip(LETTERS) or len(w) != len(words[0])]
+    if bad:
+        raise ValueError(f"invalid Pauli word {bad[0]!r} (or words of unequal length)")
+    n = len(words[0])
+    raw = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    digits = np.searchsorted(np.frombuffer(b"IXYZ", np.uint8), raw).reshape(-1, n)
+    weights = 1 << np.arange(n - 1, -1, -1)
+    flip = ((digits == 1) | (digits == 2)) @ weights
+    phase = (digits >= 2) @ weights
+    y_count = np.count_nonzero(digits == 2, axis=1)
+    rows = np.arange(1 << n, dtype=np.int64)
+    cols = rows * (1 << n) + (rows ^ flip[:, None])
+    parity = np.bitwise_count(rows & phase[:, None]) + (y_count[:, None] & 1)
+    signs = 1 - 2 * (parity & 1).astype(np.int8)
+    cols.flags.writeable = signs.flags.writeable = False
+    paulis = tuple(map(PauliString, words, y_count.tolist(), cols, signs))
+    return paulis, y_count, cols, signs
 
-    Runs in O(n d): for each letter, X/Y flip the qubit's bit between the row
-    and column index while Y and Z contribute the phase.
-    """
-    word = str(word).upper()
-    if not word or any(ch not in LETTERS for ch in word):
-        raise ValueError(f"invalid Pauli word {word!r}")
-    n = len(word)
-    d = 1 << n
-    rows = np.arange(d, dtype=np.int64)
-    cols = rows.copy()
-    signs = np.ones(d, dtype=np.int8)
-    y_count = 0
-    for q, letter in enumerate(word):
-        shift = n - 1 - q
-        if letter == "I":
-            continue
-        bit = ((rows >> shift) & 1).astype(np.int8)
-        if letter == "X":
-            cols ^= 1 << shift
-        elif letter == "Y":
-            y_count += 1
-            cols ^= 1 << shift
-            signs *= 2 * bit - 1
-        else:  # Z
-            signs *= 1 - 2 * bit
-    return PauliString(letters=word, y_count=y_count,
-                       cols=rows * d + cols, signs=signs)
+
+def build_pauli(word: str) -> PauliString:
+    """Build a PauliString from its letter word without Kronecker products,
+    in O(n d): the one-word case of the batched row builder."""
+    return _pauli_batch([word])[0][0]
 
 
 def pauli_word_from_index(index: int, n: int) -> str:
@@ -183,27 +182,24 @@ class SensingMap:
 
 
 def build_sensing_map(paulis) -> SensingMap:
-    """Assemble a SensingMap from distinct PauliStrings (or words)."""
-    plist = tuple(build_pauli(p) if isinstance(p, str) else p for p in paulis)
-    if not plist:
+    """Assemble a SensingMap from distinct PauliStrings (or words), whose
+    rows are built in one pass; ``paulis`` and ``A`` share them."""
+    words = [p.letters if isinstance(p, PauliString) else p for p in paulis]
+    if not words:
         raise ValueError("need at least one Pauli observable")
-    n = plist[0].n
-    if any(p.n != n for p in plist):
-        raise ValueError("all Pauli strings must have the same length")
-    words = [p.letters for p in plist]
-    if len(set(words)) != len(words):
+    plist, y_counts, cols, signs = _pauli_batch(words)
+    if len({p.letters for p in plist}) != len(plist):
         raise ValueError("duplicate Pauli observables in sensing map")
-    d = 1 << n
-    M = len(plist)
+    M, d = cols.shape
     # entry j of vec(P_k)^dagger is (-i)**y_count * signs[j]: real (odd
     # y_count: imaginary) coordinate of X, weighted by (-1)**(y_count // 2)
-    y_counts = np.array([p.y_count for p in plist])[:, None]
-    data = np.stack([p.signs for p in plist]) * (1.0 - 2.0 * ((y_counts >> 1) & 1))
-    indices = 2 * np.stack([p.cols for p in plist]) + (y_counts & 1)
-    indptr = np.arange(0, (M + 1) * d, d, dtype=np.int64)
-    A = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
+    y_counts = y_counts[:, None]
+    data = signs * (1.0 - 2.0 * ((y_counts >> 1) & 1))
+    indices = 2 * cols
+    indices += y_counts & 1                       # in place: one (M, d) temporary fewer
+    A = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), np.arange(M + 1) * d),
                       shape=(M, 2 * d * d))
-    return SensingMap(paulis=plist, n=n, d=d, M=M, A=A, At=A.T)
+    return SensingMap(paulis=plist, n=plist[0].n, d=d, M=M, A=A, At=A.T)
 
 
 def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
@@ -237,7 +233,7 @@ def sample_observables(n: int, M: int, seed) -> list:
         raise ValueError(f"need 1 <= M <= {d2}, got {M}")
     rng = as_rng(seed)
     idx = rng.choice(d2, size=M, replace=False)
-    return [build_pauli(pauli_word_from_index(int(i), n)) for i in idx]
+    return list(_pauli_batch([pauli_word_from_index(int(i), n) for i in idx])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +274,20 @@ def covered_words(setting: str) -> list:
 
 def observables_of_setting(setting: str) -> set:
     """The set of 2^n PauliStrings whose expectations the setting yields."""
-    return {build_pauli(w) for w in covered_words(setting)}
+    return set(_pauli_batch(covered_words(setting))[0])
+
+
+def covered_codes(settings) -> np.ndarray:
+    """Base-4 codes (``pauli_index_from_word``) of the words settings cover:
+    entry ``[k, a]`` is the code of ``covered_word(settings[k], a)``."""
+    settings = [check_setting(s) for s in settings]
+    if len({len(s) for s in settings}) != 1:
+        raise ValueError("need settings of one length")
+    n = len(settings[0])
+    raw = np.frombuffer("".join(settings).encode("ascii"), dtype=np.uint8)
+    digits = raw.reshape(-1, n).astype(np.int64) - ord("W")   # X=1, Y=2, Z=3
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return (digits << 2 * np.arange(n - 1, -1, -1)) @ bits.T
 
 
 def sample_settings_until(n: int, target_M: int, seed):
@@ -295,16 +304,12 @@ def sample_settings_until(n: int, target_M: int, seed):
         raise ValueError(f"need 1 <= target_M <= {d2}, got {target_M}")
     rng = as_rng(seed)
     order = rng.permutation(3 ** n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    bits = (masks[:, None] >> (n - 1 - np.arange(n))) & 1     # (2^n, n)
-    powers4 = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
     covered = np.zeros(d2, dtype=bool)
     total = 0
     settings = []
     for s_idx in order:
         word = setting_word_from_index(int(s_idx), n)
-        digits = np.array([LETTERS.index(ch) for ch in word], dtype=np.int64)
-        codes = bits @ (digits * powers4)
+        codes = covered_codes([word])[0]
         total += int(np.count_nonzero(~covered[codes]))
         covered[codes] = True
         settings.append(word)

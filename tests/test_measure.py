@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ampqst import measure, pauli
 from ampqst.measure import (
     NoiseModel,
     OutcomeDistribution,
@@ -21,6 +23,7 @@ from ampqst.measure import (
     noisy_basis_measurement,
     outcome_distribution,
     overrotation_unitary,
+    parity_estimates,
     read_shots,
     sample_shots_observable,
     write_shots,
@@ -31,6 +34,7 @@ from ampqst.pauli import (
     build_pauli,
     build_sensing_map,
     covered_words,
+    sample_settings_until,
 )
 from ampqst.states import (
     is_density,
@@ -181,6 +185,142 @@ class TestParityMarginalization:
                 for mask, word in enumerate(covered_words(setting)):
                     direct = np.real(np.trace(kron_word(word) @ rho))
                     assert abs(estimate_from_setting(dist, mask) - direct) < 1e-12
+
+
+def parity_matrix(n):
+    """The +-1 matrix (-1)**|a & b| of the n-qubit Walsh-Hadamard transform."""
+    b = np.arange(1 << n)
+    return 1 - 2 * (np.bitwise_count(b[:, None] & b[None, :]) & 1).astype(np.int64)
+
+
+class TestParityEstimates:
+    # the reference sums d = 2^n rounded frequencies, so it is only within
+    # d rounding errors of the exact value; the transform rounds once
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from(["power of two", "other total", "probabilities"]))
+    def test_matches_per_mask_oracle(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        d = 1 << n
+        p = rng.dirichlet(np.full(d, 10.0 ** rng.uniform(-2, 1)), size=3)
+        if kind == "probabilities":
+            freqs = p
+        else:
+            N = (1 << int(rng.integers(0, 21)) if kind == "power of two"
+                 else 2 * int(rng.integers(1, 500_000)) + 1)
+            freqs = np.array([rng.multinomial(N, row) for row in p])
+        got = parity_estimates(freqs)
+        want = np.array([[estimate_from_setting(row, a) for a in range(d)]
+                         for row in freqs])
+        if kind == "power of two":
+            assert np.array_equal(got, want)
+        elif kind == "other total":
+            # correctly rounded: the exact integer transform over N, one division
+            exact = freqs @ parity_matrix(n)
+            assert np.array_equal(got, exact / freqs.sum(axis=1, keepdims=True))
+            assert np.max(np.abs(got - want)) <= d * np.finfo(float).eps / 2
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("freqs", [np.zeros((2, 4)), np.ones((2, 6)),
+                                       np.ones(4), np.ones((1, 2, 2))])
+    def test_malformed_frequencies_rejected(self, freqs):
+        with pytest.raises(ValueError, match="empty outcome distribution"):
+            parity_estimates(freqs)
+
+
+def per_letter_row(word):
+    """(y_count, cols, signs) of one Pauli word, built letter by letter."""
+    n, d = len(word), 1 << len(word)
+    rows = np.arange(d, dtype=np.int64)
+    cols, signs, y_count = rows.copy(), np.ones(d, dtype=np.int8), 0
+    for q, letter in enumerate(word):
+        bit = ((rows >> (n - 1 - q)) & 1).astype(np.int8)
+        if letter in "XY":
+            cols ^= 1 << (n - 1 - q)
+        if letter == "Y":
+            y_count += 1
+            signs *= 2 * bit - 1
+        elif letter == "Z":
+            signs *= 1 - 2 * bit
+    return y_count, rows * d + cols, signs
+
+
+def per_word_matrix(words):
+    """The sensing matrix A stacked from per-word rows."""
+    rows = [per_letter_row(w) for w in words]
+    y = np.array([r[0] for r in rows])[:, None]
+    data = np.stack([r[2] for r in rows]) * (1.0 - 2.0 * ((y >> 1) & 1))
+    indices = 2 * np.stack([r[1] for r in rows]) + (y & 1)
+    M, d = data.shape
+    return sp.csr_matrix((data.reshape(-1), indices.reshape(-1),
+                          np.arange(0, (M + 1) * d, d)), shape=(M, 2 * d * d))
+
+
+def per_word_synthesis(rho, plan, shots, noise, seed):
+    """Settings-mode synthesis one covered word at a time: (words, y, counts)."""
+    estimates, counts = {}, []
+    for k, setting in enumerate(plan.words):
+        dist = noisy_basis_measurement(rho, setting, noise.coherent_theta)
+        if noise.readout_q:
+            dist = apply_readout(dist, noise.readout_q)
+        freqs = dist.probs
+        if shots is not None:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+            counts.append(rng.multinomial(shots, dist.probs / dist.probs.sum()))
+            freqs = counts[-1] / shots
+        for mask, word in enumerate(covered_words(setting)):
+            estimates.setdefault(word, []).append(estimate_from_setting(freqs, mask))
+    words = list(estimates)                    # in order of first appearance
+    return words, np.array([np.mean(estimates[w]) for w in words]), counts
+
+
+class TestSettingsSynthesis:
+    NOISES = [NoiseModel(), NoiseModel(readout_q=0.03),
+              NoiseModel(readout_q=0.01, coherent_theta=0.05)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("shots", [1024, 1000, None])
+    def test_matches_per_word_loop(self, n, noise, shots):
+        rho = make_random_state(n, 2, 40 + n)
+        settings, _, _ = sample_settings_until(n, min(4 ** n, 12 * n), n)
+        plan = MeasurementPlan(n=n, mode="settings", words=tuple(settings))
+        smap, y, rec = build_measurements(rho, plan, shots, noise, seed=7,
+                                          return_record=True)
+        words, y_ref, counts = per_word_synthesis(rho, plan, shots, noise, 7)
+        assert [p.letters for p in smap.paulis] == words
+        A_ref = per_word_matrix(words)
+        assert np.array_equal(smap.A.indptr, A_ref.indptr)
+        assert np.array_equal(smap.A.indices, A_ref.indices)
+        assert np.array_equal(smap.A.data, A_ref.data)
+        if shots == 1024:
+            assert np.array_equal(y, y_ref)
+        elif shots == 1000:
+            assert np.max(np.abs(y - y_ref)) <= (1 << n) * np.finfo(float).eps / 2
+        else:
+            assert np.max(np.abs(y - y_ref)) <= 1e-15
+        if shots is None:
+            assert (rec.mode, rec.shots, rec.words) == ("observables", None, tuple(words))
+            assert np.array_equal(rec.values, y)
+        else:
+            assert (rec.mode, rec.shots, rec.words) == ("settings", shots, plan.words)
+            assert len(rec.counts) == len(counts)
+            for got, want in zip(rec.counts, counts):
+                assert np.array_equal(got, want)
+
+    def test_no_per_word_calls(self, function_calls):
+        # one batched row build; no parity estimate, covered word or Pauli
+        # built one word at a time
+        rho = make_random_state(5, 2, 3)
+        settings, _, _ = sample_settings_until(5, 400, 1)
+        plan = MeasurementPlan(n=5, mode="settings", words=tuple(settings))
+        for owner, name in [(measure, "estimate_from_setting"), (measure, "build_pauli"),
+                            (pauli, "build_pauli"), (pauli, "covered_word"),
+                            (pauli, "_pauli_batch")]:
+            function_calls.watch(owner, name)
+        smap, y = build_measurements(rho, plan, shots=1024, seed=0)
+        assert smap.M >= 400
+        assert function_calls == ["_pauli_batch"]
 
 
 class TestReadout:

@@ -12,6 +12,7 @@ from ampqst.pauli import (
     apply_sensing,
     build_pauli,
     build_sensing_map,
+    covered_codes,
     covered_words,
     observables_of_setting,
     pauli_expectation,
@@ -134,6 +135,23 @@ class TestSensingMap:
         assert smap.A.shape == (40, 2 * 64)
         assert smap.A.nnz == 40 * 8
         assert smap.A.dtype == np.float64
+
+    def test_paulis_view_one_row_array(self):
+        # the M rows are stored once: every PauliString views the same
+        # read-only batch arrays, and a PauliString passed in is rebuilt
+        smap = build_sensing_map([build_pauli("XZY"), "yyi", "IIZ"])
+        assert [p.letters for p in smap.paulis] == ["XZY", "YYI", "IIZ"]
+        cols, signs = smap.paulis[0].cols.base, smap.paulis[0].signs.base
+        assert cols.shape == signs.shape == (3, 8)
+        for p in smap.paulis:
+            assert p.cols.base is cols and p.signs.base is signs
+            assert not p.cols.flags.writeable and not p.signs.flags.writeable
+            assert np.array_equal(p.dense(), kron_pauli(p.letters))
+
+    def test_invalid_or_unequal_words_rejected(self):
+        for words in (["XX", "XXX"], ["X", ""], ["XX", "XQ"], ["XX", "Xé"]):
+            with pytest.raises(ValueError):
+                build_sensing_map(words)
 
     def test_adjoint_shares_the_matrix(self):
         smap = build_sensing_map(all_words(2))
@@ -309,6 +327,21 @@ class TestSettings:
 
     def test_covered_word_order(self):
         assert covered_words("XY") == ["II", "IY", "XI", "XY"]
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.text("XYZ", min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_covered_codes_match_covered_words(self, settings):
+        codes = covered_codes(settings)
+        n = len(settings[0])
+        assert codes.shape == (len(settings), 1 << n)
+        for k, setting in enumerate(settings):
+            assert [pauli_word_from_index(int(c), n) for c in codes[k]] \
+                == covered_words(setting)
+
+    def test_covered_codes_reject_mixed_settings(self):
+        for settings in (["XY", "XYZ"], ["XY", "XI"], []):
+            with pytest.raises(ValueError):
+                covered_codes(settings)
 
     def test_table_counts_full_coverage(self):
         # covering all d^2 observables requires every one of the 3^n settings
