@@ -28,7 +28,7 @@ from .pauli import (
     check_setting,
     covered_codes,
     pauli_expectation,
-    pauli_word_from_index,
+    pauli_words_from_indices,
 )
 from .states import as_rng
 
@@ -422,7 +422,7 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     group = np.argsort(np.argsort(first))[inverse]      # words by first appearance
     y = np.bincount(group, parity_estimates(freqs).reshape(-1)) / np.bincount(group)
-    order = [pauli_word_from_index(int(c), plan.n) for c in codes[np.sort(first)]]
+    order = pauli_words_from_indices(codes[np.sort(first)], plan.n)
     smap = build_sensing_map(order)
     if shots is None:
         record = ShotRecord(n=plan.n, mode="observables", shots=None,

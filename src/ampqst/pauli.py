@@ -1,4 +1,4 @@
-"""Pauli observables, measurement settings, and the sparse sensing map.
+"""Pauli observables, measurement settings, and the Pauli sensing map.
 
 A Pauli string is a word over {I, X, Y, Z}; its matrix is the Kronecker
 product of the letters, leftmost letter acting on the most significant bit.
@@ -7,14 +7,13 @@ qubit's bit between row and column index, I and Z preserve it, and the entry
 value is ``i**y_count`` times a sign picked up from Y and Z letters.
 
 The sensing map for an ordered list of ``M`` Pauli strings sends a Hermitian
-``X`` to the vector of expectation values ``Tr[P_k X]``. It is stored as one
-real M x 2d^2 sparse matrix ``A`` acting on the interleaved real coordinates
-``X.reshape(-1).view(float64)`` of the row-major complex matrix: the entries
-of P_k are +-1 or +-i, so row k reads only the real parts (even ``y_count``)
-or only the imaginary parts (odd ``y_count``) of its d entries, with weights
-+-1. ``A`` stores M*d nonzeros; nothing of size M*d^2 is ever materialized,
-and the adjoint is its transpose, a view sharing A's arrays. The sqrt(d/M)
-rescaling of AMP is applied by the solver, not by the map.
+``X`` to the vector of expectation values ``Tr[P_k X]``. A word whose X/Y bits
+are ``x`` and Y/Z bits ``z`` reads ``X[j, j^x]`` with signs ``(-1)**|j & z|``,
+so all 4^n expectations are one Walsh-Hadamard product ``H @ G`` of the real
+d x 2d ``G[j, (x, re/im)] = X[j, j^x]``, ``H`` the +-1 Sylvester matrix. The
+map stores O(d^2 + M) numbers: the d^2 gather from X to G (an involution, used
+by the adjoint too), and per word its entry of ``H @ G`` and a +-1 weight. The
+sqrt(d/M) rescaling of AMP is applied by the solver, not by the map.
 
 PauliString and SensingMap are immutable after construction; applying a
 shared map from several threads is safe. Sampling functions take caller-owned
@@ -24,10 +23,9 @@ seeds or Generators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .states import as_rng
 
@@ -38,6 +36,7 @@ __all__ = [
     "MeasurementPlan",
     "build_pauli",
     "pauli_word_from_index",
+    "pauli_words_from_indices",
     "pauli_index_from_word",
     "pauli_expectation",
     "build_sensing_map",
@@ -102,9 +101,9 @@ class PauliString:
 
 
 def _pauli_batch(words):
-    """``(paulis, y_count, cols, signs)`` of equal-length words in one pass;
-    ``paulis[k]`` views row k of the read-only (M, d) ``cols`` and ``signs``.
-    Row j's sign is ``(-1)**(y_count + |j & bits of Y and Z letters|)``."""
+    """``(paulis, flip, phase, y_count)`` of equal-length words in one pass:
+    X/Y bits, Y/Z bits and number of Y letters. ``paulis[k]`` views row k of
+    read-only (M, d) ``cols`` and ``signs``, ``(-1)**(y_count + |j & phase|)``."""
     words = [str(w).upper() for w in words]
     bad = [w for w in words if not w or w.strip(LETTERS) or len(w) != len(words[0])]
     if bad:
@@ -122,7 +121,7 @@ def _pauli_batch(words):
     signs = 1 - 2 * (parity & 1).astype(np.int8)
     cols.flags.writeable = signs.flags.writeable = False
     paulis = tuple(map(PauliString, words, y_count.tolist(), cols, signs))
-    return paulis, y_count, cols, signs
+    return paulis, flip, phase, y_count
 
 
 def build_pauli(word: str) -> PauliString:
@@ -131,14 +130,19 @@ def build_pauli(word: str) -> PauliString:
     return _pauli_batch([word])[0][0]
 
 
-def pauli_word_from_index(index: int, n: int) -> str:
-    """Word for the base-4 digit encoding 0=I, 1=X, 2=Y, 3=Z, leftmost first."""
-    if not 0 <= index < 4 ** n:
+def pauli_words_from_indices(indices, n: int) -> list:
+    """Words of base-4 codes (0=I, 1=X, 2=Y, 3=Z, leftmost first) in one pass."""
+    codes = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if n < 1 or codes.size and not (codes.min() >= 0 and codes.max() < 4 ** n):
         raise ValueError("pauli index out of range")
-    out = []
-    for q in range(n):
-        out.append(LETTERS[(index >> (2 * (n - 1 - q))) & 3])
-    return "".join(out)
+    digits = (codes[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
+    letters = np.frombuffer(b"IXYZ", np.uint8)[digits]
+    return letters.view(f"S{n}").reshape(-1).astype(str).tolist()
+
+
+def pauli_word_from_index(index: int, n: int) -> str:
+    """Word for one base-4 code: the one-code case of the batch decoder."""
+    return pauli_words_from_indices([index], n)[0]
 
 
 def pauli_index_from_word(word: str) -> int:
@@ -166,40 +170,43 @@ def pauli_expectation(P: PauliString, rho: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SensingMap:
-    """Ordered Pauli observables with the real sparse matrix of their map.
+    """Ordered Pauli observables with the index form of their map.
 
-    ``A`` is the M x 2d^2 float CSR matrix of ``X -> (Tr[P_k X])_k`` on the
-    interleaved real coordinates of X; ``At`` is its transpose, a CSC view
-    that shares A's arrays.
+    ``gather`` (d^2) sends the flat X to ``G[j, x] = X[j, j^x]`` and back;
+    word k reads entry ``take[k]`` of the d x 2d product ``H @ G`` (``H`` the
+    d x d Sylvester matrix) with sign ``weight[k]``. All arrays are read-only.
     """
 
     paulis: tuple
     n: int
     d: int
     M: int
-    A: sp.csr_matrix
-    At: sp.csc_matrix = field(repr=False)
+    gather: np.ndarray
+    take: np.ndarray
+    weight: np.ndarray
+    H: np.ndarray
 
 
 def build_sensing_map(paulis) -> SensingMap:
     """Assemble a SensingMap from distinct PauliStrings (or words), whose
-    rows are built in one pass; ``paulis`` and ``A`` share them."""
+    rows are built in one pass."""
     words = [p.letters if isinstance(p, PauliString) else p for p in paulis]
     if not words:
         raise ValueError("need at least one Pauli observable")
-    plist, y_counts, cols, signs = _pauli_batch(words)
+    plist, flip, phase, y_counts = _pauli_batch(words)
     if len({p.letters for p in plist}) != len(plist):
         raise ValueError("duplicate Pauli observables in sensing map")
-    M, d = cols.shape
-    # entry j of vec(P_k)^dagger is (-i)**y_count * signs[j]: real (odd
-    # y_count: imaginary) coordinate of X, weighted by (-1)**(y_count // 2)
-    y_counts = y_counts[:, None]
-    data = signs * (1.0 - 2.0 * ((y_counts >> 1) & 1))
-    indices = 2 * cols
-    indices += y_counts & 1                       # in place: one (M, d) temporary fewer
-    A = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), np.arange(M + 1) * d),
-                      shape=(M, 2 * d * d))
-    return SensingMap(paulis=plist, n=plist[0].n, d=d, M=M, A=A, At=A.T)
+    d = 1 << plist[0].n
+    rows = np.arange(d, dtype=np.int64)
+    gather = (rows[:, None] * d + (rows[:, None] ^ rows)).reshape(-1)
+    # Tr[P_k X] = (-1)**(y + y // 2) * (H @ G)[z, 2x + y % 2], y = y_count
+    take = phase * (2 * d) + 2 * flip + (y_counts & 1)
+    weight = 1.0 - 2.0 * (((y_counts & 1) + (y_counts >> 1)) & 1)
+    H = 1.0 - 2.0 * (np.bitwise_count(rows[:, None] & rows) & 1)
+    for a in (gather, take, weight, H):
+        a.flags.writeable = False
+    return SensingMap(paulis=plist, n=plist[0].n, d=d, M=len(plist), gather=gather,
+                      take=take, weight=weight, H=H)
 
 
 def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
@@ -215,7 +222,8 @@ def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
     bound = _IMAG_RESIDUE_ATOL * max(1.0, float(np.max(np.abs(X))))
     if np.max(np.abs(X - X.conj().T)) >= bound:
         raise ValueError("input is not Hermitian")
-    return smap.A @ X.reshape(-1).view(np.float64)
+    G = X.reshape(-1)[smap.gather].view(np.float64).reshape(smap.d, 2 * smap.d)
+    return (smap.H @ G).reshape(-1)[smap.take] * smap.weight
 
 
 def apply_adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:
@@ -223,7 +231,10 @@ def apply_adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (smap.M,):
         raise ValueError("dimension mismatch between map and data vector")
-    return (smap.At @ y).view(np.complex128).reshape(smap.d, smap.d)
+    C = np.zeros((smap.d, 2 * smap.d))
+    C.reshape(-1)[smap.take] = y * smap.weight
+    X = (smap.H @ C).view(np.complex128).reshape(-1)
+    return X[smap.gather].reshape(smap.d, smap.d)
 
 
 def sample_observables(n: int, M: int, seed) -> list:
@@ -233,7 +244,7 @@ def sample_observables(n: int, M: int, seed) -> list:
         raise ValueError(f"need 1 <= M <= {d2}, got {M}")
     rng = as_rng(seed)
     idx = rng.choice(d2, size=M, replace=False)
-    return list(_pauli_batch([pauli_word_from_index(int(i), n) for i in idx])[0])
+    return list(_pauli_batch(pauli_words_from_indices(idx, n))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +326,7 @@ def sample_settings_until(n: int, target_M: int, seed):
         settings.append(word)
         if total >= target_M:
             break
-    observables = {pauli_word_from_index(int(i), n)
-                   for i in np.flatnonzero(covered)}
+    observables = set(pauli_words_from_indices(np.flatnonzero(covered), n))
     return settings, observables, len(settings)
 
 

@@ -16,6 +16,7 @@ concurrently; randomized constructors take a caller-owned seed or Generator.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,14 +317,13 @@ def write_density(path, rho: np.ndarray) -> None:
 
 
 def read_density(path) -> np.ndarray:
-    """Read a DMAT v1 file, verifying Hermiticity of the stored matrix."""
+    """Read a DMAT v1 file, verifying Hermiticity; a malformed line is named."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "DMAT" or header[1] != "v1" \
-                or not header[2].startswith("n="):
-            raise ValueError("not a DMAT v1 file")
-        n = int(header[2][2:])
-        d = 1 << n
+        header = re.fullmatch(r"DMAT v1 n=([1-9][0-9]*)",
+                              " ".join(fh.readline().split()))
+        if header is None:
+            raise ValueError("DMAT v1: malformed header at line 1")
+        d = 1 << int(header[1])
         flat = np.empty(d * d, dtype=np.complex128)
         for k in range(d * d):
             try:

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ampqst
 from ampqst.cli import (
     ExperimentConfig,
     cmd_noise_study,
@@ -244,3 +249,13 @@ class TestDumpState:
         rc = main(["reconstruct", "--qubits", "2", "--observables", "999"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # the library uses numpy only; scipy would add to every CLI start-up
+    src = str(Path(ampqst.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ampqst.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

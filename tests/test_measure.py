@@ -30,6 +30,7 @@ from ampqst.measure import (
 )
 from ampqst.pauli import (
     MeasurementPlan,
+    apply_adjoint,
     apply_sensing,
     build_pauli,
     build_sensing_map,
@@ -246,7 +247,8 @@ def per_letter_row(word):
 
 
 def per_word_matrix(words):
-    """The sensing matrix A stacked from per-word rows."""
+    """The real M x 2d^2 CSR sensing matrix, on the interleaved real
+    coordinates of X, stacked from per-word rows."""
     rows = [per_letter_row(w) for w in words]
     y = np.array([r[0] for r in rows])[:, None]
     data = np.stack([r[2] for r in rows]) * (1.0 - 2.0 * ((y >> 1) & 1))
@@ -289,10 +291,15 @@ class TestSettingsSynthesis:
                                           return_record=True)
         words, y_ref, counts = per_word_synthesis(rho, plan, shots, noise, 7)
         assert [p.letters for p in smap.paulis] == words
-        A_ref = per_word_matrix(words)
-        assert np.array_equal(smap.A.indptr, A_ref.indptr)
-        assert np.array_equal(smap.A.indices, A_ref.indices)
-        assert np.array_equal(smap.A.data, A_ref.data)
+        # the map acts as the per-word matrix, forward and adjoint, up to
+        # the round-off of sums of d terms
+        A_ref, d, eps = per_word_matrix(words), 1 << n, np.finfo(float).eps
+        fwd_ref = A_ref @ rho.reshape(-1).view(np.float64)
+        assert np.max(np.abs(apply_sensing(smap, rho) - fwd_ref)) \
+            <= d * eps * np.max(np.abs(rho))
+        adj_ref = (A_ref.T @ y).view(np.complex128).reshape(d, d)
+        assert np.max(np.abs(apply_adjoint(smap, y) - adj_ref)) \
+            <= d * eps * np.max(np.abs(y))
         if shots == 1024:
             assert np.array_equal(y, y_ref)
         elif shots == 1000:

@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,6 +17,7 @@ from ampqst.pauli import (
     pauli_expectation,
     pauli_index_from_word,
     pauli_word_from_index,
+    pauli_words_from_indices,
     read_plan,
     sample_observables,
     sample_settings_until,
@@ -41,6 +41,11 @@ def kron_pauli(word):
 
 def all_words(n):
     return ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+
+
+def word_from_index_loop(index, n):
+    """Reference decoder: one base-4 digit at a time, leftmost first."""
+    return "".join("IXYZ"[(index >> 2 * (n - 1 - q)) & 3] for q in range(n))
 
 
 def random_hermitian(rng, d):
@@ -113,6 +118,19 @@ class TestBuildPauli:
             word = pauli_word_from_index(idx, 3)
             assert pauli_index_from_word(word) == idx
 
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 4 ** n - 1), max_size=40))))
+    def test_batch_decode_matches_per_index_loop(self, case):
+        n, codes = case
+        expected = [word_from_index_loop(c, n) for c in codes]
+        assert pauli_words_from_indices(np.array(codes, dtype=np.int64), n) == expected
+        assert [pauli_word_from_index(c, n) for c in codes] == expected
+
+    def test_decode_rejects_out_of_range(self):
+        for codes, n in (([16], 2), ([-1], 2), ([3, 64], 3), ([0], 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                pauli_words_from_indices(codes, n)
+
 
 class TestSensingMap:
     def test_duplicates_rejected(self):
@@ -120,21 +138,33 @@ class TestSensingMap:
             build_sensing_map(["XX", "XX"])
 
     def test_rows_factorize(self):
-        # row k of A, read as a complex row (real coordinate + i * imaginary
-        # coordinate of each entry), is vec(P_k)^dagger
+        # the map applied to the unit basis of the interleaved real
+        # coordinates of X gives its matrix; row k, read as a complex row
+        # (real coordinate + i * imaginary coordinate of each entry), is
+        # vec(P_k)^dagger. apply_sensing takes Hermitian input, so each unit
+        # matrix E enters as its Hermitian part (E + E^dagger) / 2, on which
+        # the real-linear map Re<P, E> takes the same value.
         smap = build_sensing_map(["XY", "ZI", "YY", "IZ", "YI", "YX"])
-        A = smap.A.toarray()
+        d = smap.d
+        columns = []
+        for e in np.eye(2 * d * d):
+            E = e.view(np.complex128).reshape(d, d)
+            columns.append(apply_sensing(smap, (E + E.conj().T) / 2))
+        A = np.column_stack(columns)
         for k, p in enumerate(smap.paulis):
             expected = kron_pauli(p.letters).conj().reshape(-1)
             row = A[k, 0::2] - 1j * A[k, 1::2]
             assert np.array_equal(row, expected), p.letters
 
     def test_memory_contract(self):
-        smap = build_sensing_map(all_words(3)[:40])
-        assert sp.issparse(smap.A)
-        assert smap.A.shape == (40, 2 * 64)
-        assert smap.A.nnz == 40 * 8
-        assert smap.A.dtype == np.float64
+        # O(d^2 + M) numbers: no array of the map has M*d entries
+        n, M = 4, 200
+        smap = build_sensing_map(sample_observables(n, M, 0))
+        d = smap.d
+        arrays = [v for v in vars(smap).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.size < M * d for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 8 * (2 * d * d + 2 * M)
+        assert all(not a.flags.writeable for a in arrays)
 
     def test_paulis_view_one_row_array(self):
         # the M rows are stored once: every PauliString views the same
@@ -153,10 +183,12 @@ class TestSensingMap:
             with pytest.raises(ValueError):
                 build_sensing_map(words)
 
-    def test_adjoint_shares_the_matrix(self):
-        smap = build_sensing_map(all_words(2))
-        assert np.shares_memory(smap.At.data, smap.A.data)
-        assert np.shares_memory(smap.At.indices, smap.A.indices)
+    @given(st.integers(1, 6), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_adjoint_is_exactly_hermitian(self, n, M, seed):
+        rng = np.random.default_rng(seed)
+        smap = build_sensing_map(sample_observables(n, min(M, 4 ** n), rng))
+        out = apply_adjoint(smap, rng.standard_normal(smap.M))
+        assert np.array_equal(out, out.conj().T)
 
     def test_apply_traceless(self):
         smap = build_sensing_map(["XI", "YZ", "ZZ"])

@@ -422,6 +422,10 @@ class TestDmatFormat:
         ("DMAT v1 n=1\n0.5 0\n0 0\n0 0\n0.5 0 0\n", 5),          # extra field
         ("DMAT v1 n=1\n0.5 0\n0 x\n0 0\n0.5 0\n", 3),            # not a number
         ("DMAT v1 n=1\n0.5 0\n0 0\n", 4),                          # too few entries
+        ("DMAT v1 n=x\n0.5 0\n", 1),                               # n not a number
+        ("DMAT v1 n=-1\n0.5 0\n", 1),                              # negative n
+        ("DMAT v1 n=0\n1 0\n", 1),                                 # no qubit
+        ("", 1),                                                   # empty file
     ])
     def test_malformed_names_the_line(self, tmp_path, text, line):
         path = tmp_path / "bad.dmat"
