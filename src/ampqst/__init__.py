@@ -6,7 +6,6 @@ from .amp import AmpConfig, AmpState, AmpTrace, estimate_onsager, psvt, run_amp,
 from .errors import DivergenceError
 from .measure import (
     NoiseModel,
-    OutcomeDistribution,
     PhotonicNoise,
     ShotRecord,
     apply_coherent,
@@ -19,29 +18,23 @@ from .measure import (
     estimate_from_setting,
     noisy_basis_measurement,
     outcome_distribution,
-    sample_shots_observable,
 )
 from .mifgd import MifgdConfig, momentum_schedule, run_mifgd
 from .pauli import (
     MeasurementPlan,
-    PauliString,
     SensingMap,
     apply_adjoint,
     apply_sensing,
-    build_pauli,
     build_sensing_map,
-    observables_of_setting,
     sample_observables,
     sample_settings_until,
 )
 from .states import (
-    SpectralDecomposition,
     make_named_state,
     make_random_state,
     nmse,
     project_to_density,
     pure_density,
-    spectral_decompose,
     state_fidelity,
 )
 

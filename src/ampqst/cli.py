@@ -170,12 +170,10 @@ def build_plan(cfg: ExperimentConfig, trial: int) -> tuple[MeasurementPlan, int]
     n = cfg.qubits
     rng = _rng_for(cfg, trial, _ROLE_PLAN)
     if cfg.plan_mode == "observables":
-        paulis = sample_observables(n, cfg.observables, rng)
-        plan = MeasurementPlan(n=n, mode="observables",
-                               words=tuple(p.letters for p in paulis))
-        return plan, len(paulis)
-    settings, _, T = sample_settings_until(n, cfg.settings_budget(), rng)
-    return MeasurementPlan(n=n, mode="settings", words=tuple(settings)), T
+        mode, words = "observables", sample_observables(n, cfg.observables, rng)
+    else:
+        mode, words = "settings", sample_settings_until(n, cfg.settings_budget(), rng)
+    return MeasurementPlan(n=n, mode=mode, words=tuple(words)), len(words)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int,
@@ -310,8 +308,7 @@ def cmd_settings_table(n_values, fractions, trials: int, seed: int,
             counts = []
             for t in range(trials):
                 rng = np.random.default_rng(np.random.SeedSequence((seed, n, fi, t)))
-                _, _, T = sample_settings_until(n, target, rng)
-                counts.append(T)
+                counts.append(len(sample_settings_until(n, target, rng)))
             mean_T = float(np.mean(counts))
             rows.append({"n": n, "fraction": frac, "M": target,
                          "mean_T": mean_T,

@@ -23,21 +23,16 @@ from .pauli import (
     LETTERS,
     MeasurementPlan,
     apply_sensing,
-    build_pauli,
     build_sensing_map,
     check_setting,
     covered_codes,
-    pauli_expectation,
     pauli_words_from_indices,
 )
-from .states import as_rng
 
 __all__ = [
-    "OutcomeDistribution",
     "ShotRecord",
     "NoiseModel",
     "PhotonicNoise",
-    "sample_shots_observable",
     "outcome_distribution",
     "noisy_basis_measurement",
     "estimate_from_setting",
@@ -54,36 +49,6 @@ __all__ = [
     "write_shots",
     "read_shots",
 ]
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probabilities over the 2^n outcome bitstrings of one setting."""
-
-    setting: str
-    probs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.setting)
-
-
-# ---------------------------------------------------------------------------
-# Expectations and shot noise
-# ---------------------------------------------------------------------------
-
-def sample_shots_observable(rho: np.ndarray, P, N: int, seed) -> float:
-    """Sample-mean estimate of Tr[P rho] from N binomial shots."""
-    if N < 1:
-        raise ValueError("shot count must be at least 1")
-    if isinstance(P, str):
-        P = build_pauli(P)
-    rng = as_rng(seed)
-    p = 0.5 * (pauli_expectation(P, rho) + 1.0)
-    if not -1e-10 <= p <= 1.0 + 1e-10:
-        raise ValueError(f"outcome probability {p} outside [0, 1]; corrupted state")
-    p = min(max(p, 0.0), 1.0)
-    return 2.0 * rng.binomial(N, p) / N - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +86,7 @@ def _readout_gates(setting: str, theta: float) -> np.ndarray:
     return G
 
 
-def _distribution(rho: np.ndarray, setting: str, theta: float) -> OutcomeDistribution:
+def _distribution(rho: np.ndarray, setting: str, theta: float) -> np.ndarray:
     setting = check_setting(setting)
     d = 1 << len(setting)
     rho = np.asarray(rho, dtype=np.complex128)
@@ -130,28 +95,25 @@ def _distribution(rho: np.ndarray, setting: str, theta: float) -> OutcomeDistrib
     G = _readout_gates(setting, theta)
     T = G @ rho
     probs = np.einsum("ij,ij->i", T, G.conj()).real
-    probs = np.clip(probs, 0.0, None)
-    return OutcomeDistribution(setting=setting, probs=probs)
+    return np.clip(probs, 0.0, None)
 
 
-def outcome_distribution(rho: np.ndarray, setting: str) -> OutcomeDistribution:
-    """Exact outcome probabilities of measuring ``setting`` on ``rho``."""
+def outcome_distribution(rho: np.ndarray, setting: str) -> np.ndarray:
+    """Exact probabilities of the 2^n outcomes of measuring ``setting`` on
+    ``rho``."""
     return _distribution(rho, setting, 0.0)
 
 
 def noisy_basis_measurement(rho: np.ndarray, setting: str,
-                            theta: float) -> OutcomeDistribution:
-    """Outcome distribution when every X/Y basis change carries an extra
+                            theta: float) -> np.ndarray:
+    """Outcome probabilities when every X/Y basis change carries an extra
     RX(theta) overrotation before the Z-basis readout."""
     return _distribution(rho, setting, float(theta))
 
 
-def _as_frequencies(dist, n: int | None = None) -> tuple[np.ndarray, int]:
-    if isinstance(dist, OutcomeDistribution):
-        return dist.probs, dist.n
+def _as_frequencies(dist) -> tuple[np.ndarray, int]:
     p = np.asarray(dist, dtype=np.float64)
-    if n is None:
-        n = int(p.size).bit_length() - 1
+    n = int(p.size).bit_length() - 1
     if p.ndim != 1 or p.size != 1 << n:
         raise ValueError("distribution length is not 2^n")
     total = p.sum()
@@ -174,10 +136,10 @@ def _parse_mask(a, n: int) -> int:
 def estimate_from_setting(dist, a) -> float:
     """Expectation of the Pauli obtained by masking a setting with ``a``.
 
-    ``dist`` is an OutcomeDistribution or a vector of probabilities/counts
-    (counts are normalized). The estimate is ``sum_b f(b AND a) p(b)`` with
-    f the parity sign of the masked bitstring; ``a`` may be a bitstring or
-    an integer mask (leftmost qubit = most significant bit).
+    ``dist`` is a vector of 2^n probabilities or counts, normalized here.
+    The estimate is ``sum_b f(b AND a) p(b)`` with f the parity sign of the
+    masked bitstring; ``a`` may be a bitstring or an integer mask (leftmost
+    qubit = most significant bit).
     """
     freqs, n = _as_frequencies(dist)
     mask = _parse_mask(a, n)
@@ -201,16 +163,17 @@ def parity_estimates(freqs: np.ndarray) -> np.ndarray:
     return out.reshape(freqs.shape) / total
 
 
-def apply_readout(dist: OutcomeDistribution, q: float) -> OutcomeDistribution:
+def apply_readout(probs: np.ndarray, q: float) -> np.ndarray:
     """Convolve an independent per-bit flip channel (flip probability q)
-    into the outcome distribution."""
+    into a vector of 2^n outcome probabilities."""
     if not 0.0 <= q <= 0.5:
         raise ValueError("readout flip probability must lie in [0, 0.5]")
-    n = dist.n
-    p = dist.probs.reshape((2,) * n)
+    p = np.asarray(probs, dtype=np.float64)
+    n = p.size.bit_length() - 1
+    p = p.reshape((2,) * n)
     for axis in range(n):
         p = (1.0 - q) * p + q * np.flip(p, axis=axis)
-    return OutcomeDistribution(setting=dist.setting, probs=p.reshape(-1))
+    return p.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +334,15 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
                        seed=0, return_record: bool = False):
     """Simulate a measurement plan on a state and assemble (SensingMap, y).
 
-    Observable mode draws one binomial per Pauli (no measurement-side noise
-    is representable there). Setting mode simulates each setting's outcome
-    distribution, applies measurement-side coherent/readout corruption from
-    ``noise``, draws one multinomial of ``shots`` outcomes shared by all of
-    the setting's observables, and extracts each covered Pauli by parity
-    marginalization; observables covered by several settings are averaged
-    with equal weight. ``shots=None`` means infinite shots (exact values).
+    Observable mode draws the M binomials, one per Pauli with success
+    probability ``(Tr[P_k rho] + 1) / 2``, as one vector draw from the stream
+    of index 0 (no measurement-side noise is representable there). Setting
+    mode simulates each setting's outcome distribution, applies
+    measurement-side coherent/readout corruption from ``noise``, draws one
+    multinomial of ``shots`` outcomes shared by all of the setting's
+    observables, and extracts each covered Pauli by parity marginalization;
+    observables covered by several settings are averaged with equal weight.
+    ``shots=None`` means infinite shots (exact values).
 
     ``y`` is aligned with the returned map's Pauli order and holds raw
     sample means of ``Tr[P_k rho]``, in the units of the returned (raw) map;
@@ -395,12 +360,15 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
         if noise is not None and noise.measurement_side:
             raise ValueError("coherent/readout noise needs a settings-mode plan")
         smap = build_sensing_map(plan.words)
-        rng = _setting_seed(seed, 0)
-        if shots is None:
-            y = apply_sensing(smap, rho)
-        else:
-            y = np.array([sample_shots_observable(rho, P, shots, rng)
-                          for P in smap.paulis])
+        y = apply_sensing(smap, rho)
+        if shots is not None:
+            p = (y + 1.0) / 2.0
+            ok = (p >= -1e-10) & (p <= 1.0 + 1e-10)
+            if not ok.all():
+                raise ValueError(f"outcome probability {p[~ok][0]} outside [0, 1]; "
+                                 "corrupted state")
+            p = np.clip(p, 0.0, 1.0)
+            y = 2.0 * _setting_seed(seed, 0).binomial(shots, p) / shots - 1.0
         record = ShotRecord(n=plan.n, mode="observables", shots=shots,
                             words=tuple(plan.words), values=y.copy(), counts=None)
         return (smap, y, record) if return_record else (smap, y)
@@ -410,14 +378,13 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
     q = noise.readout_q if noise is not None else 0.0
     freqs = np.empty((len(plan.words), d), np.float64 if shots is None else np.int64)
     for k, setting in enumerate(plan.words):
-        dist = _distribution(rho, setting, theta)
+        probs = _distribution(rho, setting, theta)
         if q:
-            dist = apply_readout(dist, q)
+            probs = apply_readout(probs, q)
         if shots is None:
-            freqs[k] = dist.probs
+            freqs[k] = probs
         else:
-            p = dist.probs / dist.probs.sum()
-            freqs[k] = _setting_seed(seed, k).multinomial(shots, p)
+            freqs[k] = _setting_seed(seed, k).multinomial(shots, probs / probs.sum())
     codes = covered_codes(plan.words).reshape(-1)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     group = np.argsort(np.argsort(first))[inverse]      # words by first appearance

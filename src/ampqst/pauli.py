@@ -1,12 +1,12 @@
 """Pauli observables, measurement settings, and the Pauli sensing map.
 
-A Pauli string is a word over {I, X, Y, Z}; its matrix is the Kronecker
+A Pauli observable is a word over {I, X, Y, Z}; its matrix is the Kronecker
 product of the letters, leftmost letter acting on the most significant bit.
-Each string has exactly ``d`` nonzero entries, one per row: X and Y flip the
+Each has exactly ``d`` nonzero entries, one per row: X and Y flip the
 qubit's bit between row and column index, I and Z preserve it, and the entry
 value is ``i**y_count`` times a sign picked up from Y and Z letters.
 
-The sensing map for an ordered list of ``M`` Pauli strings sends a Hermitian
+The sensing map for an ordered list of ``M`` Pauli words sends a Hermitian
 ``X`` to the vector of expectation values ``Tr[P_k X]``. A word whose X/Y bits
 are ``x`` and Y/Z bits ``z`` reads ``X[j, j^x]`` with signs ``(-1)**|j & z|``,
 so all 4^n expectations are one Walsh-Hadamard product ``H @ G`` of the real
@@ -15,14 +15,13 @@ map stores O(d^2 + M) numbers: the d^2 gather from X to G (an involution, used
 by the adjoint too), and per word its entry of ``H @ G`` and a +-1 weight. The
 sqrt(d/M) rescaling of AMP is applied by the solver, not by the map.
 
-PauliString and SensingMap are immutable after construction; applying a
-shared map from several threads is safe. Sampling functions take caller-owned
-seeds or Generators.
+A SensingMap is immutable after construction; applying a shared map from
+several threads is safe. Sampling functions take caller-owned seeds or
+Generators.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,27 +30,21 @@ from .states import as_rng
 
 __all__ = [
     "LETTERS",
-    "PauliString",
     "SensingMap",
     "MeasurementPlan",
-    "build_pauli",
     "pauli_word_from_index",
     "pauli_words_from_indices",
     "pauli_index_from_word",
-    "pauli_expectation",
     "build_sensing_map",
     "apply_sensing",
     "apply_adjoint",
     "sample_observables",
     "check_setting",
-    "observables_of_setting",
     "setting_word_from_index",
     "covered_word",
     "covered_words",
     "covered_codes",
     "sample_settings_until",
-    "write_plan",
-    "read_plan",
 ]
 
 LETTERS = "IXYZ"
@@ -59,52 +52,13 @@ LETTERS = "IXYZ"
 _IMAG_RESIDUE_ATOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class PauliString:
-    """One n-qubit Pauli observable with its sparse vectorized row.
-
-    ``cols[j]`` is the position of row j's single nonzero within the
-    row-major vectorization (index ``j*d + c`` for matrix column c), and
-    ``signs[j]`` is the integer value ``i**y_count * conj(P[j, c])``.
-    """
-
-    letters: str
-    y_count: int
-    cols: np.ndarray
-    signs: np.ndarray
-
-    def __eq__(self, other):
-        return isinstance(other, PauliString) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-    @property
-    def values(self) -> np.ndarray:
-        """Complex values of ``vec(P)^dagger`` at ``cols`` (modulus 1)."""
-        return (-1j) ** (self.y_count % 4) * self.signs.astype(np.complex128)
-
-    def dense(self) -> np.ndarray:
-        """Materialize the d x d Pauli matrix (small n only)."""
-        d = self.dim
-        P = np.zeros((d, d), dtype=np.complex128)
-        P.reshape(-1)[self.cols] = self.values.conj()
-        return P
-
-
 def _pauli_batch(words):
-    """``(paulis, flip, phase, y_count)`` of equal-length words in one pass:
-    X/Y bits, Y/Z bits and number of Y letters. ``paulis[k]`` views row k of
-    read-only (M, d) ``cols`` and ``signs``, ``(-1)**(y_count + |j & phase|)``."""
-    words = [str(w).upper() for w in words]
+    """``(words, flip, phase, y_count)`` of equal-length words in one pass:
+    the upper-cased words as a tuple, their X/Y bits, Y/Z bits and number
+    of Y letters."""
+    words = tuple(str(w).upper() for w in words)
+    if not words:
+        raise ValueError("need at least one Pauli observable")
     bad = [w for w in words if not w or w.strip(LETTERS) or len(w) != len(words[0])]
     if bad:
         raise ValueError(f"invalid Pauli word {bad[0]!r} (or words of unequal length)")
@@ -115,19 +69,7 @@ def _pauli_batch(words):
     flip = ((digits == 1) | (digits == 2)) @ weights
     phase = (digits >= 2) @ weights
     y_count = np.count_nonzero(digits == 2, axis=1)
-    rows = np.arange(1 << n, dtype=np.int64)
-    cols = rows * (1 << n) + (rows ^ flip[:, None])
-    parity = np.bitwise_count(rows & phase[:, None]) + (y_count[:, None] & 1)
-    signs = 1 - 2 * (parity & 1).astype(np.int8)
-    cols.flags.writeable = signs.flags.writeable = False
-    paulis = tuple(map(PauliString, words, y_count.tolist(), cols, signs))
-    return paulis, flip, phase, y_count
-
-
-def build_pauli(word: str) -> PauliString:
-    """Build a PauliString from its letter word without Kronecker products,
-    in O(n d): the one-word case of the batched row builder."""
-    return _pauli_batch([word])[0][0]
+    return words, flip, phase, y_count
 
 
 def pauli_words_from_indices(indices, n: int) -> list:
@@ -152,32 +94,20 @@ def pauli_index_from_word(word: str) -> int:
     return idx
 
 
-def pauli_expectation(P: PauliString, rho: np.ndarray) -> float:
-    """Tr[P rho] for Hermitian rho, via the sparse row (O(d))."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (P.dim, P.dim):
-        raise ValueError("dimension mismatch between Pauli and matrix")
-    val = np.dot(P.values, rho.reshape(-1)[P.cols])
-    if abs(val.imag) >= _IMAG_RESIDUE_ATOL:
-        raise ValueError("expectation has a non-negligible imaginary part; "
-                         "input is not Hermitian")
-    return float(val.real)
-
-
 # ---------------------------------------------------------------------------
 # Sensing map
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class SensingMap:
-    """Ordered Pauli observables with the index form of their map.
+    """Ordered Pauli words (upper case) with the index form of their map.
 
     ``gather`` (d^2) sends the flat X to ``G[j, x] = X[j, j^x]`` and back;
     word k reads entry ``take[k]`` of the d x 2d product ``H @ G`` (``H`` the
     d x d Sylvester matrix) with sign ``weight[k]``. All arrays are read-only.
     """
 
-    paulis: tuple
+    words: tuple
     n: int
     d: int
     M: int
@@ -187,16 +117,14 @@ class SensingMap:
     H: np.ndarray
 
 
-def build_sensing_map(paulis) -> SensingMap:
-    """Assemble a SensingMap from distinct PauliStrings (or words), whose
-    rows are built in one pass."""
-    words = [p.letters if isinstance(p, PauliString) else p for p in paulis]
-    if not words:
-        raise ValueError("need at least one Pauli observable")
-    plist, flip, phase, y_counts = _pauli_batch(words)
-    if len({p.letters for p in plist}) != len(plist):
+def build_sensing_map(words) -> SensingMap:
+    """Assemble a SensingMap from distinct Pauli words (any case), indexed
+    in one pass."""
+    words, flip, phase, y_counts = _pauli_batch(words)
+    if len(set(words)) != len(words):
         raise ValueError("duplicate Pauli observables in sensing map")
-    d = 1 << plist[0].n
+    n = len(words[0])
+    d = 1 << n
     rows = np.arange(d, dtype=np.int64)
     gather = (rows[:, None] * d + (rows[:, None] ^ rows)).reshape(-1)
     # Tr[P_k X] = (-1)**(y + y // 2) * (H @ G)[z, 2x + y % 2], y = y_count
@@ -205,7 +133,7 @@ def build_sensing_map(paulis) -> SensingMap:
     H = 1.0 - 2.0 * (np.bitwise_count(rows[:, None] & rows) & 1)
     for a in (gather, take, weight, H):
         a.flags.writeable = False
-    return SensingMap(paulis=plist, n=plist[0].n, d=d, M=len(plist), gather=gather,
+    return SensingMap(words=words, n=n, d=d, M=len(words), gather=gather,
                       take=take, weight=weight, H=H)
 
 
@@ -238,13 +166,13 @@ def apply_adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:
 
 
 def sample_observables(n: int, M: int, seed) -> list:
-    """Sample M distinct Pauli strings uniformly (without replacement)."""
+    """Sample M distinct Pauli words uniformly (without replacement)."""
     d2 = 4 ** n
     if not 1 <= M <= d2:
         raise ValueError(f"need 1 <= M <= {d2}, got {M}")
     rng = as_rng(seed)
     idx = rng.choice(d2, size=M, replace=False)
-    return list(_pauli_batch(pauli_words_from_indices(idx, n))[0])
+    return pauli_words_from_indices(idx, n)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +211,6 @@ def covered_words(setting: str) -> list:
     return [covered_word(setting, a) for a in range(1 << len(setting))]
 
 
-def observables_of_setting(setting: str) -> set:
-    """The set of 2^n PauliStrings whose expectations the setting yields."""
-    return set(_pauli_batch(covered_words(setting))[0])
-
-
 def covered_codes(settings) -> np.ndarray:
     """Base-4 codes (``pauli_index_from_word``) of the words settings cover:
     entry ``[k, a]`` is the code of ``covered_word(settings[k], a)``."""
@@ -303,13 +226,8 @@ def covered_codes(settings) -> np.ndarray:
 
 def sample_settings_until(n: int, target_M: int, seed):
     """Draw settings uniformly without replacement until the union of their
-    covered observables reaches ``target_M``.
-
-    Returns ``(settings, observables, T)`` where ``settings`` is the ordered
-    list of drawn setting words, ``observables`` the set of covered Pauli
-    words, and ``T = len(settings)``. Words (not PauliString objects) keep
-    the counting experiment cheap for large n.
-    """
+    covered observables reaches ``target_M``; return the drawn setting
+    words in order (their count is the circuit count T)."""
     d2 = 4 ** n
     if not 1 <= target_M <= d2:
         raise ValueError(f"need 1 <= target_M <= {d2}, got {target_M}")
@@ -326,12 +244,11 @@ def sample_settings_until(n: int, target_M: int, seed):
         settings.append(word)
         if total >= target_M:
             break
-    observables = set(pauli_words_from_indices(np.flatnonzero(covered), n))
-    return settings, observables, len(settings)
+    return settings
 
 
 # ---------------------------------------------------------------------------
-# PLAN v1 text format
+# Measurement plans
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -353,34 +270,3 @@ class MeasurementPlan:
                 raise ValueError(f"invalid {self.mode} word {w!r}")
         if len(set(self.words)) != len(self.words):
             raise ValueError("duplicate words in measurement plan")
-
-
-def write_plan(path, plan: MeasurementPlan) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"PLAN v1 n={plan.n} mode={plan.mode}\n")
-        for w in plan.words:
-            fh.write(w + "\n")
-
-
-_PLAN_HEADER = re.compile(r"PLAN v1 n=([1-9][0-9]*) mode=(observables|settings)")
-
-
-def read_plan(path) -> MeasurementPlan:
-    """Read a PLAN v1 file; a malformed line raises ValueError naming it."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    header = _PLAN_HEADER.fullmatch(" ".join(lines[0].split()) if lines else "")
-    if header is None:
-        raise ValueError("PLAN v1: malformed header at line 1")
-    n, mode = int(header[1]), header[2]
-    alphabet = LETTERS if mode == "observables" else "XYZ"
-    words = {}                         # ordered, with O(1) repeat lookup
-    for lineno, line in enumerate(lines[1:], start=2):
-        word = line.strip()
-        if not word:
-            continue
-        if len(word) != n or any(ch not in alphabet for ch in word) or word in words:
-            raise ValueError(f"PLAN v1: invalid or repeated {mode} word {word!r} "
-                             f"at line {lineno}")
-        words[word] = None
-    return MeasurementPlan(n=n, mode=mode, words=tuple(words))

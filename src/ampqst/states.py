@@ -1,4 +1,5 @@
-"""Benchmark states, fidelity metrics, and density-matrix spectral utilities.
+"""Benchmark states, projection onto density matrices, fidelity metrics, and
+the DMAT v1 text format.
 
 Conventions used throughout the package:
 
@@ -24,7 +25,6 @@ import numpy as np
 __all__ = [
     "HERMITIAN_ATOL",
     "EIGENVALUE_CLIP",
-    "SpectralDecomposition",
     "DensityFactor",
     "as_rng",
     "complex_normal",
@@ -35,7 +35,6 @@ __all__ = [
     "make_named_state",
     "pure_density",
     "make_random_state",
-    "spectral_decompose",
     "project_to_density",
     "factor_density",
     "numerical_rank",
@@ -159,48 +158,8 @@ def make_random_state(n: int, r: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Spectral utilities
+# Projection
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in descending order; eigenvectors as matching columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
-def _lex_key(v: np.ndarray):
-    # first-differing-coordinate comparison, real part before imaginary
-    return tuple(np.column_stack([v.real, v.imag]).ravel())
-
-
-def spectral_decompose(H: np.ndarray, atol: float = 1e-8) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Ordering is deterministic: descending eigenvalues, exact ties broken by
-    lexicographic comparison of eigenvector coordinates.
-    """
-    H = check_hermitian(H, atol)
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    # deterministic tie-break within groups of exactly equal eigenvalues
-    start = 0
-    while start < vals.size:
-        stop = start + 1
-        while stop < vals.size and vals[stop] == vals[start]:
-            stop += 1
-        if stop - start > 1:
-            sub = sorted(range(start, stop), key=lambda j: _lex_key(vecs[:, j]))
-            vecs[:, start:stop] = vecs[:, sub]
-        start = stop
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
-
 
 def project_to_density(H: np.ndarray) -> np.ndarray:
     """Project a Hermitian matrix onto the density-matrix set.
@@ -319,20 +278,23 @@ def write_density(path, rho: np.ndarray) -> None:
 def read_density(path) -> np.ndarray:
     """Read a DMAT v1 file, verifying Hermiticity; a malformed line is named."""
     with open(path, "r", encoding="ascii") as fh:
-        header = re.fullmatch(r"DMAT v1 n=([1-9][0-9]*)",
-                              " ".join(fh.readline().split()))
-        if header is None:
-            raise ValueError("DMAT v1: malformed header at line 1")
-        d = 1 << int(header[1])
-        flat = np.empty(d * d, dtype=np.complex128)
-        for k in range(d * d):
-            try:
-                re_part, im_part = fh.readline().split()
-                flat[k] = float(re_part) + 1j * float(im_part)
-            except ValueError:
-                raise ValueError(f"DMAT v1: malformed entry at line {k + 2}") from None
-        for k, line in enumerate(fh, start=d * d + 2):
-            if line.strip():
-                raise ValueError(f"DMAT v1: unexpected data at line {k}")
-    rho = flat.reshape(d, d)
-    return check_hermitian(rho)
+        lines = fh.readlines()
+    header = re.fullmatch(r"DMAT v1 n=([1-9][0-9]*)",
+                          " ".join(lines[0].split()) if lines else "")
+    if header is None:
+        raise ValueError("DMAT v1: malformed header at line 1")
+    d = 1 << int(header[1])
+    # sized by the lines the file holds, not by the header's n alone
+    flat = np.empty(min(d * d, len(lines) - 1), dtype=np.complex128)
+    for k, line in enumerate(lines[1:1 + flat.size]):
+        try:
+            re_part, im_part = line.split()
+            flat[k] = float(re_part) + 1j * float(im_part)
+        except ValueError:
+            raise ValueError(f"DMAT v1: malformed entry at line {k + 2}") from None
+    if flat.size < d * d:
+        raise ValueError(f"DMAT v1: malformed entry at line {len(lines) + 1}")
+    for k, line in enumerate(lines[d * d + 1:], start=d * d + 2):
+        if line.strip():
+            raise ValueError(f"DMAT v1: unexpected data at line {k}")
+    return check_hermitian(flat.reshape(d, d))

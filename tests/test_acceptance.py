@@ -72,9 +72,8 @@ def flagship_problem():
     """n=5 rank-3 random state, M=384 observables, N=1024 shots (frozen trial)."""
     seed = 41
     rho = make_random_state(5, 3, np.random.default_rng((seed, 1)))
-    paulis = sample_observables(5, 384, np.random.default_rng((seed, 2)))
-    plan = MeasurementPlan(n=5, mode="observables",
-                           words=tuple(p.letters for p in paulis))
+    words = sample_observables(5, 384, np.random.default_rng((seed, 2)))
+    plan = MeasurementPlan(n=5, mode="observables", words=tuple(words))
     smap, y = build_measurements(rho, plan, shots=1024, seed=(seed, 3))
     return rho, smap, y
 
@@ -120,10 +119,10 @@ def test_criterion_2_settings_table():
     exact_ok = True
     for n, M, expected in ((3, 64, 27), (4, 256, 81)):
         for seed in range(10):
-            _, _, T = sample_settings_until(n, M, seed)
+            T = len(sample_settings_until(n, M, seed))
             exact_ok = exact_ok and T == expected
-    mean_3_16 = np.mean([sample_settings_until(3, 16, s)[2] for s in range(100)])
-    mean_5_256 = np.mean([sample_settings_until(5, 256, s)[2] for s in range(100)])
+    mean_3_16 = np.mean([len(sample_settings_until(3, 16, s)) for s in range(100)])
+    mean_5_256 = np.mean([len(sample_settings_until(5, 256, s)) for s in range(100)])
     ok = exact_ok and 2.0 <= mean_3_16 <= 4.0 and 10.0 <= mean_5_256 <= 16.0
     report(2, ok, f"T(3,64)=27,T(4,256)=81 on all seeds: {exact_ok}; "
                   f"mean T(3,16)={mean_3_16:.2f}; mean T(5,256)={mean_5_256:.2f}")
@@ -246,7 +245,7 @@ def test_criterion_8_noiseless_exact_recovery():
     words = tuple(pauli_word_from_index(i, n) for i in range(4 ** n))
     plan = MeasurementPlan(n=n, mode="observables", words=words)
     smap, y = build_measurements(rho, plan, shots=None, seed=(8,))
-    oracle = sum(y[k] * smap.paulis[k].dense() for k in range(smap.M)) / d
+    oracle = sum(y[k] * kron_word(smap.words[k]) for k in range(smap.M)) / d
 
     rho_amp, _ = run_amp(smap, y, AmpConfig(seed=3))
     amp_nmse = nmse(oracle, rho_amp)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ampqst import measure, pauli
 from ampqst.measure import (
     NoiseModel,
-    OutcomeDistribution,
     PhotonicNoise,
     ShotRecord,
     apply_coherent,
@@ -25,15 +24,14 @@ from ampqst.measure import (
     overrotation_unitary,
     parity_estimates,
     read_shots,
-    sample_shots_observable,
     write_shots,
 )
 from ampqst.pauli import (
     MeasurementPlan,
     apply_adjoint,
     apply_sensing,
-    build_pauli,
     build_sensing_map,
+    covered_codes,
     covered_words,
     sample_settings_until,
 )
@@ -92,54 +90,86 @@ class TestExpectations:
         assert np.allclose(y, [1.0, 0.0, 1.0], atol=1e-12)
 
 
+def one_word_draw(rho, word, N, seed):
+    """The observables-mode estimate of one word from N shots."""
+    plan = MeasurementPlan(n=len(word), mode="observables", words=(word,))
+    return build_measurements(rho, plan, N, seed=seed)[1][0]
+
+
+def per_word_draws(p, N, seed):
+    """The observables-mode draw one word at a time: a scalar binomial per
+    clipped success probability, in plan order, from the stream of index 0."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    return np.array([2.0 * rng.binomial(N, min(max(pk, 0.0), 1.0)) / N - 1.0
+                     for pk in p])
+
+
 class TestShotSampling:
     def test_degenerate_probabilities(self):
         zero = pure_density(np.array([1.0, 0.0]))
-        assert sample_shots_observable(zero, "Z", 100, 0) == 1.0
+        assert one_word_draw(zero, "Z", 100, 0) == 1.0
         one = pure_density(np.array([0.0, 1.0]))
-        assert sample_shots_observable(one, "Z", 100, 0) == -1.0
+        assert one_word_draw(one, "Z", 100, 0) == -1.0
 
     def test_deterministic_per_seed(self):
         rho = make_random_state(2, 2, 5)
-        a = sample_shots_observable(rho, "XY", 512, 42)
-        b = sample_shots_observable(rho, "XY", 512, 42)
+        a = one_word_draw(rho, "XY", 512, 42)
+        b = one_word_draw(rho, "XY", 512, 42)
         assert a == b
 
     def test_mean_matches_binomial_oracle(self):
         # p = 0.5, N = 100: the sample mean over 10^4 draws has standard
         # error 0.1/100 = 1e-3, so 0.01 is a ten-sigma band
         plus = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        rng = np.random.default_rng(7)
-        draws = [sample_shots_observable(plus, "Z", 100, rng) for _ in range(10_000)]
+        draws = [one_word_draw(plus, "Z", 100, (7, k)) for k in range(10_000)]
         assert abs(np.mean(draws)) < 0.01
 
     def test_unbiasedness_four_sigma(self):
         rho = make_random_state(2, 2, 3)
-        p = build_pauli("XZ")
-        exact = apply_sensing(build_sensing_map([p]), rho)[0]
+        exact = apply_sensing(build_sensing_map(["XZ"]), rho)[0]
         N, K = 64, 10_000
-        rng = np.random.default_rng(11)
-        draws = [sample_shots_observable(rho, p, N, rng) for _ in range(K)]
+        draws = [one_word_draw(rho, "XZ", N, (11, k)) for k in range(K)]
         se = np.sqrt((1 - exact ** 2) / N / K)
         assert abs(np.mean(draws) - exact) < 4 * se
 
     def test_invalid_shot_count(self):
         with pytest.raises(ValueError):
-            sample_shots_observable(np.eye(2) / 2, "Z", 0, 0)
+            one_word_draw(np.eye(2) / 2, "Z", 0, 0)
+
+    def test_probability_outside_unit_interval_rejected(self):
+        # 2|0><0| is no state: Tr[Z rho] = 2 gives p = 1.5
+        with pytest.raises(ValueError, match="corrupted state"):
+            one_word_draw(2 * pure_density(np.array([1.0, 0.0])), "Z", 10, 0)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+               st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=20,
+               unique=True)),
+           st.sampled_from(["random", "GHZ"]), st.sampled_from([1, 7, 1024]),
+           st.integers(0, 2**32 - 1))
+    def test_vector_draw_matches_per_word_loop(self, words, state, N, seed):
+        n = len(words[0])
+        rho = (make_random_state(n, 2, seed) if state == "random"
+               else pure_density(make_named_state(state, n)))
+        plan = MeasurementPlan(n=n, mode="observables", words=tuple(words))
+        smap, y = build_measurements(rho, plan, N, seed=seed)
+        p = (apply_sensing(smap, rho) + 1.0) / 2.0
+        dense = [(np.trace(kron_word(w) @ rho).real + 1.0) / 2.0 for w in words]
+        assert np.max(np.abs(p - dense)) <= 1e-14
+        assert np.array_equal(y, per_word_draws(p, N, seed))
 
 
 class TestOutcomeDistributions:
     def test_zero_state_z(self):
         dist = outcome_distribution(pure_density(np.array([1.0, 0.0])), "Z")
-        assert np.allclose(dist.probs, [1.0, 0.0])
+        assert np.allclose(dist, [1.0, 0.0])
 
     def test_zero_state_x(self):
         dist = outcome_distribution(pure_density(np.array([1.0, 0.0])), "X")
-        assert np.allclose(dist.probs, [0.5, 0.5])
+        assert np.allclose(dist, [0.5, 0.5])
 
     def test_ghz_zz(self):
         dist = outcome_distribution(pure_density(make_named_state("GHZ", 2)), "ZZ")
-        assert np.allclose(dist.probs, [0.5, 0, 0, 0.5], atol=1e-12)
+        assert np.allclose(dist, [0.5, 0, 0, 0.5], atol=1e-12)
 
     def test_matches_projector_oracle(self):
         rng = np.random.default_rng(1)
@@ -147,9 +177,9 @@ class TestOutcomeDistributions:
             rho = make_random_state(n, 2, rng)
             for setting in ("X" * n, "YZX"[:n], "ZYX"[:n]):
                 dist = outcome_distribution(rho, setting)
-                assert np.allclose(dist.probs, oracle_distribution(rho, setting),
+                assert np.allclose(dist, oracle_distribution(rho, setting),
                                    atol=1e-12)
-                assert abs(dist.probs.sum() - 1.0) < 1e-10
+                assert abs(dist.sum() - 1.0) < 1e-10
 
 
 class TestParityMarginalization:
@@ -265,10 +295,10 @@ def per_word_synthesis(rho, plan, shots, noise, seed):
         dist = noisy_basis_measurement(rho, setting, noise.coherent_theta)
         if noise.readout_q:
             dist = apply_readout(dist, noise.readout_q)
-        freqs = dist.probs
+        freqs = dist
         if shots is not None:
             rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-            counts.append(rng.multinomial(shots, dist.probs / dist.probs.sum()))
+            counts.append(rng.multinomial(shots, dist / dist.sum()))
             freqs = counts[-1] / shots
         for mask, word in enumerate(covered_words(setting)):
             estimates.setdefault(word, []).append(estimate_from_setting(freqs, mask))
@@ -285,12 +315,12 @@ class TestSettingsSynthesis:
     @pytest.mark.parametrize("shots", [1024, 1000, None])
     def test_matches_per_word_loop(self, n, noise, shots):
         rho = make_random_state(n, 2, 40 + n)
-        settings, _, _ = sample_settings_until(n, min(4 ** n, 12 * n), n)
+        settings = sample_settings_until(n, min(4 ** n, 12 * n), n)
         plan = MeasurementPlan(n=n, mode="settings", words=tuple(settings))
         smap, y, rec = build_measurements(rho, plan, shots, noise, seed=7,
                                           return_record=True)
         words, y_ref, counts = per_word_synthesis(rho, plan, shots, noise, 7)
-        assert [p.letters for p in smap.paulis] == words
+        assert list(smap.words) == words
         # the map acts as the per-word matrix, forward and adjoint, up to
         # the round-off of sums of d terms
         A_ref, d, eps = per_word_matrix(words), 1 << n, np.finfo(float).eps
@@ -316,13 +346,12 @@ class TestSettingsSynthesis:
                 assert np.array_equal(got, want)
 
     def test_no_per_word_calls(self, function_calls):
-        # one batched row build; no parity estimate, covered word or Pauli
-        # built one word at a time
+        # one batched word indexing; no parity estimate or covered word
+        # computed one word at a time
         rho = make_random_state(5, 2, 3)
-        settings, _, _ = sample_settings_until(5, 400, 1)
+        settings = sample_settings_until(5, 400, 1)
         plan = MeasurementPlan(n=5, mode="settings", words=tuple(settings))
-        for owner, name in [(measure, "estimate_from_setting"), (measure, "build_pauli"),
-                            (pauli, "build_pauli"), (pauli, "covered_word"),
+        for owner, name in [(measure, "estimate_from_setting"), (pauli, "covered_word"),
                             (pauli, "_pauli_batch")]:
             function_calls.watch(owner, name)
         smap, y = build_measurements(rho, plan, shots=1024, seed=0)
@@ -334,25 +363,22 @@ class TestReadout:
     def test_identity_at_zero(self):
         dist = outcome_distribution(make_random_state(2, 1, 3), "XZ")
         out = apply_readout(dist, 0.0)
-        assert np.allclose(out.probs, dist.probs)
+        assert np.allclose(out, dist)
 
     def test_half_flips_single_bit(self):
-        dist = OutcomeDistribution(setting="Z", probs=np.array([1.0, 0.0]))
-        assert np.allclose(apply_readout(dist, 0.5).probs, [0.5, 0.5])
+        assert np.allclose(apply_readout(np.array([1.0, 0.0]), 0.5), [0.5, 0.5])
 
     def test_small_flip(self):
-        dist = OutcomeDistribution(setting="Z", probs=np.array([1.0, 0.0]))
-        assert np.allclose(apply_readout(dist, 0.1).probs, [0.9, 0.1])
+        assert np.allclose(apply_readout(np.array([1.0, 0.0]), 0.1), [0.9, 0.1])
 
     def test_two_bit_convolution(self):
-        dist = OutcomeDistribution(setting="ZZ", probs=np.array([1.0, 0, 0, 0]))
         q = 0.2
-        out = apply_readout(dist, q)
+        out = apply_readout(np.array([1.0, 0, 0, 0]), q)
         expected = [(1 - q) ** 2, (1 - q) * q, q * (1 - q), q * q]
-        assert np.allclose(out.probs, expected)
+        assert np.allclose(out, expected)
 
     def test_out_of_range(self):
-        dist = OutcomeDistribution(setting="Z", probs=np.array([1.0, 0.0]))
+        dist = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
             apply_readout(dist, 0.6)
 
@@ -529,13 +555,13 @@ class TestNoisyBasisMeasurement:
         for setting in ("XY", "ZX"):
             a = noisy_basis_measurement(rho, setting, 0.0)
             b = outcome_distribution(rho, setting)
-            assert np.max(np.abs(a.probs - b.probs)) < 1e-12
+            assert np.max(np.abs(a - b)) < 1e-12
 
     def test_all_z_immune(self):
         rho = make_random_state(2, 3, 14)
         a = noisy_basis_measurement(rho, "ZZ", 0.3)
         b = outcome_distribution(rho, "ZZ")
-        assert np.max(np.abs(a.probs - b.probs)) < 1e-12
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_plus_state_oracle(self):
         # |+> measured in X with overrotation: direct 2x2 computation
@@ -547,8 +573,8 @@ class TestNoisyBasisMeasurement:
         G = RX @ H.conj().T
         expected = np.real(np.diag(G @ plus @ G.conj().T))
         dist = noisy_basis_measurement(plus, "X", theta)
-        assert np.allclose(dist.probs, expected, atol=1e-12)
-        assert abs(dist.probs[0] - np.cos(theta / 2) ** 2) < 1e-12
+        assert np.allclose(dist, expected, atol=1e-12)
+        assert abs(dist[0] - np.cos(theta / 2) ** 2) < 1e-12
 
 
 class TestBuildMeasurements:
@@ -564,15 +590,15 @@ class TestBuildMeasurements:
         settings_plan = MeasurementPlan(n=2, mode="settings", words=("XY", "ZZ"))
         smap_s, y_s = build_measurements(rho, settings_plan, shots=None, seed=0)
         obs_plan = MeasurementPlan(n=2, mode="observables",
-                                   words=tuple(p.letters for p in smap_s.paulis))
+                                   words=smap_s.words)
         smap_o, y_o = build_measurements(rho, obs_plan, shots=None, seed=0)
         assert np.max(np.abs(y_s - y_o)) < 1e-12
 
     def test_settings_coverage_count(self):
         rho = pure_density(make_named_state("GHZ", 3))
-        from ampqst.pauli import sample_settings_until
-        settings, obs, T = sample_settings_until(3, 64, 5)
-        assert T == 27
+        settings = sample_settings_until(3, 64, 5)
+        assert len(settings) == 27
+        assert np.unique(covered_codes(settings[:-1])).size < 64
         plan = MeasurementPlan(n=3, mode="settings", words=tuple(settings))
         smap, y = build_measurements(rho, plan, shots=16, seed=1)
         assert smap.M == 64
@@ -583,10 +609,8 @@ class TestBuildMeasurements:
         plan = MeasurementPlan(n=2, mode="observables", words=words)
         smap, y = build_measurements(rho, plan, shots=64, seed=9)
         # replay the exact RNG stream: M draws, one per observable, in order
-        rng = np.random.default_rng(np.random.SeedSequence((9, 0)))
-        replay = np.array([sample_shots_observable(rho, build_pauli(w), 64, rng)
-                           for w in words])
-        assert np.array_equal(y, replay)
+        p = (apply_sensing(smap, rho) + 1.0) / 2.0
+        assert np.array_equal(y, per_word_draws(p, 64, 9))
 
     def test_measurement_noise_requires_settings(self):
         rho = make_random_state(2, 1, 4)
@@ -607,7 +631,7 @@ class TestBuildMeasurements:
         plan = MeasurementPlan(n=2, mode="settings", words=("ZZ",))
         smap, y = build_measurements(rho, plan, shots=None,
                                      noise=NoiseModel(readout_q=0.1), seed=0)
-        idx = [p.letters for p in smap.paulis].index("ZZ")
+        idx = smap.words.index("ZZ")
         assert abs(y[idx] - (1 - 2 * 0.1) ** 2) < 1e-12
 
 

@@ -12,6 +12,21 @@ from ampqst.states import (
 )
 
 
+PAULI1 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_word(word):
+    out = np.array([[1.0]], dtype=complex)
+    for ch in word:
+        out = np.kron(out, PAULI1[ch])
+    return out
+
+
 def full_basis_problem(n, seed, rank=1):
     rho = make_random_state(n, rank, np.random.default_rng((seed, 1)))
     words = tuple(pauli_word_from_index(i, n) for i in range(4 ** n))
@@ -35,7 +50,7 @@ class TestMomentumSchedule:
 class TestRunMifgd:
     def test_noiseless_pure_recovery(self):
         rho, smap, y = full_basis_problem(2, seed=0)
-        oracle = sum(y[k] * smap.paulis[k].dense() for k in range(smap.M)) / smap.d
+        oracle = sum(y[k] * kron_word(w) for k, w in enumerate(smap.words)) / smap.d
         rho_hat, iters = run_mifgd(smap, y, MifgdConfig(rank_budget=1, mu=0.0, seed=3))
         fid = state_fidelity(project_to_density(oracle),
                              project_to_density(rho_hat))

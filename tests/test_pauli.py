@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,21 +10,16 @@ from ampqst.pauli import (
     MeasurementPlan,
     apply_adjoint,
     apply_sensing,
-    build_pauli,
     build_sensing_map,
     covered_codes,
     covered_words,
-    observables_of_setting,
-    pauli_expectation,
     pauli_index_from_word,
     pauli_word_from_index,
     pauli_words_from_indices,
-    read_plan,
     sample_observables,
     sample_settings_until,
-    write_plan,
 )
-from ampqst.states import make_named_state, make_random_state, pure_density
+from ampqst.states import make_named_state, pure_density
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,6 +44,11 @@ def word_from_index_loop(index, n):
     return "".join("IXYZ"[(index >> 2 * (n - 1 - q)) & 3] for q in range(n))
 
 
+def coverage(settings):
+    """Number of distinct Pauli words the settings cover."""
+    return np.unique(covered_codes(settings)).size
+
+
 def random_hermitian(rng, d):
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return 0.5 * (A + A.conj().T)
@@ -64,54 +65,22 @@ def maps_and_rngs(draw):
 
 
 
-class TestBuildPauli:
-    def test_y_integer_row(self):
-        p = build_pauli("Y")
-        assert p.y_count == 1
-        row = np.zeros(4)
-        row[p.cols] = p.signs
-        assert np.array_equal(row, [0, -1, 1, 0])
+def word_matrix(word):
+    """The matrix of one word through the map: the adjoint of a unit vector."""
+    return apply_adjoint(build_sensing_map([word]), np.ones(1))
 
-    def test_identity_row(self):
-        p = build_pauli("I")
-        dense = np.zeros(4, dtype=complex)
-        dense[p.cols] = p.values
-        assert np.array_equal(dense, [1, 0, 0, 1])
 
+class TestWords:
     def test_zz_diagonal_signs(self):
-        p = build_pauli("ZZ")
-        assert len(p.cols) == 4
-        dense = np.zeros(16, dtype=complex)
-        dense[p.cols] = p.values
-        assert np.array_equal(dense.reshape(4, 4), np.diag([1, -1, -1, 1]))
+        assert np.array_equal(word_matrix("ZZ"), np.diag([1, -1, -1, 1]))
 
     def test_matches_kron_oracle(self):
         for word in ["X", "Z", "XY", "YY", "IZX", "XYZ", "YIYX"]:
-            assert np.allclose(build_pauli(word).dense(), kron_pauli(word)), word
-
-    def test_sparse_row_is_vec_dagger(self):
-        for word in ["Y", "XZ", "YX"]:
-            p = build_pauli(word)
-            vec_dag = kron_pauli(word).conj().reshape(-1)
-            row = np.zeros(vec_dag.size, dtype=complex)
-            row[p.cols] = p.values
-            assert np.allclose(row, vec_dag)
+            assert np.array_equal(word_matrix(word), kron_pauli(word)), word
 
     def test_invalid_letter(self):
         with pytest.raises(ValueError):
-            build_pauli("XQ")
-
-    def test_row_structure_invariants(self):
-        # d nonzeros, unit modulus, integer after the i^y twist (up to n=4)
-        for n in range(1, 5):
-            for word in all_words(n):
-                p = build_pauli(word)
-                assert len(p.cols) == 1 << n
-                assert len(np.unique(p.cols)) == 1 << n
-                assert np.allclose(np.abs(p.values), 1.0)
-                twisted = (1j ** p.y_count) * p.values
-                assert np.max(np.abs(twisted.imag)) < 1e-15
-                assert np.all(np.isin(np.round(twisted.real), (-1, 1)))
+            build_sensing_map(["XQ"])
 
     def test_word_index_round_trip(self):
         for idx in range(64):
@@ -151,10 +120,10 @@ class TestSensingMap:
             E = e.view(np.complex128).reshape(d, d)
             columns.append(apply_sensing(smap, (E + E.conj().T) / 2))
         A = np.column_stack(columns)
-        for k, p in enumerate(smap.paulis):
-            expected = kron_pauli(p.letters).conj().reshape(-1)
+        for k, word in enumerate(smap.words):
+            expected = kron_pauli(word).conj().reshape(-1)
             row = A[k, 0::2] - 1j * A[k, 1::2]
-            assert np.array_equal(row, expected), p.letters
+            assert np.array_equal(row, expected), word
 
     def test_memory_contract(self):
         # O(d^2 + M) numbers: no array of the map has M*d entries
@@ -166,17 +135,24 @@ class TestSensingMap:
         assert sum(a.nbytes for a in arrays) <= 8 * (2 * d * d + 2 * M)
         assert all(not a.flags.writeable for a in arrays)
 
-    def test_paulis_view_one_row_array(self):
-        # the M rows are stored once: every PauliString views the same
-        # read-only batch arrays, and a PauliString passed in is rebuilt
-        smap = build_sensing_map([build_pauli("XZY"), "yyi", "IIZ"])
-        assert [p.letters for p in smap.paulis] == ["XZY", "YYI", "IIZ"]
-        cols, signs = smap.paulis[0].cols.base, smap.paulis[0].signs.base
-        assert cols.shape == signs.shape == (3, 8)
-        for p in smap.paulis:
-            assert p.cols.base is cols and p.signs.base is signs
-            assert not p.cols.flags.writeable and not p.signs.flags.writeable
-            assert np.array_equal(p.dense(), kron_pauli(p.letters))
+    def test_build_peak_memory(self):
+        # n=7 with 8192 distinct words: the map is built without any (M, d)
+        # array, which alone would take 8 MB
+        words = sample_observables(7, 8192, 0)
+        tracemalloc.start()
+        try:
+            build_sensing_map(words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+    def test_words_kept_upper_case_in_order(self):
+        smap = build_sensing_map(["xzy", "yyi", "IIZ"])
+        assert smap.words == ("XZY", "YYI", "IIZ")
+        assert all(type(w) is str for w in smap.words)
+        with pytest.raises(ValueError, match="duplicate"):
+            build_sensing_map(["xx", "XX"])
 
     def test_invalid_or_unequal_words_rejected(self):
         for words in (["XX", "XXX"], ["X", ""], ["XX", "XQ"], ["XX", "Xé"]):
@@ -269,22 +245,13 @@ class TestSensingMap:
         with pytest.raises(ValueError):
             apply_adjoint(smap, np.zeros(3))
 
-    def test_pauli_expectation_matches_apply(self):
-        rng = np.random.default_rng(3)
-        rho = make_random_state(2, 3, rng)
-        smap = build_sensing_map(["XY", "ZZ", "IX"])
-        y = apply_sensing(smap, rho)
-        for k, p in enumerate(smap.paulis):
-            assert abs(pauli_expectation(p, rho) - y[k]) < 1e-12
-
     def test_compositions_match_dense_oracle(self):
         # forward-adjoint compositions against the dense matrix of the map
         rng = np.random.default_rng(9)
         for n in (1, 2):
             d = 1 << n
             smap = build_sensing_map(sample_observables(n, 3 ** n, rng))
-            B = np.vstack([kron_pauli(p.letters).conj().reshape(-1)
-                           for p in smap.paulis])
+            B = np.vstack([kron_pauli(w).conj().reshape(-1) for w in smap.words])
             A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             Xh = 0.5 * (A + A.conj().T)
             y = rng.standard_normal(smap.M)
@@ -301,7 +268,7 @@ class TestSensingMapProperties:
         smap, rng = case
         Xh = random_hermitian(rng, smap.d)
         y = apply_sensing(smap, Xh)
-        dense = [np.trace(kron_pauli(p.letters) @ Xh).real for p in smap.paulis]
+        dense = [np.trace(kron_pauli(w) @ Xh).real for w in smap.words]
         assert np.max(np.abs(y - dense)) < 1e-10
         z = rng.standard_normal(smap.M)
         lhs = float(y @ z)
@@ -318,15 +285,15 @@ class TestSensingMapProperties:
 
 class TestSampling:
     def test_single_qubit_exhaustive(self):
-        got = {p.letters for p in sample_observables(1, 4, 0)}
+        got = set(sample_observables(1, 4, 0))
         assert got == {"I", "X", "Y", "Z"}
 
     def test_two_qubit_full(self):
-        got = {p.letters for p in sample_observables(2, 16, 1)}
+        got = set(sample_observables(2, 16, 1))
         assert got == set(all_words(2))
 
     def test_no_replacement(self):
-        got = [p.letters for p in sample_observables(2, 8, 5)]
+        got = sample_observables(2, 8, 5)
         assert len(set(got)) == 8
 
     def test_too_many_rejected(self):
@@ -334,28 +301,30 @@ class TestSampling:
             sample_observables(1, 5, 0)
 
     def test_deterministic(self):
-        a = [p.letters for p in sample_observables(3, 10, 7)]
-        b = [p.letters for p in sample_observables(3, 10, 7)]
+        a = sample_observables(3, 10, 7)
+        b = sample_observables(3, 10, 7)
         assert a == b
+
+    def test_words_in_draw_order(self):
+        codes = np.random.default_rng(4).choice(4 ** 3, size=10, replace=False)
+        assert sample_observables(3, 10, 4) == [word_from_index_loop(c, 3) for c in codes]
 
 
 class TestSettings:
     def test_xy_setting_observables(self):
-        got = {p.letters for p in observables_of_setting("XY")}
-        assert got == {"II", "XI", "IY", "XY"}
+        assert set(covered_words("XY")) == {"II", "XI", "IY", "XY"}
 
     def test_z_setting(self):
-        got = {p.letters for p in observables_of_setting("Z")}
-        assert got == {"I", "Z"}
+        assert set(covered_words("z")) == {"I", "Z"}
 
     def test_set_size(self):
         for s in ("XYZ", "ZZZ", "YXY"):
-            assert len(observables_of_setting(s)) == 8
+            assert len(set(covered_words(s))) == 8
 
     def test_identity_in_every_intersection(self):
-        a = observables_of_setting("XY")
-        b = observables_of_setting("ZZ")
-        assert build_pauli("II") in (a & b)
+        assert "II" in set(covered_words("XY")) & set(covered_words("ZZ"))
+        codes = covered_codes(["XYZ", "ZZZ", "YXY"])
+        assert np.all(codes[:, 0] == 0)
 
     def test_covered_word_order(self):
         assert covered_words("XY") == ["II", "IY", "XI", "XY"]
@@ -379,12 +348,13 @@ class TestSettings:
         # covering all d^2 observables requires every one of the 3^n settings
         for n, expected in ((3, 27), (4, 81)):
             for seed in range(3):
-                _, obs, T = sample_settings_until(n, 4 ** n, seed)
-                assert T == expected
-                assert len(obs) == 4 ** n
+                settings = sample_settings_until(n, 4 ** n, seed)
+                assert len(settings) == expected
+                assert coverage(settings) == 4 ** n
+                assert coverage(settings[:-1]) < 4 ** n
 
     def test_quarter_coverage_mean(self):
-        counts = [sample_settings_until(3, 16, s)[2] for s in range(100)]
+        counts = [len(sample_settings_until(3, 16, s)) for s in range(100)]
         assert 2.0 <= np.mean(counts) <= 4.0
 
     def test_target_too_large(self):
@@ -392,28 +362,16 @@ class TestSettings:
             sample_settings_until(2, 17, 0)
 
     def test_coverage_is_genuine(self):
-        settings, obs, T = sample_settings_until(3, 40, 12)
-        assert len(obs) >= 40 and T == len(settings)
+        # the drawn settings reach the target and stop at the first that does
+        settings = sample_settings_until(3, 40, 12)
+        assert coverage(settings) >= 40 > coverage(settings[:-1])
         manual = set()
         for s in settings:
             manual.update(covered_words(s))
-        assert manual == obs
+        assert len(manual) == coverage(settings)
 
 
-class TestPlanFormat:
-    def test_round_trip_observables(self, tmp_path):
-        plan = MeasurementPlan(n=2, mode="observables", words=("XX", "IZ", "YY"))
-        path = tmp_path / "plan.txt"
-        write_plan(path, plan)
-        assert read_plan(path) == plan
-        assert path.read_text().splitlines()[0] == "PLAN v1 n=2 mode=observables"
-
-    def test_round_trip_settings(self, tmp_path):
-        plan = MeasurementPlan(n=3, mode="settings", words=("XYZ", "ZZZ"))
-        path = tmp_path / "plan.txt"
-        write_plan(path, plan)
-        assert read_plan(path) == plan
-
+class TestMeasurementPlan:
     def test_settings_reject_identity_letter(self):
         with pytest.raises(ValueError):
             MeasurementPlan(n=2, mode="settings", words=("XI",))
@@ -422,38 +380,6 @@ class TestPlanFormat:
         with pytest.raises(ValueError):
             MeasurementPlan(n=1, mode="observables", words=("X", "X"))
 
-    @given(st.integers(1, 3), st.sampled_from(["observables", "settings"]),
-           st.data())
-    def test_round_trip_random_plans(self, tmp_path_factory, n, mode, data):
-        alphabet = "IXYZ" if mode == "observables" else "XYZ"
-        words = data.draw(st.lists(st.text(alphabet, min_size=n, max_size=n),
-                                   min_size=1, max_size=8, unique=True))
-        plan = MeasurementPlan(n=n, mode=mode, words=tuple(words))
-        path = tmp_path_factory.mktemp("plan") / "plan.txt"
-        write_plan(path, plan)
-        assert read_plan(path) == plan
-
-    @pytest.mark.parametrize("text, line", [
-        ("PLAN v1 n=x mode=observables\nXX\n", 1),
-        ("PLAN v1 n=2 mode=pairs\nXX\n", 1),
-        ("PLAN v2 n=2 mode=observables\nXX\n", 1),
-        ("PLAN v1 n=2\nXX\n", 1),
-        ("", 1),
-        ("PLAN v1 n=2 mode=observables\nXX\nQQ\n", 3),
-        ("PLAN v1 n=2 mode=observables\nXX\n\nQQ\n", 4),   # blank line counts
-        ("PLAN v1 n=2 mode=observables\nXXX\n", 2),        # word too long
-        ("PLAN v1 n=2 mode=observables\nXX YY\n", 2),      # two fields
-        ("PLAN v1 n=2 mode=settings\nXY\nXI\n", 3),        # I in a setting
-        ("PLAN v1 n=2 mode=settings\nXY\nZZ\nXY\n", 4),   # repeated word
-    ])
-    def test_malformed_names_the_line(self, tmp_path, text, line):
-        path = tmp_path / "plan.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"line {line}"):
-            read_plan(path)
-
-    def test_header_only_is_an_empty_plan(self, tmp_path):
-        path = tmp_path / "plan.txt"
-        path.write_text("PLAN v1 n=2 mode=observables\n")
+    def test_empty_plan_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            read_plan(path)
+            MeasurementPlan(n=2, mode="observables", words=())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 
 from ampqst.states import (
     DensityFactor,
-    SpectralDecomposition,
     check_density,
+    check_hermitian,
     factor_density,
     is_density,
     make_named_state,
@@ -17,7 +19,6 @@ from ampqst.states import (
     project_to_density,
     pure_density,
     read_density,
-    spectral_decompose,
     state_fidelity,
     write_density,
 )
@@ -108,34 +109,46 @@ class TestRandomStates:
 
 
 class TestSpectral:
+    """The eigendecompositions left in the package: the factor of a density
+    matrix, the projection onto density matrices, and the numerical rank."""
+
     def test_scaled_identity(self):
-        dec = spectral_decompose(np.eye(4) / 4)
-        assert np.allclose(dec.eigenvalues, 0.25)
+        B = factor_density(np.eye(4) / 4).factor
+        assert B.shape == (4, 4)
+        assert np.allclose(B.conj().T @ B, np.eye(4) / 4)
+        assert np.allclose(B @ B.conj().T, np.eye(4) / 4)
 
     def test_diagonal(self):
-        dec = spectral_decompose(np.diag([2.0, -1.0]))
-        assert np.allclose(dec.eigenvalues, [2.0, -1.0])
+        B = factor_density(np.diag([0.75, 0.0, 0.25])).factor
+        assert B.shape == (3, 2)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(B.conj().T @ B)), [0.25, 0.75])
+        assert numerical_rank(np.diag([2.0, -1.0])) == 1
 
     def test_pauli_x(self):
+        # eigenvalues +1 and -1: the projection keeps the +1 eigenvector
         X = np.array([[0, 1], [1, 0]], dtype=complex)
-        dec = spectral_decompose(X)
-        assert np.allclose(dec.eigenvalues, [1.0, -1.0])
+        assert numerical_rank(X) == 1
+        assert np.allclose(project_to_density(X), (np.eye(2) + X) / 2)
 
     def test_reconstruction_and_gram(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            H = A + A.conj().T
-            dec = spectral_decompose(H)
-            assert np.linalg.norm(dec.reconstruct() - H) <= 1e-10 * np.linalg.norm(H)
-            G = dec.eigenvectors.conj().T @ dec.eigenvectors
-            assert np.max(np.abs(G - np.eye(8))) < 1e-10
-            assert np.all(np.diff(dec.eigenvalues) <= 0)
+        # B B^dagger rebuilds rho; the columns of B are orthogonal, with
+        # squared norms the nonzero eigenvalues of rho
+        for seed in range(20):
+            rho = make_random_state(3, 1 + seed % 8, seed)
+            B = factor_density(rho).factor
+            assert B.shape == (8, 1 + seed % 8)
+            assert np.linalg.norm(B @ B.conj().T - rho) <= 1e-10 * np.linalg.norm(rho)
+            G = B.conj().T @ B
+            assert np.max(np.abs(G - np.diag(np.diag(G)))) < 1e-10
+            expected = np.linalg.eigvalsh(rho)[-B.shape[1]:]
+            assert np.allclose(np.sort(np.diag(G).real), expected)
 
     def test_non_hermitian_rejected(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            spectral_decompose(M)
+            project_to_density(M)
+        with pytest.raises(ValueError):
+            factor_density(M)
 
 
 class TestProjection:
@@ -162,14 +175,40 @@ class TestProjection:
             assert is_density(once)
 
 
+def _lex_key(v):
+    # first-differing-coordinate comparison, real part before imaginary
+    return tuple(np.column_stack([v.real, v.imag]).ravel())
+
+
+def sorted_spectrum(H):
+    """``(eigenvalues, eigenvectors)`` of a Hermitian matrix, eigenvalues
+    descending, exact ties broken by lexicographic comparison of the
+    eigenvector coordinates."""
+    H = check_hermitian(H, 1e-8)
+    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    vecs = vecs[:, order]
+    start = 0
+    while start < vals.size:
+        stop = start + 1
+        while stop < vals.size and vals[stop] == vals[start]:
+            stop += 1
+        if stop - start > 1:
+            sub = sorted(range(start, stop), key=lambda j: _lex_key(vecs[:, j]))
+            vecs[:, start:stop] = vecs[:, sub]
+        start = stop
+    return vals, vecs
+
+
 def project_via_sorted_spectrum(H):
     """``project_to_density`` through the sorted, tie-broken decomposition."""
-    dec = spectral_decompose(H)
-    pos = dec.eigenvalues > 0.0
+    vals, vecs = sorted_spectrum(H)
+    pos = vals > 0.0
     if not pos.any():
         return np.eye(len(H), dtype=complex) / len(H)
-    V = dec.eigenvectors[:, pos]
-    out = (V * (dec.eigenvalues[pos] / dec.eigenvalues[pos].sum())) @ V.conj().T
+    V = vecs[:, pos]
+    out = (V * (vals[pos] / vals[pos].sum())) @ V.conj().T
     return 0.5 * (out + out.conj().T)
 
 
@@ -422,6 +461,7 @@ class TestDmatFormat:
         ("DMAT v1 n=1\n0.5 0\n0 0\n0 0\n0.5 0 0\n", 5),          # extra field
         ("DMAT v1 n=1\n0.5 0\n0 x\n0 0\n0.5 0\n", 3),            # not a number
         ("DMAT v1 n=1\n0.5 0\n0 0\n", 4),                          # too few entries
+        ("DMAT v1 n=40\n0.5 0\n", 3),                             # n beyond any buffer
         ("DMAT v1 n=x\n0.5 0\n", 1),                               # n not a number
         ("DMAT v1 n=-1\n0.5 0\n", 1),                              # negative n
         ("DMAT v1 n=0\n1 0\n", 1),                                 # no qubit
@@ -432,6 +472,20 @@ class TestDmatFormat:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"line {line}"):
             read_density(path)
+
+    def test_short_file_allocates_no_matrix(self, tmp_path):
+        # n=12 asks for 4^12 entries (268 MB); the three lines present are
+        # counted before any buffer is sized
+        path = tmp_path / "short.dmat"
+        path.write_text("DMAT v1 n=12\n1 0\n0 0\n0 0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="malformed entry at line 5"):
+                read_density(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 def test_check_density_rejects_non_psd():
