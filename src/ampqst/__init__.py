@@ -19,7 +19,7 @@ from .measure import (
     noisy_basis_measurement,
     outcome_distribution,
 )
-from .mifgd import MifgdConfig, momentum_schedule, run_mifgd
+from .mifgd import MifgdConfig, run_mifgd
 from .pauli import (
     MeasurementPlan,
     SensingMap,

@@ -48,7 +48,7 @@ __all__ = [
     "spectral_denoise",
     "svt",
     "psvt",
-    "get_denoiser",
+    "DENOISERS",
     "estimate_onsager",
     "hermitian_probe",
     "amp_step",
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _SIGMA_BLOWUP = 1e6   # sigma_t above this multiple of sigma_0 counts as divergence
+DENOISERS = ("svt", "psvt")
 
 
 @dataclass(frozen=True)
@@ -136,19 +137,13 @@ def psvt(H: np.ndarray, tau: float) -> np.ndarray:
     return spectral_denoise(H, tau, project=True)[0]
 
 
-def get_denoiser(name: str):
-    try:
-        return {"svt": svt, "psvt": psvt}[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown denoiser {name!r} (expected 'svt' or 'psvt')")
-
-
 @dataclass
 class AmpConfig:
     """Solver hyperparameters.
 
-    ``damping`` is the convex blending weight lam; ``damping_enabled=False``
-    runs the undamped update (lam = 1). ``mc_samples`` is the number of
+    ``damping`` is the convex blending weight lam; ``damping=1`` runs the
+    undamped update. ``denoiser`` names one of ``DENOISERS`` in any case and
+    is stored lower-cased. ``mc_samples`` is the number of
     Hermitian probes averaged per Onsager estimate, drawn from a generator
     seeded by ``seed``; each probe's directional derivative is exact, so
     the only randomness is the probe itself.
@@ -158,7 +153,6 @@ class AmpConfig:
 
     alpha: float = 2.0
     damping: float = 0.01
-    damping_enabled: bool = True
     max_iter: int = 2000
     mc_samples: int = 1
     denoiser: str = "psvt"
@@ -176,7 +170,9 @@ class AmpConfig:
             raise ValueError("max_iter must be at least 1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be at least 1")
-        get_denoiser(self.denoiser)
+        self.denoiser = self.denoiser.lower()
+        if self.denoiser not in DENOISERS:
+            raise ValueError(f"unknown denoiser {self.denoiser!r}")
 
 
 @dataclass
@@ -276,7 +272,6 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
     """
     d, M = smap.d, smap.M
     s = float(np.sqrt(d / M)) if config.normalize else 1.0
-    lam = config.damping if config.damping_enabled else 1.0
 
     if state.derivative is None:
         c_hat = 0.0
@@ -297,9 +292,8 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
     if not _check_finite(r, v):
         raise DivergenceError(f"non-finite values at iteration {state.t}",
                               iterate=state.rho)
-    denoised, derivative = spectral_denoise(v, tau,
-                                            config.denoiser.lower() == "psvt")
-    rho_next = lam * denoised + (1.0 - lam) * state.rho
+    denoised, derivative = spectral_denoise(v, tau, config.denoiser == "psvt")
+    rho_next = config.damping * denoised + (1.0 - config.damping) * state.rho
     if not _check_finite(rho_next):
         raise DivergenceError(f"non-finite iterate at iteration {state.t}",
                               iterate=state.rho)

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .amp import AmpConfig, AmpTrace, run_amp
+from .amp import DENOISERS, AmpConfig, AmpTrace, run_amp
 from .errors import DivergenceError
 from .measure import (
     NoiseModel,
@@ -51,40 +52,93 @@ RESULT_COLUMNS = ["trial", "state", "n", "M", "T", "N", "algorithm", "nmse",
 # role tags for deriving independent per-trial RNG streams
 _ROLE_STATE, _ROLE_PLAN, _ROLE_MEAS, _ROLE_ALGO = 0, 1, 2, 3
 
+STATES = ("ghz", "hadamard", "w", "random")
+ALGORITHMS = ("amp", "mifgd")
+
+
+def _one_of(names: tuple):
+    """Case-insensitive parser of one of ``names``; argparse lists them."""
+    def parse(text: str) -> str:
+        value = text.strip().lower()
+        if value not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return value
+    parse.choices = names
+    return parse
+
+
+def _parse_bool(text: str) -> bool:
+    return _one_of(("true", "false"))(text) == "true"
+
+
+def parse_shots(text: str) -> int | None:
+    """Shots per circuit: a positive integer, or ``inf`` for exact means."""
+    if text.strip().lower() in ("inf", "infinite", "infinity"):
+        return None
+    shots = int(text)
+    if shots < 1:
+        raise ValueError("shots must be positive or 'inf'")
+    return shots
+
+
+def parse_noise(text: str | None) -> NoiseModel | None:
+    if text is None or not text.strip():
+        return None
+    kwargs = {}
+    for item in text.split(","):
+        key, _, val = item.strip().partition("=")
+        key = key.strip().lower()
+        if not val:
+            raise ValueError(f"noise item {item!r} is not key=val")
+        names = {"depolarizing": "depolarizing_eps", "readout": "readout_q",
+                 "coherent": "coherent_theta"}
+        if key not in names:
+            raise ValueError(f"unknown noise key {key!r}")
+        kwargs[names[key]] = float(val)
+    return NoiseModel(**kwargs)
+
+
+def _setting(default, parse, text: str):
+    """A setting's default, the parser of its flag and file value, its help."""
+    return field(default=default, metadata={"parse": parse, "help": text})
+
 
 @dataclass
 class ExperimentConfig:
-    state: str = "ghz"
-    qubits: int = 3
-    rank: int = 1
-    seed: int = 0
-    observables: int | None = None
-    fraction: float | None = None
-    settings_target: int | None = None
-    shots: int | None = 1024
-    algorithm: str = "amp"
-    alpha: float = 2.0
-    damping: float = 0.01
-    damping_enabled: bool = True
-    max_iter: int | None = None
-    denoiser: str = "psvt"
-    normalize: bool = True
-    eta: float = 0.001
-    mu: float | None = None
-    rank_budget: int = 5
-    rel_tol: float = 1e-4
-    noise: NoiseModel | None = None
-    trials: int = 1
-    out: str | None = None
-    trace: str | None = None
-    workers: int = 1
-    timing: bool = False
+    """One experiment. Each setting is declared here once: its flag is
+    ``--<name>`` with dashes (a bool is ``--no-<name>`` when it defaults to
+    True), its config-file key is ``<name>``, and both go through its parser."""
+
+    state: str = _setting("ghz", _one_of(STATES), "target state")
+    qubits: int = _setting(3, int, "number of qubits n")
+    rank: int = _setting(1, int, "rank of a random state")
+    seed: int = _setting(0, int, "base seed of every per-trial random stream")
+    observables: int | None = _setting(None, int, "sample M Pauli observables")
+    fraction: float | None = _setting(None, float, "settings: cover this share of d^2")
+    settings_target: int | None = _setting(None, int, "settings: cover M observables")
+    shots: int | None = _setting(1024, parse_shots, "shots per circuit, or inf")
+    algorithm: str = _setting("amp", _one_of(ALGORITHMS), "solver")
+    alpha: float = _setting(2.0, float, "AMP threshold multiplier")
+    damping: float = _setting(0.01, float, "AMP damping in (0, 1]; 1 is undamped")
+    max_iter: int | None = _setting(None, int, "iteration cap (amp: 2000, mifgd: 1000)")
+    denoiser: str = _setting("psvt", _one_of(DENOISERS), "AMP denoiser")
+    normalize: bool = _setting(True, _parse_bool, "skip AMP's sqrt(d/M) rescaling")
+    eta: float = _setting(0.001, float, "MiFGD step size")
+    mu: float = _setting(0.75, float, "MiFGD momentum weight")
+    rank_budget: int = _setting(5, int, "MiFGD factor width")
+    rel_tol: float = _setting(1e-4, float, "MiFGD relative-change stopping tolerance")
+    noise: NoiseModel | None = _setting(None, parse_noise, "e.g. readout=0.02")
+    trials: int = _setting(1, int, "number of trials")
+    out: str | None = _setting(None, str, "results CSV path")
+    trace: str | None = _setting(None, str, "per-iteration trace CSV path (amp only)")
+    workers: int = _setting(1, int, "worker processes")
+    timing: bool = _setting(False, _parse_bool, "record wall time (not byte-identical)")
 
     def validate(self) -> None:
         d2 = 4 ** self.qubits
         if self.qubits < 1:
             raise ValueError("qubits must be at least 1")
-        if self.state not in ("ghz", "hadamard", "w", "random"):
+        if self.state not in STATES:
             raise ValueError(f"unknown state {self.state!r}")
         if self.state != "random" and self.rank != 1:
             raise ValueError("rank applies only to random states")
@@ -99,7 +153,7 @@ class ExperimentConfig:
             raise ValueError(f"observables must lie in [1, {d2}]")
         if self.settings_target is not None and not 1 <= self.settings_target <= d2:
             raise ValueError(f"settings target must lie in [1, {d2}]")
-        if self.algorithm not in ("amp", "mifgd"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -190,7 +244,6 @@ def run_trial(cfg: ExperimentConfig, trial: int,
     failed = False
     if cfg.algorithm == "amp":
         acfg = AmpConfig(alpha=cfg.alpha, damping=cfg.damping,
-                         damping_enabled=cfg.damping_enabled,
                          max_iter=cfg.solver_max_iter(), denoiser=cfg.denoiser,
                          normalize=cfg.normalize,
                          seed=_seed_int(cfg, trial, _ROLE_ALGO))
@@ -287,8 +340,8 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[TrialResult]:
 
 
 def _suffixed(path: str, suffix: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    return f"{stem}{suffix}.{ext}" if dot else path + suffix
+    stem, ext = os.path.splitext(path)
+    return stem + suffix + ext
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +452,12 @@ def _write_gnuplot(path: str, csv_path: str, channel: str) -> None:
 # Configuration parsing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "state": str, "qubits": int, "rank": int, "seed": int,
-    "observables": int, "fraction": float, "settings_target": int,
-    "shots": str, "algorithm": str, "alpha": float, "damping": float,
-    "damping_enabled": bool, "max_iter": int, "denoiser": str,
-    "normalize": bool, "eta": float, "mu": float, "rank_budget": int,
-    "rel_tol": float, "noise": str, "trials": int, "out": str,
-    "trace": str, "workers": int, "timing": bool,
-}
+_SETTINGS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a flat key=value configuration file with # comments."""
+    """Parse a flat key=value configuration file with # comments, each value
+    by its setting's parser; errors name the file line."""
     values = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -423,97 +469,45 @@ def load_config_file(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             val = val.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            caster = _CONFIG_KEYS[key]
             try:
-                if caster is bool:
-                    if val.lower() not in ("true", "false"):
-                        raise ValueError
-                    values[key] = val.lower() == "true"
-                else:
-                    values[key] = caster(val)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value {val!r} for {key}")
+                values[key] = _SETTINGS[key].metadata["parse"](val)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: bad value {val!r} "
+                                 f"for {key}: {err}") from None
     return values
-
-
-def parse_shots(text) -> int | None:
-    if text is None:
-        return None
-    s = str(text).strip().lower()
-    if s in ("inf", "infinite", "infinity"):
-        return None
-    shots = int(s)
-    if shots < 1:
-        raise ValueError("shots must be positive or 'inf'")
-    return shots
-
-
-def parse_noise(text: str | None) -> NoiseModel | None:
-    if text is None or not text.strip():
-        return None
-    kwargs = {}
-    for item in text.split(","):
-        key, _, val = item.strip().partition("=")
-        key = key.strip().lower()
-        if not val:
-            raise ValueError(f"noise item {item!r} is not key=val")
-        names = {"depolarizing": "depolarizing_eps", "readout": "readout_q",
-                 "coherent": "coherent_theta"}
-        if key not in names:
-            raise ValueError(f"unknown noise key {key!r}")
-        kwargs[names[key]] = float(val)
-    return NoiseModel(**kwargs)
 
 
 def _experiment_from(args, file_values: dict) -> ExperimentConfig:
     """Each setting from its flag, else from the config file, else the default."""
-    convert = {"state": str.lower, "algorithm": str.lower, "denoiser": str.lower,
-               "shots": parse_shots, "noise": parse_noise}
-    cfg = ExperimentConfig()
-    for name in _CONFIG_KEYS:
-        value = getattr(args, name, None)
-        if value is None:
-            value = file_values.get(name)
-        if value is not None:
-            setattr(cfg, name, convert.get(name, lambda v: v)(value))
-    return cfg
+    flags = {k: v for k, v in vars(args).items() if k in _SETTINGS}
+    return ExperimentConfig(**{**file_values, **flags})
+
+
+def _flag_type(parse):
+    """``parse`` for argparse, keeping the parser's reason in the message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {err}") from None
+    return convert
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per setting. A flag not given is left out
+    of the namespace (not set to None, which means ``--shots inf``)."""
     p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--state", choices=["ghz", "hadamard", "w", "random"])
-    p.add_argument("--qubits", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--observables", type=int,
-                   help="sample this many Pauli observables directly")
-    p.add_argument("--fraction", type=float,
-                   help="settings mode: cover this fraction of the d^2 observables")
-    p.add_argument("--settings-target", type=int, dest="settings_target",
-                   help="settings mode: cover this many observables")
-    p.add_argument("--shots", help="shots per circuit (integer or 'inf')")
-    p.add_argument("--algorithm", choices=["amp", "mifgd"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--damping", type=float)
-    p.add_argument("--no-damping", dest="damping_enabled",
-                   action="store_const", const=False)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--denoiser", choices=["svt", "psvt"])
-    p.add_argument("--no-normalize", dest="normalize",
-                   action="store_const", const=False)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--rank-budget", type=int, dest="rank_budget")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p.add_argument("--noise", help="e.g. depolarizing=0.01,readout=0.02")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out", help="results CSV path")
-    p.add_argument("--trace", help="per-iteration trace CSV path (amp only)")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--timing", action="store_const", const=True,
-                   help="record wall time (breaks byte-identical output)")
+    for f in fields(ExperimentConfig):
+        parse, flag = f.metadata["parse"], "--" + f.name.replace("_", "-")
+        if parse is _parse_bool:
+            flag = flag.replace("--", "--no-") if f.default else flag
+            how = dict(action="store_const", const=not f.default)
+        else:
+            how = dict(type=_flag_type(parse), choices=getattr(parse, "choices", None))
+        p.add_argument(flag, dest=f.name, default=argparse.SUPPRESS,
+                       help=f.metadata["help"], **how)
 
 
 def _parse_int_list(text: str) -> list:
@@ -558,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--gnuplot", help="also write a gnuplot script")
 
     p_dump = sub.add_parser("dump-state", help="write a state as DMAT v1")
-    p_dump.add_argument("--state", required=True,
-                        choices=["ghz", "hadamard", "w", "random"])
+    p_dump.add_argument("--state", required=True, type=str.lower, choices=STATES)
     p_dump.add_argument("--qubits", type=int, required=True)
     p_dump.add_argument("--rank", type=int, default=1)
     p_dump.add_argument("--seed", type=int, default=0)

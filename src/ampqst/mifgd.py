@@ -30,15 +30,17 @@ from .errors import DivergenceError
 from .pauli import SensingMap, apply_adjoint, apply_sensing
 from .states import as_rng, complex_normal
 
-__all__ = ["MifgdConfig", "momentum_schedule", "run_mifgd"]
+__all__ = ["MifgdConfig", "run_mifgd"]
 
 
 @dataclass
 class MifgdConfig:
-    """Baseline hyperparameters; ``mu=None`` selects the default schedule."""
+    """Baseline hyperparameters: step size ``eta``, constant momentum weight
+    ``mu >= 0`` (the default 0.75 is motivated in the module docstring),
+    factor width ``rank_budget``, and the stopping rule."""
 
     eta: float = 0.001
-    mu: float | None = None
+    mu: float = 0.75
     rank_budget: int = 5
     max_iter: int = 1000
     rel_tol: float = 1e-4
@@ -47,21 +49,14 @@ class MifgdConfig:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("step size must be positive")
+        if self.mu < 0:
+            raise ValueError("momentum must be nonnegative")
         if self.rank_budget < 1:
             raise ValueError("rank budget must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.rel_tol <= 0:
             raise ValueError("relative tolerance must be positive")
-
-
-def momentum_schedule(config: MifgdConfig) -> float:
-    """Momentum weight: the configured value, or the constant default 0.75."""
-    if config.mu is None:
-        return 0.75
-    if config.mu < 0:
-        raise ValueError("momentum must be nonnegative")
-    return float(config.mu)
 
 
 def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
@@ -77,7 +72,6 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
     r = config.rank_budget
     if r > d:
         raise ValueError(f"rank budget {r} exceeds dimension {d}")
-    mu = momentum_schedule(config)
     rng = as_rng(config.seed)
 
     U = complex_normal(rng, (d, r), scale=1.0 / np.sqrt(d))
@@ -92,7 +86,7 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
         if not np.isfinite(U_next).all():
             raise DivergenceError(f"non-finite factor at iteration {iterations}",
                                   iterate=rho_prev, iterations=iterations)
-        Z = U_next + mu * (U_next - U)
+        Z = U_next + config.mu * (U_next - U)
         U = U_next
         rho = U @ U.conj().T
         den = np.linalg.norm(rho)

@@ -40,7 +40,6 @@ __all__ = [
     "apply_adjoint",
     "sample_observables",
     "check_setting",
-    "setting_word_from_index",
     "covered_word",
     "covered_words",
     "covered_codes",
@@ -187,15 +186,6 @@ def check_setting(word: str) -> str:
     return word
 
 
-def setting_word_from_index(index: int, n: int) -> str:
-    """Word for the base-3 digit encoding 0=X, 1=Y, 2=Z, leftmost first."""
-    out = []
-    for _ in range(n):
-        out.append("XYZ"[index % 3])
-        index //= 3
-    return "".join(reversed(out))
-
-
 def covered_word(setting: str, mask: int) -> str:
     """Pauli word obtained from a setting by keeping letters where the mask
     bit is 1 (leftmost letter is the most significant bit) and writing I
@@ -227,24 +217,27 @@ def covered_codes(settings) -> np.ndarray:
 def sample_settings_until(n: int, target_M: int, seed):
     """Draw settings uniformly without replacement until the union of their
     covered observables reaches ``target_M``; return the drawn setting
-    words in order (their count is the circuit count T)."""
+    words in order (their count is the circuit count T). Permutation entry
+    i is the setting whose base-3 digits (0=X, 1=Y, 2=Z, leftmost first)
+    spell i; its covered codes are those of ``covered_codes``."""
     d2 = 4 ** n
-    if not 1 <= target_M <= d2:
-        raise ValueError(f"need 1 <= target_M <= {d2}, got {target_M}")
+    if n < 1 or not 1 <= target_M <= d2:
+        raise ValueError(f"need n >= 1 and 1 <= target_M <= {d2}, got {target_M}")
     rng = as_rng(seed)
     order = rng.permutation(3 ** n)
+    place = np.arange(n - 1, -1, -1)
+    digits = order[:, None] // 3 ** place % 3 + 1          # X=1, Y=2, Z=3
+    bits = (np.arange(1 << n)[:, None] >> place) & 1
     covered = np.zeros(d2, dtype=bool)
     total = 0
-    settings = []
-    for s_idx in order:
-        word = setting_word_from_index(int(s_idx), n)
-        codes = covered_codes([word])[0]
+    for k, word in enumerate(digits << 2 * place):
+        codes = bits @ word
         total += int(np.count_nonzero(~covered[codes]))
         covered[codes] = True
-        settings.append(word)
         if total >= target_M:
             break
-    return settings
+    letters = np.frombuffer(b"XYZ", np.uint8)[digits[:k + 1] - 1]
+    return letters.view(f"S{n}").reshape(-1).astype(str).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +257,18 @@ class MeasurementPlan:
             raise ValueError(f"unknown plan mode {self.mode!r}")
         if not self.words:
             raise ValueError("empty measurement plan")
+        # one pass over the joined words: a word is bad if its length is off
+        # or it holds a byte outside the mode's (case-sensitive) alphabet
         alphabet = LETTERS if self.mode == "observables" else "XYZ"
-        for w in self.words:
-            if len(w) != self.n or any(ch not in alphabet for ch in w):
-                raise ValueError(f"invalid {self.mode} word {w!r}")
+        allowed = np.zeros(256, dtype=bool)
+        allowed[list(alphabet.encode("ascii"))] = True
+        raw = np.frombuffer("".join(self.words).encode("ascii", "replace"), np.uint8)
+        lengths = np.fromiter(map(len, self.words), np.int64, len(self.words))
+        outside = np.concatenate(([0], np.cumsum(~allowed[raw])))
+        ends = np.cumsum(lengths)
+        bad = (lengths != self.n) | (outside[ends] > outside[ends - lengths])
+        if bad.any():
+            word = self.words[int(np.argmax(bad))]
+            raise ValueError(f"invalid {self.mode} word {word!r}")
         if len(set(self.words)) != len(self.words):
             raise ValueError("duplicate words in measurement plan")

@@ -85,24 +85,24 @@ def test_criterion_1_flagship_ordering(flagship_problem):
     # (a) unnormalized SVT-AMP triggers the divergence signal
     try:
         run_amp(smap, y, AmpConfig(seed=17, denoiser="svt",
-                                   damping_enabled=False, normalize=False))
+                                   damping=1.0, normalize=False))
         checks.append(("a diverges", False, "no divergence"))
     except DivergenceError as err:
         checks.append(("a diverges", True, f"at iter {len(err.trace)}"))
 
     # (b) normalized SVT-AMP converges with final fidelity > 0.9
     _, tr_svt = run_amp(smap, y, AmpConfig(seed=17, denoiser="svt",
-                                           damping_enabled=False),
+                                           damping=1.0),
                         ground_truth=rho)
     checks.append(("b svt fid>0.9", tr_svt.fidelity[-1] > 0.9,
                    f"fid={tr_svt.fidelity[-1]:.4f}"))
 
     # (c)+(d) PSVT with and without damping
     _, tr_un = run_amp(smap, y, AmpConfig(seed=17, denoiser="psvt",
-                                          damping_enabled=False),
+                                          damping=1.0),
                        ground_truth=rho)
     _, tr_da = run_amp(smap, y, AmpConfig(seed=17, denoiser="psvt",
-                                          damping_enabled=True, damping=0.01),
+                                          damping=0.01),
                        ground_truth=rho)
     ratio = tr_un.nmse[-1] / tr_da.nmse[-1]
     checks.append(("c undamped>=2x damped", ratio >= 2.0, f"ratio={ratio:.2f}"))

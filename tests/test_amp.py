@@ -318,7 +318,7 @@ class TestRunAmp:
 
     def test_unnormalized_baseline_diverges(self):
         rho, smap, y = make_problem(n=3, M=32, seed=6, shots=512)
-        cfg = AmpConfig(seed=2, denoiser="svt", damping_enabled=False,
+        cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0,
                         normalize=False)
         with pytest.raises(DivergenceError) as exc:
             run_amp(smap, y, cfg)
@@ -401,3 +401,4 @@ class TestRunAmp:
             AmpConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             AmpConfig(denoiser="hard")
+        assert AmpConfig(denoiser="SVT").denoiser == "svt"

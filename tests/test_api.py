@@ -1,5 +1,6 @@
 """The package's public surface: what it exports exists, and nothing more."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import ampqst
+from ampqst.amp import AmpConfig
+from ampqst.cli import ExperimentConfig, build_parser
 from ampqst.pauli import SensingMap
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ampqst.__path__))
@@ -16,7 +19,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(ampqst.__path__))
 # Names that only tests read; they live in the test files, or are gone.
 REMOVED = ["PauliString", "build_pauli", "pauli_expectation", "observables_of_setting",
            "sample_shots_observable", "OutcomeDistribution", "write_plan", "read_plan",
-           "spectral_decompose", "SpectralDecomposition"]
+           "spectral_decompose", "SpectralDecomposition", "get_denoiser",
+           "momentum_schedule", "setting_word_from_index"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -48,3 +52,17 @@ def test_sensing_map_holds_words_and_index_form_only():
     fields = [f.name for f in dataclasses.fields(SensingMap)]
     assert "paulis" not in fields
     assert fields == ["words", "n", "d", "M", "gather", "take", "weight", "H"]
+
+
+def test_amp_config_has_no_damping_switch():
+    # damping=1 is the undamped run
+    assert "damping_enabled" not in [f.name for f in dataclasses.fields(AmpConfig)]
+
+
+def test_reconstruct_flags_are_config_plus_one_per_setting():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [a for a in sub.choices["reconstruct"]._actions if a.dest != "help"]
+    settings = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert [a.dest for a in options] == ["config"] + settings
+    assert all(len(a.option_strings) == 1 for a in options)

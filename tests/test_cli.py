@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 import ampqst
 from ampqst.cli import (
     ExperimentConfig,
+    _experiment_from,
+    _suffixed,
+    build_parser,
     cmd_noise_study,
     cmd_reconstruct,
     cmd_settings_table,
@@ -89,6 +93,80 @@ class TestConfigParsing:
             cfg.validate()
 
 
+# one value per setting, unlike its default, as a file value or flag text
+SETTING_TEXT = {
+    "state": "W", "qubits": "4", "rank": "2", "seed": "7", "observables": "20",
+    "fraction": "0.5", "settings_target": "30", "shots": "inf",
+    "algorithm": "MiFGD", "alpha": "1.5", "damping": "1", "max_iter": "50",
+    "denoiser": "SVT", "normalize": "false", "eta": "0.01", "mu": "0",
+    "rank_budget": "2", "rel_tol": "1e-3", "noise": "readout=0.02,depolarizing=0.01",
+    "trials": "3", "out": "r.csv", "trace": "t.csv", "workers": "2", "timing": "true",
+}
+
+
+def experiment(argv, file_values=None):
+    args = build_parser().parse_args(["reconstruct", *argv])
+    return _experiment_from(args, file_values or {})
+
+
+class TestOneDeclaration:
+    def test_every_setting_has_a_sample(self):
+        assert set(SETTING_TEXT) == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_flag_and_file_line_agree(self, field, tmp_path):
+        text, flag = SETTING_TEXT[field.name], "--" + field.name.replace("_", "-")
+        if isinstance(field.default, bool):   # a bool flag takes no value
+            argv = [flag.replace("--", "--no-") if field.default else flag]
+        else:
+            argv = [flag, text]
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{field.name}={text}\n")
+        from_flag = experiment(argv)
+        assert from_flag == experiment([], load_config_file(path))
+        assert from_flag != ExperimentConfig()
+
+    def test_shots_inf_overrides_file(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("shots=512\n")
+        assert experiment([], load_config_file(path)).shots == 512
+        assert experiment(["--shots", "inf"], load_config_file(path)).shots is None
+        path.write_text("shots=inf\n")
+        assert load_config_file(path) == {"shots": None}
+        assert experiment(["--shots", "inf"]).shots is None
+
+    @pytest.mark.parametrize("line", ["shots=0", "noise=fancy=1", "denoiser=hard",
+                                      "state=foo"])
+    def test_bad_file_values_name_their_line(self, line, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# header\nqubits=3\n{line}\n")
+        key = line.partition("=")[0]
+        with pytest.raises(ValueError, match=rf"bad.cfg:3: bad value .* for {key}: "):
+            load_config_file(path)
+
+    def test_bad_flag_value_keeps_the_reason(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["reconstruct", "--shots", "0"])
+        assert "shots must be positive" in capsys.readouterr().err
+
+    def test_choices_ignore_case(self):
+        cfg = experiment(["--state", "GHZ", "--algorithm", "MiFGD", "--denoiser", "SVT"])
+        assert (cfg.state, cfg.algorithm, cfg.denoiser) == ("ghz", "mifgd", "svt")
+        args = build_parser().parse_args(["dump-state", "--state", "W", "--qubits",
+                                          "2", "--out", "w.dmat"])
+        assert args.state == "w"
+
+
+@pytest.mark.parametrize("path, expected", [
+    ("runs.v2/trace", "runs.v2/trace.trial0"),
+    ("a/b.c/trace.csv", "a/b.c/trace.trial0.csv"),
+    ("trace.csv", "trace.trial0.csv"),
+    ("trace", "trace.trial0"),
+])
+def test_trial_suffix_goes_on_the_file_name(path, expected):
+    assert _suffixed(path, ".trial0") == expected
+
+
 class TestReconstruct:
     def test_exact_recovery_small(self, tmp_path):
         cfg = fast_cfg(max_iter=2000, out=str(tmp_path / "r.csv"))
@@ -160,7 +238,7 @@ class TestReconstruct:
 
     def test_infidelity_one_on_divergence(self, tmp_path):
         cfg = fast_cfg(qubits=3, observables=32, shots=256, normalize=False,
-                       denoiser="svt", damping_enabled=False, max_iter=300,
+                       denoiser="svt", damping=1.0, max_iter=300,
                        out=str(tmp_path / "d.csv"))
         results = cmd_reconstruct(cfg)
         assert results[0].fidelity_truth == 0.0

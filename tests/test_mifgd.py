@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ampqst.mifgd import MifgdConfig, momentum_schedule, run_mifgd
+from ampqst.mifgd import MifgdConfig, run_mifgd
 from ampqst.measure import build_measurements
 from ampqst.pauli import MeasurementPlan, apply_sensing, pauli_word_from_index
 from ampqst.states import (
@@ -35,16 +35,16 @@ def full_basis_problem(n, seed, rank=1):
     return rho, smap, y
 
 
-class TestMomentumSchedule:
+class TestMomentum:
     def test_default(self):
-        assert momentum_schedule(MifgdConfig()) == 0.75
+        assert MifgdConfig().mu == 0.75
 
     def test_explicit_zero(self):
-        assert momentum_schedule(MifgdConfig(mu=0.0)) == 0.0
+        assert MifgdConfig(mu=0.0).mu == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            momentum_schedule(MifgdConfig(mu=-0.1))
+            MifgdConfig(mu=-0.1)
 
 
 class TestRunMifgd:

@@ -44,6 +44,20 @@ def word_from_index_loop(index, n):
     return "".join("IXYZ"[(index >> 2 * (n - 1 - q)) & 3] for q in range(n))
 
 
+def settings_per_draw(n, target_M, seed):
+    """Reference sampler: decode and cover one drawn setting at a time."""
+    order = np.random.default_rng(seed).permutation(3 ** n)
+    covered, total, settings = np.zeros(4 ** n, dtype=bool), 0, []
+    for index in order:
+        word = "".join("XYZ"[int(index) // 3 ** (n - 1 - q) % 3] for q in range(n))
+        codes = covered_codes([word])[0]
+        total += int(np.count_nonzero(~covered[codes]))
+        covered[codes] = True
+        settings.append(word)
+        if total >= target_M:
+            return settings
+
+
 def coverage(settings):
     """Number of distinct Pauli words the settings cover."""
     return np.unique(covered_codes(settings)).size
@@ -360,6 +374,21 @@ class TestSettings:
     def test_target_too_large(self):
         with pytest.raises(ValueError):
             sample_settings_until(2, 17, 0)
+        for target in (0, 1):
+            with pytest.raises(ValueError):
+                sample_settings_until(0, target, 0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_per_draw_loop(self, n):
+        d2 = 4 ** n
+        for target in (1, d2 // 4 + 1, d2 // 2, d2):
+            for seed in range(5):
+                assert sample_settings_until(n, target, seed) \
+                    == settings_per_draw(n, target, seed)
+
+    def test_matches_per_draw_loop_n8(self):
+        for target in (1000, 4 ** 8):
+            assert sample_settings_until(8, target, 3) == settings_per_draw(8, target, 3)
 
     def test_coverage_is_genuine(self):
         # the drawn settings reach the target and stop at the first that does
@@ -383,3 +412,15 @@ class TestMeasurementPlan:
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             MeasurementPlan(n=2, mode="observables", words=())
+
+    @pytest.mark.parametrize("mode, good, bad", [
+        ("observables", ("IX", "ZY"), ["XA", "X", "XYZ", "xy", "Iy", "", "X\u00e9"]),
+        ("settings", ("XY", "ZZ"), ["XI", "X", "XYZ", "xy", "Zz", "", "Y\u00e9"]),
+    ])
+    def test_bad_words_named(self, mode, good, bad):
+        assert MeasurementPlan(n=2, mode=mode, words=good).words == good
+        for word in bad:
+            # the first bad word is named, wherever it sits
+            words = (good[0], word, "??", good[1])
+            with pytest.raises(ValueError, match=rf"invalid {mode} word {word!r}"):
+                MeasurementPlan(n=2, mode=mode, words=words)
