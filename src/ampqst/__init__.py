@@ -15,9 +15,10 @@ from .measure import (
     apply_pauli_flip,
     apply_readout,
     build_measurements,
+    estimate,
     estimate_from_setting,
-    noisy_basis_measurement,
     outcome_distribution,
+    simulate,
 )
 from .mifgd import MifgdConfig, run_mifgd
 from .pauli import (

@@ -27,7 +27,6 @@ from .amp import DENOISERS, AmpConfig, AmpTrace, run_amp
 from .errors import DivergenceError
 from .measure import (
     NoiseModel,
-    apply_composite,
     apply_coherent,
     apply_depolarizing,
     build_measurements,
@@ -36,6 +35,7 @@ from .measure import (
 from .mifgd import MifgdConfig, run_mifgd
 from .pauli import MeasurementPlan, sample_observables, sample_settings_until
 from .states import (
+    ascii_lines,
     factor_density,
     make_named_state,
     make_random_state,
@@ -214,8 +214,6 @@ def prepare_state(cfg: ExperimentConfig, target: np.ndarray) -> np.ndarray:
                                                        cfg.noise.coherent_theta))
     if cfg.noise.depolarizing_eps:
         rho = apply_depolarizing(rho, cfg.noise.depolarizing_eps)
-    if cfg.noise.photonic is not None:
-        rho = apply_composite(rho, cfg.noise.photonic)
     return rho
 
 
@@ -408,6 +406,9 @@ def cmd_noise_study(cfg: ExperimentConfig, channel: str, levels,
     """Sweep one noise channel; report estimated vs true preparation fidelity."""
     if channel not in _NOISE_CHANNELS:
         raise ValueError(f"unknown noise channel {channel!r}")
+    if cfg.trace or cfg.timing:
+        raise ValueError(f"noise-study takes no {'--trace' if cfg.trace else '--timing'}"
+                         ": it writes neither traces nor wall times")
     if cfg.plan_mode == "observables" and channel in ("readout", "coherent"):
         raise ValueError(f"{channel} noise needs a settings-mode plan "
                          "(--fraction or --settings-target)")
@@ -459,23 +460,23 @@ def load_config_file(path: str) -> dict:
     """Parse a flat key=value configuration file with # comments, each value
     by its setting's parser; errors name the file line."""
     values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key not in _SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _SETTINGS[key].metadata["parse"](val)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: bad value {val!r} "
-                                 f"for {key}: {err}") from None
+    lines = ascii_lines(path, lambda k: f"{path}:{k}: non-ASCII byte")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        val = val.strip()
+        if key not in _SETTINGS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _SETTINGS[key].metadata["parse"](val)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: bad value {val!r} "
+                             f"for {key}: {err}") from None
     return values
 
 

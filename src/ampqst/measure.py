@@ -1,15 +1,15 @@
-"""Measurement data synthesis: shot noise, per-setting outcome distributions
-with parity marginalization, and noise channels.
+"""Measurement data on one path: ``simulate`` (plan and state to ShotRecord),
+then ``estimate`` (a simulated or SHOTS v1 record to sensing map and data);
+also outcome distributions, parity marginalization and noise channels.
 
 Outcome bitstrings index the distribution vector with the leftmost qubit as
 the most significant bit, matching the Kronecker ordering used everywhere
 else. Qubit indices passed to the channel operations are 1-based (qubit 1 is
 the leftmost letter).
 
-All operations are pure functions over immutable inputs. Per-setting
-simulations inside build_measurements draw from independent RNG streams
-keyed by (seed, setting index), so settings can be simulated in parallel
-without changing the results.
+All operations are pure functions over immutable inputs. Per-setting draws in
+``simulate`` come from independent RNG streams keyed by (seed, setting index),
+so settings can be simulated in parallel without changing the results.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from .pauli import (
     covered_codes,
     pauli_words_from_indices,
 )
+from .states import ascii_lines
 
 __all__ = [
     "ShotRecord",
     "NoiseModel",
     "PhotonicNoise",
     "outcome_distribution",
-    "noisy_basis_measurement",
     "estimate_from_setting",
     "parity_estimates",
     "apply_readout",
@@ -45,6 +45,8 @@ __all__ = [
     "apply_composite",
     "rotation_x",
     "overrotation_unitary",
+    "simulate",
+    "estimate",
     "build_measurements",
     "write_shots",
     "read_shots",
@@ -69,57 +71,23 @@ _BASIS = {
 }
 
 
-def _readout_gates(setting: str, theta: float) -> np.ndarray:
-    """Tensor product of per-qubit pre-measurement gates for a setting.
-
-    Each X or Y letter contributes ``RX(theta) @ V^dagger`` (basis change
-    followed by the overrotation error); Z letters need no rotation and pick
-    up no error.
-    """
-    G = np.array([[1.0]], dtype=np.complex128)
-    rx = rotation_x(theta)
-    for ch in setting:
-        g = _BASIS[ch].conj().T
-        if ch != "Z" and theta != 0.0:
-            g = rx @ g
-        G = np.kron(G, g)
-    return G
-
-
-def _distribution(rho: np.ndarray, setting: str, theta: float) -> np.ndarray:
+def outcome_distribution(rho: np.ndarray, setting: str,
+                         theta: float = 0.0) -> np.ndarray:
+    """Exact probabilities of the 2^n outcomes of measuring ``setting`` on
+    ``rho``. The pre-measurement gate is the tensor product over letters of
+    ``V^dagger``, followed for each X or Y letter by an RX(theta)
+    overrotation error; Z letters need no rotation and pick up no error."""
     setting = check_setting(setting)
     d = 1 << len(setting)
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (d, d):
         raise ValueError("dimension mismatch between state and setting")
-    G = _readout_gates(setting, theta)
-    T = G @ rho
-    probs = np.einsum("ij,ij->i", T, G.conj()).real
+    G, rx = np.array([[1.0]], dtype=np.complex128), rotation_x(theta)
+    for ch in setting:
+        g = _BASIS[ch].conj().T
+        G = np.kron(G, rx @ g if ch != "Z" and theta != 0.0 else g)
+    probs = np.einsum("ij,ij->i", G @ rho, G.conj()).real
     return np.clip(probs, 0.0, None)
-
-
-def outcome_distribution(rho: np.ndarray, setting: str) -> np.ndarray:
-    """Exact probabilities of the 2^n outcomes of measuring ``setting`` on
-    ``rho``."""
-    return _distribution(rho, setting, 0.0)
-
-
-def noisy_basis_measurement(rho: np.ndarray, setting: str,
-                            theta: float) -> np.ndarray:
-    """Outcome probabilities when every X/Y basis change carries an extra
-    RX(theta) overrotation before the Z-basis readout."""
-    return _distribution(rho, setting, float(theta))
-
-
-def _as_frequencies(dist) -> tuple[np.ndarray, int]:
-    p = np.asarray(dist, dtype=np.float64)
-    n = int(p.size).bit_length() - 1
-    if p.ndim != 1 or p.size != 1 << n:
-        raise ValueError("distribution length is not 2^n")
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("empty outcome distribution")
-    return p / total, n
 
 
 def _parse_mask(a, n: int) -> int:
@@ -141,12 +109,15 @@ def estimate_from_setting(dist, a) -> float:
     masked bitstring; ``a`` may be a bitstring or an integer mask (leftmost
     qubit = most significant bit).
     """
-    freqs, n = _as_frequencies(dist)
+    p = np.asarray(dist, dtype=np.float64)
+    n = p.size.bit_length() - 1
+    if p.ndim != 1 or p.size != 1 << n or p.sum() <= 0:
+        raise ValueError("need 2^n outcome frequencies, no empty outcome distribution")
     mask = _parse_mask(a, n)
     b = np.arange(1 << n, dtype=np.uint64)
     parity = np.bitwise_count(b & np.uint64(mask)) & 1
     signs = 1.0 - 2.0 * parity.astype(np.float64)
-    return float(signs @ freqs)
+    return float(signs @ (p / p.sum()))
 
 
 def parity_estimates(freqs: np.ndarray) -> np.ndarray:
@@ -296,7 +267,7 @@ def apply_composite(rho: np.ndarray, model: PhotonicNoise) -> np.ndarray:
 class NoiseModel:
     """Channel-level noise configuration.
 
-    ``depolarizing_eps`` and ``photonic`` act on the prepared state;
+    ``depolarizing_eps`` acts on the prepared state;
     ``coherent_theta`` perturbs state preparation and every X/Y basis change
     at measurement; ``readout_q`` flips each measured bit independently.
     """
@@ -304,7 +275,6 @@ class NoiseModel:
     depolarizing_eps: float = 0.0
     coherent_theta: float = 0.0
     readout_q: float = 0.0
-    photonic: PhotonicNoise | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.depolarizing_eps <= 1.0:
@@ -329,25 +299,18 @@ def _setting_seed(seed, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
-                       shots: int | None, noise: NoiseModel | None = None,
-                       seed=0, return_record: bool = False):
-    """Simulate a measurement plan on a state and assemble (SensingMap, y).
+def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,
+             noise: NoiseModel | None = None, seed=0) -> ShotRecord:
+    """The record a device would give for a measurement plan on a state.
 
     Observable mode draws the M binomials, one per Pauli with success
     probability ``(Tr[P_k rho] + 1) / 2``, as one vector draw from the stream
-    of index 0 (no measurement-side noise is representable there). Setting
-    mode simulates each setting's outcome distribution, applies
-    measurement-side coherent/readout corruption from ``noise``, draws one
-    multinomial of ``shots`` outcomes shared by all of the setting's
-    observables, and extracts each covered Pauli by parity marginalization;
-    observables covered by several settings are averaged with equal weight.
-    ``shots=None`` means infinite shots (exact values).
-
-    ``y`` is aligned with the returned map's Pauli order and holds raw
-    sample means of ``Tr[P_k rho]``, in the units of the returned (raw) map;
-    the sqrt(d/M) rescaling is AMP's and happens inside the solver. Set
-    ``return_record=True`` to also get the ShotRecord.
+    of index 0 (no measurement-side noise is representable there): the record
+    holds sample means. Setting mode applies measurement-side coherent/readout
+    corruption from ``noise`` to each setting's outcome distribution and draws
+    one multinomial of ``shots`` outcomes from the stream of the setting's
+    index: the record holds counts. ``shots=None`` means infinite shots: exact
+    means, or exact outcome probabilities.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     d = 1 << plan.n
@@ -359,8 +322,7 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
     if plan.mode == "observables":
         if noise is not None and noise.measurement_side:
             raise ValueError("coherent/readout noise needs a settings-mode plan")
-        smap = build_sensing_map(plan.words)
-        y = apply_sensing(smap, rho)
+        y = apply_sensing(build_sensing_map(plan.words), rho)
         if shots is not None:
             p = (y + 1.0) / 2.0
             ok = (p >= -1e-10) & (p <= 1.0 + 1e-10)
@@ -369,85 +331,104 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
                                  "corrupted state")
             p = np.clip(p, 0.0, 1.0)
             y = 2.0 * _setting_seed(seed, 0).binomial(shots, p) / shots - 1.0
-        record = ShotRecord(n=plan.n, mode="observables", shots=shots,
-                            words=tuple(plan.words), values=y.copy(), counts=None)
-        return (smap, y, record) if return_record else (smap, y)
+        return ShotRecord(plan, shots, y)
 
-    # settings mode: per-setting draws, then every (setting, mask) word at once
-    theta = noise.coherent_theta if noise is not None else 0.0
-    q = noise.readout_q if noise is not None else 0.0
+    theta, q = (noise.coherent_theta, noise.readout_q) if noise else (0.0, 0.0)
     freqs = np.empty((len(plan.words), d), np.float64 if shots is None else np.int64)
     for k, setting in enumerate(plan.words):
-        probs = _distribution(rho, setting, theta)
+        probs = outcome_distribution(rho, setting, theta)
         if q:
             probs = apply_readout(probs, q)
         if shots is None:
             freqs[k] = probs
         else:
             freqs[k] = _setting_seed(seed, k).multinomial(shots, probs / probs.sum())
+    return ShotRecord(plan, shots, freqs)
+
+
+def estimate(record: ShotRecord):
+    """``(SensingMap, y)`` of a simulated or read record.
+
+    Observable mode gives the map of the plan's words and a copy of the
+    means. Setting mode extracts every covered Pauli of every setting by
+    parity marginalization, all at once; observables covered by several
+    settings are averaged with equal weight, in order of first appearance.
+    ``y`` holds raw sample means of ``Tr[P_k rho]`` in the units of the raw
+    map; the sqrt(d/M) rescaling is AMP's and happens inside the solver.
+    """
+    plan, data = record.plan, record.data
+    if plan.mode == "observables":
+        return build_sensing_map(plan.words), data.copy()
     codes = covered_codes(plan.words).reshape(-1)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     group = np.argsort(np.argsort(first))[inverse]      # words by first appearance
-    y = np.bincount(group, parity_estimates(freqs).reshape(-1)) / np.bincount(group)
+    y = np.bincount(group, parity_estimates(data).reshape(-1)) / np.bincount(group)
     order = pauli_words_from_indices(codes[np.sort(first)], plan.n)
-    smap = build_sensing_map(order)
-    if shots is None:
-        record = ShotRecord(n=plan.n, mode="observables", shots=None,
-                            words=tuple(order), values=y.copy(), counts=None)
-    else:
-        record = ShotRecord(n=plan.n, mode="settings", shots=shots,
-                            words=tuple(plan.words), values=None,
-                            counts=tuple(freqs))
-    return (smap, y, record) if return_record else (smap, y)
+    return build_sensing_map(order), y
+
+
+def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
+                       shots: int | None, noise: NoiseModel | None = None,
+                       seed=0):
+    """Simulate a measurement plan on a state and assemble (SensingMap, y):
+    ``estimate(simulate(rho, plan, shots, noise, seed))``."""
+    return estimate(simulate(rho, plan, shots, noise, seed))
 
 
 # ---------------------------------------------------------------------------
 # SHOTS v1 text format
 # ---------------------------------------------------------------------------
 
+_MEAN_BOUND = 1.0 + 1e-12     # |sample mean| up to round-off
+
+
 @dataclass(frozen=True)
 class ShotRecord:
-    """Measured data: per-observable sample means, or per-setting counts."""
+    """Measured data of a plan, one read-only row per word: sample means
+    ``(M,)`` (observables mode) or outcome counts ``(T, 2^n)`` summing to
+    ``shots`` (settings mode); at ``shots=None``, exact means or outcome
+    probabilities."""
 
-    n: int
-    mode: str              # "observables" | "settings"
+    plan: MeasurementPlan
     shots: int | None      # None = infinite
-    words: tuple
-    values: np.ndarray | None = None   # observables mode: y_k per word
-    counts: tuple | None = None        # settings mode: outcome counts per word
+    data: np.ndarray
 
     def __post_init__(self):
-        if not self.words:
-            raise ValueError("record has no words")
-        if self.mode == "observables":
-            if self.values is None or len(self.values) != len(self.words):
-                raise ValueError("observable record needs one value per word")
-            if not np.all(np.abs(np.asarray(self.values)) <= 1.0 + 1e-12):
-                raise ValueError("sample means must lie in [-1, 1]")
-        elif self.mode == "settings":
-            if self.shots is None:
-                raise ValueError("settings records require a finite shot count")
-            if self.counts is None or len(self.counts) != len(self.words):
-                raise ValueError("settings record needs counts per word")
-            for c in self.counts:
-                c = np.asarray(c)
-                if c.min() < 0 or c.sum() != self.shots:
-                    raise ValueError("counts must be nonnegative and sum to N")
+        plan, exact = self.plan, self.plan.mode == "observables" or self.shots is None
+        data = np.array(self.data, dtype=np.float64 if exact else None)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+        shape = (len(plan.words),) + ((1 << plan.n,) if plan.mode == "settings" else ())
+        if data.shape != shape:
+            raise ValueError(f"{plan.mode} record needs data of shape {shape}")
+        if plan.mode == "observables":
+            ok = np.all(np.abs(data) <= _MEAN_BOUND)
+            why = "sample means must lie in [-1, 1]"
+        elif exact:
+            ok = np.all((data >= 0) & (data < np.inf)) and np.all(data.sum(axis=1) > 0)
+            why = "probabilities must be finite and nonnegative with positive rows"
         else:
-            raise ValueError(f"unknown record mode {self.mode!r}")
+            ok = data.dtype.kind in "iu" and np.all(data >= 0) \
+                and np.all(data.sum(axis=1) == self.shots)
+            why = "counts must be nonnegative integers summing to N"
+        if not ok:
+            raise ValueError(why)
 
 
 def write_shots(path, record: ShotRecord) -> None:
-    N = "inf" if record.shots is None else str(record.shots)
+    """Write a record as SHOTS v1: one line per word, the sample mean with 17
+    significant digits or the setting's nonzero counts."""
+    plan = record.plan
+    if plan.mode == "settings" and record.shots is None:
+        raise ValueError("SHOTS v1 holds counts; exact probabilities (N=inf) have none")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"SHOTS v1 n={record.n} N={N} mode={record.mode}\n")
-        if record.mode == "observables":
-            for w, v in zip(record.words, record.values):
+        fh.write(f"SHOTS v1 n={plan.n} N={record.shots or 'inf'} mode={plan.mode}\n")
+        if plan.mode == "observables":
+            for w, v in zip(plan.words, record.data):
                 fh.write(f"{w} {v:.17g}\n")
         else:
-            for w, counts in zip(record.words, record.counts):
-                parts = [f"{b:0{record.n}b}:{int(c)}"
-                         for b, c in enumerate(counts) if c]
+            for w, counts in zip(plan.words, record.data):
+                parts = [f"{b:0{plan.n}b}:{int(c)}" for b, c in enumerate(counts) if c]
                 fh.write(w + " " + " ".join(parts) + "\n")
 
 
@@ -457,45 +438,47 @@ _SHOTS_HEADER = re.compile(
 
 def read_shots(path) -> ShotRecord:
     """Read a SHOTS v1 file; a malformed line raises ValueError naming it."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = ascii_lines(path, lambda k: f"SHOTS v1: non-ASCII byte at line {k}")
     header = _SHOTS_HEADER.fullmatch(" ".join(lines[0].split()) if lines else "")
     if header is None:
         raise ValueError("SHOTS v1: malformed header at line 1")
-    n = int(header[1])
+    n, mode = int(header[1]), header[3]
     shots = None if header[2] == "inf" else int(header[2])
-    mode = header[3]
+    if shots is None and mode == "settings":
+        raise ValueError("SHOTS v1: settings counts need a finite N at line 1")
     alphabet = LETTERS if mode == "observables" else "XYZ"
     item = re.compile(f"([01]{{{n}}}):([0-9]+)")
-    words, values, counts = [], [], []
+    rows = {}                                   # word -> mean or counts, in order
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
             continue
         word, fields = parts[0], parts[1:]
-        if len(word) != n or any(ch not in alphabet for ch in word):
-            raise ValueError(f"SHOTS v1: invalid {mode} word {word!r} "
+        if len(word) != n or any(ch not in alphabet for ch in word) or word in rows:
+            raise ValueError(f"SHOTS v1: invalid or repeated {mode} word {word!r} "
                              f"at line {lineno}")
-        words.append(word)
         if mode == "observables":
             try:
                 (text,) = fields
-                values.append(float(text))
+                rows[word] = float(text)
             except ValueError:
                 raise ValueError(
                     f"SHOTS v1: malformed value at line {lineno}") from None
+            if not abs(rows[word]) <= _MEAN_BOUND:
+                raise ValueError(f"SHOTS v1: sample mean outside [-1, 1] "
+                                 f"at line {lineno}")
             continue
         matches = [item.fullmatch(f) for f in fields]
         if not matches or not all(matches):
             raise ValueError(f"SHOTS v1: malformed count at line {lineno}")
-        if len({m[1] for m in matches}) != len(matches):
+        counts = {int(m[1], 2): int(m[2]) for m in matches}
+        if len(counts) != len(matches):
             raise ValueError(f"SHOTS v1: repeated outcome at line {lineno}")
-        c = np.zeros(1 << n, dtype=np.int64)
-        for m in matches:
-            c[int(m[1], 2)] = int(m[2])
-        counts.append(c)
-    if mode == "observables":
-        return ShotRecord(n=n, mode=mode, shots=shots, words=tuple(words),
-                          values=np.array(values), counts=None)
-    return ShotRecord(n=n, mode=mode, shots=shots, words=tuple(words),
-                      values=None, counts=tuple(counts))
+        if sum(counts.values()) != shots:
+            raise ValueError(f"SHOTS v1: counts do not sum to N at line {lineno}")
+        rows[word] = np.zeros(1 << n, dtype=np.int64)
+        rows[word][list(counts)] = list(counts.values())
+    if not rows:
+        raise ValueError(f"SHOTS v1: no data at line {len(lines) + 1}")
+    return ShotRecord(MeasurementPlan(n, mode, tuple(rows)), shots,
+                      list(rows.values()))

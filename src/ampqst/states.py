@@ -40,6 +40,7 @@ __all__ = [
     "numerical_rank",
     "nmse",
     "state_fidelity",
+    "ascii_lines",
     "write_density",
     "read_density",
 ]
@@ -258,6 +259,17 @@ def state_fidelity(rho, sigma: np.ndarray) -> float:
 # DMAT v1 text format
 # ---------------------------------------------------------------------------
 
+def ascii_lines(path, where) -> list:
+    """The lines of an ASCII text file, split at \\n, \\r\\n or \\r; a line
+    holding another byte raises ValueError(where(lineno)), lines from 1."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            raise ValueError(where(lineno))
+    return [line.decode("ascii") for line in lines]
+
+
 def write_density(path, rho: np.ndarray) -> None:
     """Write a Hermitian matrix in the DMAT v1 text format.
 
@@ -277,8 +289,7 @@ def write_density(path, rho: np.ndarray) -> None:
 
 def read_density(path) -> np.ndarray:
     """Read a DMAT v1 file, verifying Hermiticity; a malformed line is named."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    lines = ascii_lines(path, lambda k: f"DMAT v1: non-ASCII byte at line {k}")
     header = re.fullmatch(r"DMAT v1 n=([1-9][0-9]*)",
                           " ".join(lines[0].split()) if lines else "")
     if header is None:

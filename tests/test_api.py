@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 import ampqst
 from ampqst.amp import AmpConfig
 from ampqst.cli import ExperimentConfig, build_parser
+from ampqst.measure import NoiseModel, ShotRecord, build_measurements
 from ampqst.pauli import SensingMap
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ampqst.__path__))
@@ -20,7 +22,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(ampqst.__path__))
 REMOVED = ["PauliString", "build_pauli", "pauli_expectation", "observables_of_setting",
            "sample_shots_observable", "OutcomeDistribution", "write_plan", "read_plan",
            "spectral_decompose", "SpectralDecomposition", "get_denoiser",
-           "momentum_schedule", "setting_word_from_index"]
+           "momentum_schedule", "setting_word_from_index", "noisy_basis_measurement"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -52,6 +54,17 @@ def test_sensing_map_holds_words_and_index_form_only():
     fields = [f.name for f in dataclasses.fields(SensingMap)]
     assert "paulis" not in fields
     assert fields == ["words", "n", "d", "M", "gather", "take", "weight", "H"]
+
+
+def test_one_measurement_data_path():
+    # simulated data always goes through the record: no knob returns it
+    assert "return_record" not in inspect.signature(build_measurements).parameters
+    assert [f.name for f in dataclasses.fields(ShotRecord)] == ["plan", "shots", "data"]
+
+
+def test_noise_model_has_only_settable_channels():
+    assert [f.name for f in dataclasses.fields(NoiseModel)] \
+        == ["depolarizing_eps", "coherent_theta", "readout_q"]
 
 
 def test_amp_config_has_no_damping_switch():

@@ -69,6 +69,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="bad.cfg:1"):
             load_config_file(path)
 
+    def test_config_file_non_ascii_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"qubits=3\nstate=w\xe9\n")
+        with pytest.raises(ValueError, match="bad.cfg:2: non-ASCII byte"):
+            load_config_file(path)
+
     def test_flags_override_file(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         out = tmp_path / "res.csv"
@@ -303,6 +309,19 @@ class TestNoiseStudy:
                         gnuplot=str(gp_path))
         text = gp_path.read_text()
         assert "plot" in text and str(csv_path) in text
+
+
+    @pytest.mark.parametrize("flag", ["--trace", "--timing"])
+    def test_trace_and_timing_are_refused(self, tmp_path, capsys, flag):
+        # noise-study writes neither traces nor wall times, so it says so
+        out, trace = tmp_path / "ns.csv", tmp_path / "t.csv"
+        extra = [flag, str(trace)] if flag == "--trace" else [flag]
+        rc = main(["noise-study", "--channel", "readout", "--levels", "0.01",
+                   "--state", "ghz", "--qubits", "2", "--fraction", "1.0",
+                   "--max-iter", "10", "--out", str(out)] + extra)
+        assert rc == 2
+        assert f"takes no {flag}" in capsys.readouterr().err
+        assert not out.exists() and not trace.exists()
 
 
 class TestDumpState:

@@ -18,12 +18,13 @@ from ampqst.measure import (
     apply_pauli_flip,
     apply_readout,
     build_measurements,
+    estimate,
     estimate_from_setting,
-    noisy_basis_measurement,
     outcome_distribution,
     overrotation_unitary,
     parity_estimates,
     read_shots,
+    simulate,
     write_shots,
 )
 from ampqst.pauli import (
@@ -289,10 +290,11 @@ def per_word_matrix(words):
 
 
 def per_word_synthesis(rho, plan, shots, noise, seed):
-    """Settings-mode synthesis one covered word at a time: (words, y, counts)."""
+    """Settings-mode synthesis one covered word at a time: (words, y, rows),
+    a row being a setting's counts, or its probabilities at infinite shots."""
     estimates, counts = {}, []
     for k, setting in enumerate(plan.words):
-        dist = noisy_basis_measurement(rho, setting, noise.coherent_theta)
+        dist = outcome_distribution(rho, setting, noise.coherent_theta)
         if noise.readout_q:
             dist = apply_readout(dist, noise.readout_q)
         freqs = dist
@@ -300,6 +302,8 @@ def per_word_synthesis(rho, plan, shots, noise, seed):
             rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
             counts.append(rng.multinomial(shots, dist / dist.sum()))
             freqs = counts[-1] / shots
+        else:
+            counts.append(dist)
         for mask, word in enumerate(covered_words(setting)):
             estimates.setdefault(word, []).append(estimate_from_setting(freqs, mask))
     words = list(estimates)                    # in order of first appearance
@@ -317,8 +321,8 @@ class TestSettingsSynthesis:
         rho = make_random_state(n, 2, 40 + n)
         settings = sample_settings_until(n, min(4 ** n, 12 * n), n)
         plan = MeasurementPlan(n=n, mode="settings", words=tuple(settings))
-        smap, y, rec = build_measurements(rho, plan, shots, noise, seed=7,
-                                          return_record=True)
+        rec = simulate(rho, plan, shots, noise, seed=7)
+        smap, y = estimate(rec)
         words, y_ref, counts = per_word_synthesis(rho, plan, shots, noise, 7)
         assert list(smap.words) == words
         # the map acts as the per-word matrix, forward and adjoint, up to
@@ -336,14 +340,9 @@ class TestSettingsSynthesis:
             assert np.max(np.abs(y - y_ref)) <= (1 << n) * np.finfo(float).eps / 2
         else:
             assert np.max(np.abs(y - y_ref)) <= 1e-15
-        if shots is None:
-            assert (rec.mode, rec.shots, rec.words) == ("observables", None, tuple(words))
-            assert np.array_equal(rec.values, y)
-        else:
-            assert (rec.mode, rec.shots, rec.words) == ("settings", shots, plan.words)
-            assert len(rec.counts) == len(counts)
-            for got, want in zip(rec.counts, counts):
-                assert np.array_equal(got, want)
+        # a settings record at any shot count: counts, or exact probabilities
+        assert (rec.plan, rec.shots) == (plan, shots)
+        assert np.array_equal(rec.data, np.array(counts))
 
     def test_no_per_word_calls(self, function_calls):
         # one batched word indexing; no parity estimate or covered word
@@ -553,13 +552,13 @@ class TestNoisyBasisMeasurement:
     def test_zero_angle_reduces_to_exact(self):
         rho = make_random_state(2, 2, 13)
         for setting in ("XY", "ZX"):
-            a = noisy_basis_measurement(rho, setting, 0.0)
+            a = outcome_distribution(rho, setting, 0.0)
             b = outcome_distribution(rho, setting)
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_all_z_immune(self):
         rho = make_random_state(2, 3, 14)
-        a = noisy_basis_measurement(rho, "ZZ", 0.3)
+        a = outcome_distribution(rho, "ZZ", 0.3)
         b = outcome_distribution(rho, "ZZ")
         assert np.max(np.abs(a - b)) < 1e-12
 
@@ -572,7 +571,7 @@ class TestNoisyBasisMeasurement:
         RX = np.array([[c, -1j * s], [-1j * s, c]])
         G = RX @ H.conj().T
         expected = np.real(np.diag(G @ plus @ G.conj().T))
-        dist = noisy_basis_measurement(plus, "X", theta)
+        dist = outcome_distribution(plus, "X", theta)
         assert np.allclose(dist, expected, atol=1e-12)
         assert abs(dist[0] - np.cos(theta / 2) ** 2) < 1e-12
 
@@ -635,32 +634,33 @@ class TestBuildMeasurements:
         assert abs(y[idx] - (1 - 2 * 0.1) ** 2) < 1e-12
 
 
+def record(n, mode, shots, words, data):
+    return ShotRecord(MeasurementPlan(n=n, mode=mode, words=tuple(words)), shots, data)
+
+
 class TestShotsFormat:
     def test_observables_round_trip(self, tmp_path):
-        rec = ShotRecord(n=2, mode="observables", shots=128,
-                         words=("XX", "IZ"), values=np.array([0.5, -0.25]))
+        rec = record(2, "observables", 128, ("XX", "IZ"), np.array([0.5, -0.25]))
         path = tmp_path / "shots.txt"
         write_shots(path, rec)
         back = read_shots(path)
-        assert back.words == rec.words
-        assert np.array_equal(back.values, rec.values)
+        assert back.plan == rec.plan
+        assert np.array_equal(back.data, rec.data)
         assert back.shots == 128
 
     def test_settings_round_trip(self, tmp_path):
         counts0 = np.array([3, 0, 0, 5], dtype=np.int64)
         counts1 = np.array([0, 8, 0, 0], dtype=np.int64)
-        rec = ShotRecord(n=2, mode="settings", shots=8,
-                         words=("XY", "ZZ"), counts=(counts0, counts1))
+        rec = record(2, "settings", 8, ("XY", "ZZ"), (counts0, counts1))
         path = tmp_path / "shots.txt"
         write_shots(path, rec)
         back = read_shots(path)
-        assert back.mode == "settings"
-        assert np.array_equal(back.counts[0], counts0)
-        assert np.array_equal(back.counts[1], counts1)
+        assert back.plan.mode == "settings"
+        assert np.array_equal(back.data[0], counts0)
+        assert np.array_equal(back.data[1], counts1)
 
     def test_infinite_header(self, tmp_path):
-        rec = ShotRecord(n=1, mode="observables", shots=None,
-                         words=("Z",), values=np.array([1.0]))
+        rec = record(1, "observables", None, ("Z",), np.array([1.0]))
         path = tmp_path / "shots.txt"
         write_shots(path, rec)
         assert path.read_text().splitlines()[0] == "SHOTS v1 n=1 N=inf mode=observables"
@@ -668,29 +668,36 @@ class TestShotsFormat:
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            ShotRecord(n=1, mode="observables", shots=8, words=("Z",),
-                       values=np.array([1.5]))
+            record(1, "observables", 8, ("Z",), np.array([1.5]))
         with pytest.raises(ValueError):
-            ShotRecord(n=1, mode="observables", shots=8, words=("Z",),
-                       values=np.array([np.nan]))
+            record(1, "observables", 8, ("Z",), np.array([np.nan]))
         with pytest.raises(ValueError):
-            ShotRecord(n=1, mode="observables", shots=8, words=(),
-                       values=np.array([]))
+            record(1, "observables", 8, (), np.array([]))
         with pytest.raises(ValueError):
-            ShotRecord(n=1, mode="settings", shots=8, words=("Z",),
-                       counts=(np.array([3, 3]),))
+            record(1, "settings", 8, ("Z",), (np.array([3, 3]),))
+
+    def test_record_is_read_only(self):
+        rec = record(1, "settings", 8, ("Z",), (np.array([3, 5]),))
+        with pytest.raises(ValueError):
+            rec.data[0, 0] = 8
+
+    def test_exact_probabilities_are_not_written(self, tmp_path):
+        rho = make_random_state(2, 1, 7)
+        plan = MeasurementPlan(n=2, mode="settings", words=("XX", "ZY"))
+        rec = simulate(rho, plan, shots=None)
+        assert (rec.shots, rec.data.dtype) == (None, np.float64)
+        with pytest.raises(ValueError, match="exact probabilities"):
+            write_shots(tmp_path / "rec.txt", rec)
 
     def test_build_measurements_record(self, tmp_path):
         rho = make_random_state(2, 1, 7)
         plan = MeasurementPlan(n=2, mode="settings", words=("XX", "ZY"))
-        smap, y, rec = build_measurements(rho, plan, shots=32, seed=2,
-                                          return_record=True)
-        assert rec.mode == "settings" and rec.shots == 32
+        rec = simulate(rho, plan, shots=32, seed=2)
+        assert rec.plan == plan and rec.shots == 32
         path = tmp_path / "rec.txt"
         write_shots(path, rec)
         back = read_shots(path)
-        for a, b in zip(back.counts, rec.counts):
-            assert np.array_equal(a, b)
+        assert np.array_equal(back.data, rec.data)
 
 
 @st.composite
@@ -702,9 +709,8 @@ def shot_records(draw):
                               min_size=1, max_size=6, unique=True))
         values = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(words),
                                max_size=len(words)))
-        return ShotRecord(n=n, mode="observables",
-                          shots=draw(st.none() | st.integers(1, 10**6)),
-                          words=tuple(words), values=np.array(values))
+        return record(n, "observables", draw(st.none() | st.integers(1, 10**6)),
+                      words, np.array(values))
     words = draw(st.lists(st.text("XYZ", min_size=n, max_size=n),
                           min_size=1, max_size=6, unique=True))
     shots = draw(st.integers(1, 10**6))
@@ -713,9 +719,7 @@ def shot_records(draw):
         cuts = draw(st.lists(st.integers(0, shots), min_size=(1 << n) - 1,
                              max_size=(1 << n) - 1))
         counts.append(np.diff([0] + sorted(cuts) + [shots]))
-    return ShotRecord(n=n, mode="settings", shots=shots, words=tuple(words),
-                      counts=tuple(counts))
-
+    return record(n, "settings", shots, words, counts)
 
 
 class TestShotsReader:
@@ -724,13 +728,29 @@ class TestShotsReader:
         path = tmp_path_factory.mktemp("shots") / "shots.txt"
         write_shots(path, rec)
         back = read_shots(path)
-        assert (back.n, back.mode, back.shots, back.words) \
-            == (rec.n, rec.mode, rec.shots, rec.words)
-        if rec.mode == "observables":
-            assert np.array_equal(back.values, rec.values)
+        assert (back.plan, back.shots) == (rec.plan, rec.shots)
+        assert np.array_equal(back.data, rec.data)
+
+    @given(st.integers(1, 4), st.sampled_from(["observables", "settings"]),
+           st.sampled_from([1, 7, 1024]), st.integers(0, 2**32 - 1))
+    def test_file_path_matches_in_memory_path(self, tmp_path_factory, n, mode,
+                                              shots, seed):
+        # simulate -> write -> read -> estimate gives build_measurements' data
+        rng = np.random.default_rng(seed)
+        rho = make_random_state(n, min(2, 1 << n), rng)
+        if mode == "observables":
+            words = pauli.sample_observables(n, min(4 ** n, 10), rng)
+            noise = None
         else:
-            for a, b in zip(back.counts, rec.counts):
-                assert np.array_equal(a, b)
+            words = sample_settings_until(n, min(4 ** n, 6 * n), rng)
+            noise = NoiseModel(readout_q=0.03)
+        plan = MeasurementPlan(n=n, mode=mode, words=tuple(words))
+        path = tmp_path_factory.mktemp("shots") / "shots.txt"
+        write_shots(path, simulate(rho, plan, shots, noise, seed=seed))
+        smap, y = estimate(read_shots(path))
+        smap_ref, y_ref = build_measurements(rho, plan, shots, noise, seed=seed)
+        assert smap.words == smap_ref.words
+        assert y.tobytes() == y_ref.tobytes()
 
     @pytest.mark.parametrize("text, line", [
         ("SHOTS v1 n=2 N=8 mode=settings\nXY 1:8\n", 2),        # short bitstring
@@ -744,11 +764,24 @@ class TestShotsReader:
         ("SHOTS v1 n=2 N=8 mode=observables\nXX\n", 2),         # missing value
         ("SHOTS v1 n=2 N=8 mode=settings\nXY 00:x\n", 2),
         ("SHOTS v1 n=2 N=8 mode=settings\nXY\n", 2),
+        ("SHOTS v1 n=2 N=8 mode=settings\nXY 00:3\n", 2),       # counts short of N
+        ("SHOTS v1 n=2 N=8 mode=observables\nXX 1.5\n", 2),     # mean beyond 1
+        ("SHOTS v1 n=2 N=8 mode=observables\nXX nan\n", 2),
+        ("SHOTS v1 n=2 N=inf mode=settings\nXY 00:8\n", 1),     # counts need N
+        ("SHOTS v1 n=2 N=8 mode=observables\nXX 0.5\nXX 0.5\n", 3),  # repeated word
+        ("SHOTS v1 n=2 N=8 mode=settings\nXY 00:8\nZZ 11:8\nXY 01:8\n", 4),
+        ("SHOTS v1 n=2 N=8 mode=settings\n\n", 3),               # no data
     ])
     def test_malformed_names_the_line(self, tmp_path, text, line):
         path = tmp_path / "shots.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"line {line}"):
+            read_shots(path)
+
+    def test_non_ascii_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "shots.txt"
+        path.write_bytes(b"SHOTS v1 n=2 N=8 mode=observables\nXX 0.5\nYY 0.\xe95\n")
+        with pytest.raises(ValueError, match="SHOTS v1: non-ASCII byte at line 3"):
             read_shots(path)
 
     @given(st.sampled_from(["observables", "settings"]),

@@ -473,6 +473,12 @@ class TestDmatFormat:
         with pytest.raises(ValueError, match=f"line {line}"):
             read_density(path)
 
+    def test_non_ascii_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.dmat"
+        path.write_bytes(b"DMAT v1 n=1\n0.5 0\n0 0\xe9\n0 0\n0.5 0\n")
+        with pytest.raises(ValueError, match="DMAT v1: non-ASCII byte at line 3"):
+            read_density(path)
+
     def test_short_file_allocates_no_matrix(self, tmp_path):
         # n=12 asks for 4^12 entries (268 MB); the three lines present are
         # counted before any buffer is sized
