@@ -13,7 +13,6 @@ from .measure import (
     apply_depolarizing,
     apply_loss,
     apply_pauli_flip,
-    apply_readout,
     build_measurements,
     estimate,
     estimate_from_setting,

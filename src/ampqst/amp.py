@@ -157,8 +157,6 @@ class AmpConfig:
     mc_samples: int = 1
     denoiser: str = "psvt"
     normalize: bool = True
-    early_stop: bool = False
-    early_stop_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -331,7 +329,6 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
 
     state = initial_state(smap)
     sigma0 = None
-    history = []                      # ring buffer for the optional early stop
     try:
         for _ in range(config.max_iter):
             state = amp_step(state, smap, y, config, rng)
@@ -349,14 +346,6 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
                     f"residual blow-up at iteration {state.t}: "
                     f"sigma={state.sigma:.3g} vs sigma_0={sigma0:.3g}",
                     iterate=state.rho)
-            if config.early_stop:
-                history.append(state.rho)
-                if len(history) > 10:
-                    prev = history.pop(0)
-                    num = np.linalg.norm(state.rho - prev)
-                    den = np.linalg.norm(state.rho)
-                    if den > 0 and num / den < config.early_stop_tol:
-                        break
     except DivergenceError as err:
         trace.diverged = True
         err.trace = trace

@@ -24,7 +24,6 @@ from .pauli import (
     MeasurementPlan,
     apply_sensing,
     build_sensing_map,
-    check_setting,
     covered_codes,
     pauli_words_from_indices,
 )
@@ -34,10 +33,10 @@ __all__ = [
     "ShotRecord",
     "NoiseModel",
     "PhotonicNoise",
+    "outcome_probabilities",
     "outcome_distribution",
     "estimate_from_setting",
     "parity_estimates",
-    "apply_readout",
     "apply_depolarizing",
     "apply_coherent",
     "apply_pauli_flip",
@@ -54,7 +53,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Per-setting outcome distributions
+# Outcome probabilities and parity marginals
 # ---------------------------------------------------------------------------
 
 def rotation_x(theta: float) -> np.ndarray:
@@ -62,32 +61,52 @@ def rotation_x(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
-# Columns are the +1 / -1 eigenvectors of each basis letter, so V^dagger maps
-# that basis onto the computational one.
-_BASIS = {
-    "X": np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0),
-    "Y": np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / np.sqrt(2.0),
-    "Z": np.eye(2, dtype=np.complex128),
-}
+
+def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
+    """``x @ H`` along the last axis (length 2^n), ``H[a, b] = (-1)**|a & b|``:
+    n butterfly passes, exact on integers. ``H @ H = 2^n I``."""
+    out = x
+    for k in range(x.shape[-1].bit_length() - 1):
+        pairs = out.reshape(-1, 2, 1 << k)
+        out = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+    return out.reshape(x.shape)
+
+
+def outcome_probabilities(rho: np.ndarray, settings, theta: float = 0.0,
+                          q: float = 0.0) -> np.ndarray:
+    """Exact probabilities ``(T, 2^n)`` of the outcomes of each setting on
+    ``rho``: ``p(b) = 2^-n sum_a (-1)**|a & b| e(a)``, ``e(a)`` the mean parity
+    of the bits under mask ``a``, from the 4^n ``Tr[P rho]`` of one sensing-map
+    product. An RX(theta) overrotation of the basis change makes an X letter
+    read ``cos(theta) X - sin(theta) Y`` and a Y letter ``cos(theta) Y +
+    sin(theta) X`` (Z needs no rotation); flipping each bit with probability
+    ``q`` scales ``e(a)`` by ``(1 - 2q)**|a|``."""
+    codes = covered_codes(settings)
+    d = codes.shape[1]
+    n = d.bit_length() - 1
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (d, d):
+        raise ValueError("dimension mismatch between state and setting")
+    if not 0.0 <= q <= 0.5:
+        raise ValueError("readout flip probability must lie in [0, 0.5]")
+    every_word = pauli_words_from_indices(np.arange(4 ** n), n)
+    e = apply_sensing(build_sensing_map(every_word), rho).reshape((4,) * n)
+    if theta != 0.0:
+        c, s = np.cos(theta), np.sin(theta)     # letter axis in I, X, Y, Z order
+        R = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
+        for axis in range(n):
+            e = np.moveaxis(np.tensordot(R, e, axes=(1, axis)), 0, axis)
+    e = e.reshape(-1)[codes]
+    if q:
+        e = e * (1.0 - 2.0 * q) ** np.bitwise_count(np.arange(d))
+    return np.clip(_walsh_hadamard(e) / d, 0.0, None)
 
 
 def outcome_distribution(rho: np.ndarray, setting: str,
                          theta: float = 0.0) -> np.ndarray:
     """Exact probabilities of the 2^n outcomes of measuring ``setting`` on
-    ``rho``. The pre-measurement gate is the tensor product over letters of
-    ``V^dagger``, followed for each X or Y letter by an RX(theta)
-    overrotation error; Z letters need no rotation and pick up no error."""
-    setting = check_setting(setting)
-    d = 1 << len(setting)
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (d, d):
-        raise ValueError("dimension mismatch between state and setting")
-    G, rx = np.array([[1.0]], dtype=np.complex128), rotation_x(theta)
-    for ch in setting:
-        g = _BASIS[ch].conj().T
-        G = np.kron(G, rx @ g if ch != "Z" and theta != 0.0 else g)
-    probs = np.einsum("ij,ij->i", G @ rho, G.conj()).real
-    return np.clip(probs, 0.0, None)
+    ``rho``: the one-setting case of ``outcome_probabilities``."""
+    return outcome_probabilities(rho, [setting], theta)[0]
 
 
 def _parse_mask(a, n: int) -> int:
@@ -122,29 +141,13 @@ def estimate_from_setting(dist, a) -> float:
 
 def parity_estimates(freqs: np.ndarray) -> np.ndarray:
     """``out[k, a] = estimate_from_setting(freqs[k], a)`` for a (T, 2^n) array
-    of counts or probabilities: one Walsh-Hadamard transform, n butterfly
-    passes that are exact on integers, divided by each row's total."""
-    out = freqs = np.asarray(freqs)
+    of counts or probabilities: one Walsh-Hadamard transform, divided by
+    each row's total."""
+    freqs = np.asarray(freqs)
     total = freqs.sum(axis=-1, keepdims=True)
     if freqs.ndim != 2 or freqs.shape[1] & (freqs.shape[1] - 1) or np.any(total <= 0):
         raise ValueError("need (T, 2^n) frequencies, no empty outcome distribution")
-    for k in range(freqs.shape[1].bit_length() - 1):
-        pairs = out.reshape(-1, 2, 1 << k)
-        out = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
-    return out.reshape(freqs.shape) / total
-
-
-def apply_readout(probs: np.ndarray, q: float) -> np.ndarray:
-    """Convolve an independent per-bit flip channel (flip probability q)
-    into a vector of 2^n outcome probabilities."""
-    if not 0.0 <= q <= 0.5:
-        raise ValueError("readout flip probability must lie in [0, 0.5]")
-    p = np.asarray(probs, dtype=np.float64)
-    n = p.size.bit_length() - 1
-    p = p.reshape((2,) * n)
-    for axis in range(n):
-        p = (1.0 - q) * p + q * np.flip(p, axis=axis)
-    return p.reshape(-1)
+    return _walsh_hadamard(freqs) / total
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +309,12 @@ def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,
     Observable mode draws the M binomials, one per Pauli with success
     probability ``(Tr[P_k rho] + 1) / 2``, as one vector draw from the stream
     of index 0 (no measurement-side noise is representable there): the record
-    holds sample means. Setting mode applies measurement-side coherent/readout
-    corruption from ``noise`` to each setting's outcome distribution and draws
-    one multinomial of ``shots`` outcomes from the stream of the setting's
-    index: the record holds counts. ``shots=None`` means infinite shots: exact
-    means, or exact outcome probabilities.
+    holds sample means. Setting mode takes all outcome probabilities, with
+    the coherent/readout noise of ``noise``, from one inverse Walsh-Hadamard
+    transform of the map's expectations (``outcome_probabilities``, no
+    per-setting gate), then draws one multinomial of ``shots`` outcomes per
+    setting from the stream of its index: the record holds counts.
+    ``shots=None`` means infinite shots: exact means, or probabilities.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     d = 1 << plan.n
@@ -334,15 +338,10 @@ def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,
         return ShotRecord(plan, shots, y)
 
     theta, q = (noise.coherent_theta, noise.readout_q) if noise else (0.0, 0.0)
-    freqs = np.empty((len(plan.words), d), np.float64 if shots is None else np.int64)
-    for k, setting in enumerate(plan.words):
-        probs = outcome_distribution(rho, setting, theta)
-        if q:
-            probs = apply_readout(probs, q)
-        if shots is None:
-            freqs[k] = probs
-        else:
-            freqs[k] = _setting_seed(seed, k).multinomial(shots, probs / probs.sum())
+    freqs = outcome_probabilities(rho, plan.words, theta, q)
+    if shots is not None:
+        freqs = np.array([_setting_seed(seed, k).multinomial(shots, p / p.sum())
+                          for k, p in enumerate(freqs)])
     return ShotRecord(plan, shots, freqs)
 
 
@@ -380,6 +379,9 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
 # ---------------------------------------------------------------------------
 
 _MEAN_BOUND = 1.0 + 1e-12     # |sample mean| up to round-off
+# Largest n a SHOTS file may declare, checked before any row is allocated:
+# its sensing map holds O(d^2) entries, about 0.8 GB at n=12.
+_SHOTS_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -436,14 +438,23 @@ _SHOTS_HEADER = re.compile(
     r"SHOTS v1 n=([1-9][0-9]*) N=([1-9][0-9]*|inf) mode=(observables|settings)")
 
 
+def _count(text: str, what: str, lineno: int) -> int:
+    """A decimal count that fits an int64, its length checked before int()."""
+    if len(text) > 19 or int(text) > np.iinfo(np.int64).max:
+        raise ValueError(f"SHOTS v1: {what} beyond int64 at line {lineno}")
+    return int(text)
+
+
 def read_shots(path) -> ShotRecord:
     """Read a SHOTS v1 file; a malformed line raises ValueError naming it."""
     lines = ascii_lines(path, lambda k: f"SHOTS v1: non-ASCII byte at line {k}")
     header = _SHOTS_HEADER.fullmatch(" ".join(lines[0].split()) if lines else "")
     if header is None:
         raise ValueError("SHOTS v1: malformed header at line 1")
+    if len(header[1]) > 2 or int(header[1]) > _SHOTS_MAX_N:
+        raise ValueError(f"SHOTS v1: n beyond {_SHOTS_MAX_N} at line 1")
     n, mode = int(header[1]), header[3]
-    shots = None if header[2] == "inf" else int(header[2])
+    shots = None if header[2] == "inf" else _count(header[2], "N", 1)
     if shots is None and mode == "settings":
         raise ValueError("SHOTS v1: settings counts need a finite N at line 1")
     alphabet = LETTERS if mode == "observables" else "XYZ"
@@ -471,7 +482,7 @@ def read_shots(path) -> ShotRecord:
         matches = [item.fullmatch(f) for f in fields]
         if not matches or not all(matches):
             raise ValueError(f"SHOTS v1: malformed count at line {lineno}")
-        counts = {int(m[1], 2): int(m[2]) for m in matches}
+        counts = {int(m[1], 2): _count(m[2], "count", lineno) for m in matches}
         if len(counts) != len(matches):
             raise ValueError(f"SHOTS v1: repeated outcome at line {lineno}")
         if sum(counts.values()) != shots:

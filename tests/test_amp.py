@@ -376,13 +376,6 @@ class TestRunAmp:
         b, _ = run_amp(smap, y, AmpConfig(seed=5, max_iter=30))
         assert np.array_equal(a, b)
 
-    def test_early_stop(self):
-        rho, smap, y = make_problem(n=2, seed=10)
-        cfg = AmpConfig(seed=6, early_stop=True, max_iter=2000)
-        rho_hat, trace = run_amp(smap, y, cfg)
-        assert len(trace) < 2000
-        assert nmse(rho, rho_hat) < 1e-6
-
     def test_sigma_stagnates_in_converged_run(self):
         # the Monte Carlo Onsager coefficient jitters the plateau, so the
         # stagnation check is on the windowed trend, not per-step order

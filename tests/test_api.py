@@ -22,7 +22,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(ampqst.__path__))
 REMOVED = ["PauliString", "build_pauli", "pauli_expectation", "observables_of_setting",
            "sample_shots_observable", "OutcomeDistribution", "write_plan", "read_plan",
            "spectral_decompose", "SpectralDecomposition", "get_denoiser",
-           "momentum_schedule", "setting_word_from_index", "noisy_basis_measurement"]
+           "momentum_schedule", "setting_word_from_index", "noisy_basis_measurement",
+           "apply_readout"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -68,8 +69,9 @@ def test_noise_model_has_only_settable_channels():
 
 
 def test_amp_config_has_no_damping_switch():
-    # damping=1 is the undamped run
-    assert "damping_enabled" not in [f.name for f in dataclasses.fields(AmpConfig)]
+    # damping=1 is the undamped run; AMP stops at max_iter or on divergence
+    fields = [f.name for f in dataclasses.fields(AmpConfig)]
+    assert not {"damping_enabled", "early_stop", "early_stop_tol"} & set(fields)
 
 
 def test_reconstruct_flags_are_config_plus_one_per_setting():

@@ -173,6 +173,12 @@ def test_trial_suffix_goes_on_the_file_name(path, expected):
     assert _suffixed(path, ".trial0") == expected
 
 
+# an observables plan, and a settings plan with measurement-side noise
+PLANS = [pytest.param({}, id="observables"),
+         pytest.param({"observables": None, "fraction": 0.75,
+                       "noise": parse_noise("readout=0.03,coherent=0.05")}, id="settings")]
+
+
 class TestReconstruct:
     def test_exact_recovery_small(self, tmp_path):
         cfg = fast_cfg(max_iter=2000, out=str(tmp_path / "r.csv"))
@@ -196,11 +202,12 @@ class TestReconstruct:
             assert float(parts[7]) >= 0.0
             assert parts[11] == ""  # timing off by default
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_byte_identical_reruns(self, tmp_path, plan):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
             cfg = fast_cfg(shots=128, trials=2, max_iter=150, seed=7,
-                           out=str(out))
+                           out=str(out), **plan)
             cmd_reconstruct(cfg)
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -234,12 +241,13 @@ class TestReconstruct:
         assert (tmp_path / "trace.trial0.csv").exists()
         assert (tmp_path / "trace.trial1.csv").exists()
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_worker_pool_matches_sequential(self, tmp_path, plan):
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
         cmd_reconstruct(fast_cfg(shots=64, trials=2, max_iter=80, seed=5,
-                                 out=str(seq)))
+                                 out=str(seq), **plan))
         cmd_reconstruct(fast_cfg(shots=64, trials=2, max_iter=80, seed=5,
-                                 out=str(par), workers=2))
+                                 out=str(par), workers=2, **plan))
         assert seq.read_bytes() == par.read_bytes()
 
     def test_infidelity_one_on_divergence(self, tmp_path):

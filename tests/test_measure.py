@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,14 +17,15 @@ from ampqst.measure import (
     apply_depolarizing,
     apply_loss,
     apply_pauli_flip,
-    apply_readout,
     build_measurements,
     estimate,
     estimate_from_setting,
     outcome_distribution,
+    outcome_probabilities,
     overrotation_unitary,
     parity_estimates,
     read_shots,
+    rotation_x,
     simulate,
     write_shots,
 )
@@ -70,6 +72,41 @@ def oracle_distribution(rho, setting):
             proj = np.kron(proj, PROJ[(letter, bit)])
         probs[b] = np.real(np.trace(proj @ rho))
     return probs
+
+
+# Columns are the +1 / -1 eigenvectors of each basis letter, so V^dagger maps
+# that basis onto the computational one.
+BASIS = {
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0),
+    "Z": np.eye(2, dtype=complex),
+}
+
+
+def apply_readout(probs, q):
+    """Convolve an independent per-bit flip channel (flip probability q)
+    into a vector of 2^n outcome probabilities."""
+    if not 0.0 <= q <= 0.5:
+        raise ValueError("readout flip probability must lie in [0, 0.5]")
+    p = np.asarray(probs, dtype=np.float64)
+    n = p.size.bit_length() - 1
+    p = p.reshape((2,) * n)
+    for axis in range(n):
+        p = (1.0 - q) * p + q * np.flip(p, axis=axis)
+    return p.reshape(-1)
+
+
+def kron_distribution(rho, setting, theta=0.0, q=0.0):
+    """Outcome probabilities of one setting through its d x d gate: the
+    Kronecker product over letters of V^dagger, each X or Y letter followed
+    by an RX(theta) overrotation, then the readout flips of ``apply_readout``
+    (a per-setting oracle, independent of the batched transform)."""
+    G = np.array([[1.0]], dtype=complex)
+    for ch in setting:
+        g = BASIS[ch].conj().T
+        G = np.kron(G, rotation_x(theta) @ g if ch != "Z" else g)
+    probs = np.einsum("ij,ij->i", G @ rho, G.conj()).real
+    return apply_readout(np.clip(probs, 0.0, None), q)
 
 
 def kron_word(word):
@@ -289,14 +326,12 @@ def per_word_matrix(words):
                           np.arange(0, (M + 1) * d, d)), shape=(M, 2 * d * d))
 
 
-def per_word_synthesis(rho, plan, shots, noise, seed):
-    """Settings-mode synthesis one covered word at a time: (words, y, rows),
-    a row being a setting's counts, or its probabilities at infinite shots."""
+def per_word_synthesis(probs, plan, shots, seed):
+    """Settings-mode synthesis one covered word at a time from each setting's
+    outcome probabilities: (words, y, rows), a row being a setting's counts,
+    or its probabilities at infinite shots."""
     estimates, counts = {}, []
-    for k, setting in enumerate(plan.words):
-        dist = outcome_distribution(rho, setting, noise.coherent_theta)
-        if noise.readout_q:
-            dist = apply_readout(dist, noise.readout_q)
+    for k, (setting, dist) in enumerate(zip(plan.words, probs)):
         freqs = dist
         if shots is not None:
             rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
@@ -323,7 +358,11 @@ class TestSettingsSynthesis:
         plan = MeasurementPlan(n=n, mode="settings", words=tuple(settings))
         rec = simulate(rho, plan, shots, noise, seed=7)
         smap, y = estimate(rec)
-        words, y_ref, counts = per_word_synthesis(rho, plan, shots, noise, 7)
+        theta, q = noise.coherent_theta, noise.readout_q
+        probs = outcome_probabilities(rho, settings, theta, q)
+        oracle = [kron_distribution(rho, s, theta, q) for s in settings]
+        assert np.max(np.abs(probs - oracle)) <= 1e-14
+        words, y_ref, counts = per_word_synthesis(probs, plan, shots, 7)
         assert list(smap.words) == words
         # the map acts as the per-word matrix, forward and adjoint, up to
         # the round-off of sums of d terms
@@ -340,12 +379,32 @@ class TestSettingsSynthesis:
             assert np.max(np.abs(y - y_ref)) <= (1 << n) * np.finfo(float).eps / 2
         else:
             assert np.max(np.abs(y - y_ref)) <= 1e-15
-        # a settings record at any shot count: counts, or exact probabilities
+        # a settings record at any shot count: counts drawn on the setting's
+        # own stream from the batch's probabilities, or those probabilities
         assert (rec.plan, rec.shots) == (plan, shots)
         assert np.array_equal(rec.data, np.array(counts))
 
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+               st.lists(st.text("XYZ", min_size=n, max_size=n), min_size=1,
+                        max_size=12, unique=True),
+               st.integers(1, 1 << n))),
+           st.sampled_from([0.0, 0.07, -0.3]) | st.floats(-np.pi, np.pi),
+           st.sampled_from([0.0, 0.03, 0.5]) | st.floats(0.0, 0.5),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_setting_gates(self, settings_rank, theta, q, seed):
+        # the batched transform against each setting's own d x d gate; its
+        # readout against apply_readout row by row
+        settings, rank = settings_rank
+        rho = make_random_state(len(settings[0]), rank, seed)
+        probs = outcome_probabilities(rho, settings, theta, q)
+        oracle = [kron_distribution(rho, s, theta, q) for s in settings]
+        assert np.max(np.abs(probs - oracle)) <= 1e-14
+        per_row = [apply_readout(p, q) for p in outcome_probabilities(rho, settings, theta)]
+        assert np.max(np.abs(probs - per_row)) <= 1e-14
+
     def test_no_per_word_calls(self, function_calls):
-        # one batched word indexing; no parity estimate or covered word
+        # two batched word indexings, every word for synthesis and the
+        # covered words for the map; no parity estimate or covered word
         # computed one word at a time
         rho = make_random_state(5, 2, 3)
         settings = sample_settings_until(5, 400, 1)
@@ -355,7 +414,7 @@ class TestSettingsSynthesis:
             function_calls.watch(owner, name)
         smap, y = build_measurements(rho, plan, shots=1024, seed=0)
         assert smap.M >= 400
-        assert function_calls == ["_pauli_batch"]
+        assert function_calls == ["_pauli_batch", "_pauli_batch"]
 
 
 class TestReadout:
@@ -771,12 +830,29 @@ class TestShotsReader:
         ("SHOTS v1 n=2 N=8 mode=observables\nXX 0.5\nXX 0.5\n", 3),  # repeated word
         ("SHOTS v1 n=2 N=8 mode=settings\nXY 00:8\nZZ 11:8\nXY 01:8\n", 4),
         ("SHOTS v1 n=2 N=8 mode=settings\n\n", 3),               # no data
+        ("SHOTS v1 n=1 N=99999999999999999999 mode=settings\n"   # N beyond int64
+         "Z 0:99999999999999999999\n", 1),
+        ("SHOTS v1 n=1 N=8 mode=settings\nZ 0:99999999999999999999\n", 2),
     ])
     def test_malformed_names_the_line(self, tmp_path, text, line):
         path = tmp_path / "shots.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"line {line}"):
             read_shots(path)
+
+    def test_large_n_is_rejected_before_any_row(self, tmp_path):
+        # 80 bytes declaring n=22 would ask for 4M-entry count rows
+        path = tmp_path / "shots.txt"
+        path.write_text("SHOTS v1 n=22 N=8 mode=settings\n"
+                        "ZZZZZZZZZZZZZZZZZZZZZZ 0000000000000000000000:8\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="line 1"):
+                read_shots(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_non_ascii_byte_names_the_line(self, tmp_path):
         path = tmp_path / "shots.txt"
