@@ -15,7 +15,6 @@ from .measure import (
     apply_pauli_flip,
     build_measurements,
     estimate,
-    estimate_from_setting,
     outcome_distribution,
     simulate,
 )

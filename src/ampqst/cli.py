@@ -33,7 +33,7 @@ from .measure import (
     overrotation_unitary,
 )
 from .mifgd import MifgdConfig, run_mifgd
-from .pauli import MeasurementPlan, sample_observables, sample_settings_until
+from .pauli import MAX_QUBITS, MeasurementPlan, sample_observables, sample_settings_until
 from .states import (
     ascii_lines,
     factor_density,
@@ -71,6 +71,20 @@ def _parse_bool(text: str) -> bool:
     return _one_of(("true", "false"))(text) == "true"
 
 
+def _finite_float(text: str) -> float:
+    """A float setting: nan and +-inf would pass every range check."""
+    value = float(text)
+    if not abs(value) < np.inf:
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+def _check_qubits(n: int) -> None:
+    """Bound n before anything sized 2^n is allocated."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubits must lie in [1, {MAX_QUBITS}]")
+
+
 def parse_shots(text: str) -> int | None:
     """Shots per circuit: a positive integer, or ``inf`` for exact means."""
     if text.strip().lower() in ("inf", "infinite", "infinity"):
@@ -94,7 +108,7 @@ def parse_noise(text: str | None) -> NoiseModel | None:
                  "coherent": "coherent_theta"}
         if key not in names:
             raise ValueError(f"unknown noise key {key!r}")
-        kwargs[names[key]] = float(val)
+        kwargs[names[key]] = _finite_float(val)
     return NoiseModel(**kwargs)
 
 
@@ -114,19 +128,21 @@ class ExperimentConfig:
     rank: int = _setting(1, int, "rank of a random state")
     seed: int = _setting(0, int, "base seed of every per-trial random stream")
     observables: int | None = _setting(None, int, "sample M Pauli observables")
-    fraction: float | None = _setting(None, float, "settings: cover this share of d^2")
+    fraction: float | None = _setting(None, _finite_float,
+                                      "settings: cover this share of d^2")
     settings_target: int | None = _setting(None, int, "settings: cover M observables")
     shots: int | None = _setting(1024, parse_shots, "shots per circuit, or inf")
     algorithm: str = _setting("amp", _one_of(ALGORITHMS), "solver")
-    alpha: float = _setting(2.0, float, "AMP threshold multiplier")
-    damping: float = _setting(0.01, float, "AMP damping in (0, 1]; 1 is undamped")
+    alpha: float = _setting(2.0, _finite_float, "AMP threshold multiplier")
+    damping: float = _setting(0.01, _finite_float, "AMP damping in (0, 1]; 1 is undamped")
     max_iter: int | None = _setting(None, int, "iteration cap (amp: 2000, mifgd: 1000)")
     denoiser: str = _setting("psvt", _one_of(DENOISERS), "AMP denoiser")
     normalize: bool = _setting(True, _parse_bool, "skip AMP's sqrt(d/M) rescaling")
-    eta: float = _setting(0.001, float, "MiFGD step size")
-    mu: float = _setting(0.75, float, "MiFGD momentum weight")
+    eta: float = _setting(0.001, _finite_float, "MiFGD step size")
+    mu: float = _setting(0.75, _finite_float, "MiFGD momentum weight")
     rank_budget: int = _setting(5, int, "MiFGD factor width")
-    rel_tol: float = _setting(1e-4, float, "MiFGD relative-change stopping tolerance")
+    rel_tol: float = _setting(1e-4, _finite_float,
+                              "MiFGD relative-change stopping tolerance")
     noise: NoiseModel | None = _setting(None, parse_noise, "e.g. readout=0.02")
     trials: int = _setting(1, int, "number of trials")
     out: str | None = _setting(None, str, "results CSV path")
@@ -135,9 +151,8 @@ class ExperimentConfig:
     timing: bool = _setting(False, _parse_bool, "record wall time (not byte-identical)")
 
     def validate(self) -> None:
+        _check_qubits(self.qubits)
         d2 = 4 ** self.qubits
-        if self.qubits < 1:
-            raise ValueError("qubits must be at least 1")
         if self.state not in STATES:
             raise ValueError(f"unknown state {self.state!r}")
         if self.state != "random" and self.rank != 1:
@@ -349,6 +364,8 @@ def _suffixed(path: str, suffix: str) -> str:
 def cmd_settings_table(n_values, fractions, trials: int, seed: int,
                        out: str | None = None) -> list[dict]:
     """Mean number of settings needed per (n, fraction of d^2) cell."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rows = []
     for n in n_values:
         if n > 10:
@@ -524,7 +541,7 @@ def _parse_int_list(text: str) -> list:
 
 
 def _parse_float_list(text: str) -> list:
-    return [float(p) for p in text.split(",") if p.strip()]
+    return [_finite_float(p) for p in text.split(",") if p.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -570,6 +587,7 @@ def main(argv=None) -> int:
                                args.trials, args.seed, args.out)
             return 0
         if args.command == "dump-state":
+            _check_qubits(args.qubits)
             if args.state == "random":
                 rho = make_random_state(args.qubits, args.rank, args.seed)
             else:

@@ -21,11 +21,13 @@ import numpy as np
 
 from .pauli import (
     LETTERS,
+    MAX_QUBITS,
     MeasurementPlan,
     apply_sensing,
     build_sensing_map,
     covered_codes,
-    pauli_words_from_indices,
+    pauli_indices_from_words,
+    sensing_map_from_indices,
 )
 from .states import ascii_lines
 
@@ -35,7 +37,6 @@ __all__ = [
     "PhotonicNoise",
     "outcome_probabilities",
     "outcome_distribution",
-    "estimate_from_setting",
     "parity_estimates",
     "apply_depolarizing",
     "apply_coherent",
@@ -89,8 +90,8 @@ def outcome_probabilities(rho: np.ndarray, settings, theta: float = 0.0,
         raise ValueError("dimension mismatch between state and setting")
     if not 0.0 <= q <= 0.5:
         raise ValueError("readout flip probability must lie in [0, 0.5]")
-    every_word = pauli_words_from_indices(np.arange(4 ** n), n)
-    e = apply_sensing(build_sensing_map(every_word), rho).reshape((4,) * n)
+    e = apply_sensing(sensing_map_from_indices(np.arange(4 ** n), n), rho)
+    e = e.reshape((4,) * n)
     if theta != 0.0:
         c, s = np.cos(theta), np.sin(theta)     # letter axis in I, X, Y, Z order
         R = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
@@ -109,40 +110,12 @@ def outcome_distribution(rho: np.ndarray, setting: str,
     return outcome_probabilities(rho, [setting], theta)[0]
 
 
-def _parse_mask(a, n: int) -> int:
-    if isinstance(a, str):
-        if len(a) != n or any(ch not in "01" for ch in a):
-            raise ValueError(f"mask {a!r} is not a length-{n} bitstring")
-        return int(a, 2)
-    a = int(a)
-    if not 0 <= a < 1 << n:
-        raise ValueError("mask out of range")
-    return a
-
-
-def estimate_from_setting(dist, a) -> float:
-    """Expectation of the Pauli obtained by masking a setting with ``a``.
-
-    ``dist`` is a vector of 2^n probabilities or counts, normalized here.
-    The estimate is ``sum_b f(b AND a) p(b)`` with f the parity sign of the
-    masked bitstring; ``a`` may be a bitstring or an integer mask (leftmost
-    qubit = most significant bit).
-    """
-    p = np.asarray(dist, dtype=np.float64)
-    n = p.size.bit_length() - 1
-    if p.ndim != 1 or p.size != 1 << n or p.sum() <= 0:
-        raise ValueError("need 2^n outcome frequencies, no empty outcome distribution")
-    mask = _parse_mask(a, n)
-    b = np.arange(1 << n, dtype=np.uint64)
-    parity = np.bitwise_count(b & np.uint64(mask)) & 1
-    signs = 1.0 - 2.0 * parity.astype(np.float64)
-    return float(signs @ (p / p.sum()))
-
-
 def parity_estimates(freqs: np.ndarray) -> np.ndarray:
-    """``out[k, a] = estimate_from_setting(freqs[k], a)`` for a (T, 2^n) array
-    of counts or probabilities: one Walsh-Hadamard transform, divided by
-    each row's total."""
+    """Parity estimates of a (T, 2^n) array of counts or probabilities:
+    ``out[k, a] = sum_b (-1)**|a & b| freqs[k, b] / sum_b freqs[k, b]``, the
+    mean of the Pauli that keeps setting k's letters where mask ``a`` has a 1
+    (leftmost qubit the most significant bit). One Walsh-Hadamard transform,
+    divided by each row's total."""
     freqs = np.asarray(freqs)
     total = freqs.sum(axis=-1, keepdims=True)
     if freqs.ndim != 2 or freqs.shape[1] & (freqs.shape[1] - 1) or np.any(total <= 0):
@@ -284,6 +257,8 @@ class NoiseModel:
             raise ValueError("depolarizing_eps must lie in [0, 1]")
         if not 0.0 <= self.readout_q <= 0.5:
             raise ValueError("readout_q must lie in [0, 0.5]")
+        if not abs(self.coherent_theta) < np.inf:
+            raise ValueError("coherent_theta must be finite")
 
     @property
     def measurement_side(self) -> bool:
@@ -362,8 +337,7 @@ def estimate(record: ShotRecord):
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     group = np.argsort(np.argsort(first))[inverse]      # words by first appearance
     y = np.bincount(group, parity_estimates(data).reshape(-1)) / np.bincount(group)
-    order = pauli_words_from_indices(codes[np.sort(first)], plan.n)
-    return build_sensing_map(order), y
+    return sensing_map_from_indices(codes[np.sort(first)], plan.n), y
 
 
 def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
@@ -379,9 +353,6 @@ def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
 # ---------------------------------------------------------------------------
 
 _MEAN_BOUND = 1.0 + 1e-12     # |sample mean| up to round-off
-# Largest n a SHOTS file may declare, checked before any row is allocated:
-# its sensing map holds O(d^2) entries, about 0.8 GB at n=12.
-_SHOTS_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -451,8 +422,9 @@ def read_shots(path) -> ShotRecord:
     header = _SHOTS_HEADER.fullmatch(" ".join(lines[0].split()) if lines else "")
     if header is None:
         raise ValueError("SHOTS v1: malformed header at line 1")
-    if len(header[1]) > 2 or int(header[1]) > _SHOTS_MAX_N:
-        raise ValueError(f"SHOTS v1: n beyond {_SHOTS_MAX_N} at line 1")
+    # n is bounded before any row is allocated
+    if len(header[1]) > 2 or int(header[1]) > MAX_QUBITS:
+        raise ValueError(f"SHOTS v1: n beyond {MAX_QUBITS} at line 1")
     n, mode = int(header[1]), header[3]
     shots = None if header[2] == "inf" else _count(header[2], "N", 1)
     if shots is None and mode == "settings":
@@ -465,9 +437,12 @@ def read_shots(path) -> ShotRecord:
         if not parts:
             continue
         word, fields = parts[0], parts[1:]
-        if len(word) != n or any(ch not in alphabet for ch in word) or word in rows:
-            raise ValueError(f"SHOTS v1: invalid or repeated {mode} word {word!r} "
-                             f"at line {lineno}")
+        try:
+            pauli_indices_from_words([word], n, alphabet, f"{mode} word")
+        except ValueError as err:
+            raise ValueError(f"SHOTS v1: {err} at line {lineno}") from None
+        if word in rows:
+            raise ValueError(f"SHOTS v1: repeated {mode} word {word!r} at line {lineno}")
         if mode == "observables":
             try:
                 (text,) = fields

@@ -47,16 +47,16 @@ class MifgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("step size must be positive")
-        if self.mu < 0:
-            raise ValueError("momentum must be nonnegative")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("step size must be positive and finite")
+        if not 0 <= self.mu < np.inf:
+            raise ValueError("momentum must be nonnegative and finite")
         if self.rank_budget < 1:
             raise ValueError("rank budget must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.rel_tol <= 0:
-            raise ValueError("relative tolerance must be positive")
+        if not 0 < self.rel_tol < np.inf:
+            raise ValueError("relative tolerance must be positive and finite")
 
 
 def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):

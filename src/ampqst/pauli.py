@@ -6,6 +6,13 @@ Each has exactly ``d`` nonzero entries, one per row: X and Y flip the
 qubit's bit between row and column index, I and Z preserve it, and the entry
 value is ``i**y_count`` times a sign picked up from Y and Z letters.
 
+Inside the package a word, or a setting (a word over {X, Y, Z}), is its
+base-4 code: I=0, X=1, Y=2, Z=3, leftmost letter most significant. Words are
+text only at the edges: ``pauli_indices_from_words`` is the one parser (one
+byte-table pass, naming the first bad word) and ``pauli_words_from_indices``
+the one decoder. The sensing map, the settings cover, settings sampling and
+data synthesis all run on codes.
+
 The sensing map for an ordered list of ``M`` Pauli words sends a Hermitian
 ``X`` to the vector of expectation values ``Tr[P_k X]``. A word whose X/Y bits
 are ``x`` and Y/Z bits ``z`` reads ``X[j, j^x]`` with signs ``(-1)**|j & z|``,
@@ -30,45 +37,46 @@ from .states import as_rng
 
 __all__ = [
     "LETTERS",
+    "MAX_QUBITS",
     "SensingMap",
     "MeasurementPlan",
-    "pauli_word_from_index",
+    "pauli_indices_from_words",
     "pauli_words_from_indices",
-    "pauli_index_from_word",
     "build_sensing_map",
+    "sensing_map_from_indices",
     "apply_sensing",
     "apply_adjoint",
     "sample_observables",
-    "check_setting",
-    "covered_word",
-    "covered_words",
     "covered_codes",
     "sample_settings_until",
 ]
 
 LETTERS = "IXYZ"
 
+# Largest n anything reads or builds: a sensing map holds O(d^2) entries,
+# about 0.8 GB at n=12.
+MAX_QUBITS = 12
+
 _IMAG_RESIDUE_ATOL = 1e-10
 
 
-def _pauli_batch(words):
-    """``(words, flip, phase, y_count)`` of equal-length words in one pass:
-    the upper-cased words as a tuple, their X/Y bits, Y/Z bits and number
-    of Y letters."""
-    words = tuple(str(w).upper() for w in words)
-    if not words:
-        raise ValueError("need at least one Pauli observable")
-    bad = [w for w in words if not w or w.strip(LETTERS) or len(w) != len(words[0])]
-    if bad:
-        raise ValueError(f"invalid Pauli word {bad[0]!r} (or words of unequal length)")
-    n = len(words[0])
-    raw = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
-    digits = np.searchsorted(np.frombuffer(b"IXYZ", np.uint8), raw).reshape(-1, n)
-    weights = 1 << np.arange(n - 1, -1, -1)
-    flip = ((digits == 1) | (digits == 2)) @ weights
-    phase = (digits >= 2) @ weights
-    y_count = np.count_nonzero(digits == 2, axis=1)
-    return words, flip, phase, y_count
+def pauli_indices_from_words(words, n: int, alphabet: str = LETTERS,
+                             what: str = "Pauli word") -> np.ndarray:
+    """Base-4 codes of length-``n`` words over ``alphabet`` (a subset of
+    IXYZ, case-sensitive) in one byte-table pass. Lengths are checked first,
+    then letters; the first bad word is named as ``invalid {what} 'w'``."""
+    words = tuple(words)
+    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    bad = (lengths != n) | (lengths == 0)
+    if not bad.any():
+        table = np.full(256, -1, dtype=np.int64)
+        table[list(alphabet.encode("ascii"))] = [LETTERS.index(ch) for ch in alphabet]
+        raw = np.frombuffer("".join(words).encode("ascii", "replace"), np.uint8)
+        digits = table[raw].reshape(len(words), n)
+        bad = (digits < 0).any(axis=1)
+    if bad.any():
+        raise ValueError(f"invalid {what} {words[int(np.argmax(bad))]!r}")
+    return digits @ (4 ** np.arange(n - 1, -1, -1))
 
 
 def pauli_words_from_indices(indices, n: int) -> list:
@@ -77,20 +85,8 @@ def pauli_words_from_indices(indices, n: int) -> list:
     if n < 1 or codes.size and not (codes.min() >= 0 and codes.max() < 4 ** n):
         raise ValueError("pauli index out of range")
     digits = (codes[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
-    letters = np.frombuffer(b"IXYZ", np.uint8)[digits]
+    letters = np.frombuffer(LETTERS.encode("ascii"), np.uint8)[digits]
     return letters.view(f"S{n}").reshape(-1).astype(str).tolist()
-
-
-def pauli_word_from_index(index: int, n: int) -> str:
-    """Word for one base-4 code: the one-code case of the batch decoder."""
-    return pauli_words_from_indices([index], n)[0]
-
-
-def pauli_index_from_word(word: str) -> int:
-    idx = 0
-    for ch in word:
-        idx = (idx << 2) | LETTERS.index(ch)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +113,29 @@ class SensingMap:
 
 
 def build_sensing_map(words) -> SensingMap:
-    """Assemble a SensingMap from distinct Pauli words (any case), indexed
-    in one pass."""
-    words, flip, phase, y_counts = _pauli_batch(words)
-    if len(set(words)) != len(words):
+    """Assemble a SensingMap from distinct Pauli words (any case)."""
+    words = tuple(str(w).upper() for w in words)
+    n = len(words[0]) if words else 1
+    return _sensing_map(pauli_indices_from_words(words, n), n, words)
+
+
+def sensing_map_from_indices(indices, n: int) -> SensingMap:
+    """Assemble a SensingMap from distinct base-4 codes of n-qubit words."""
+    codes = np.asarray(indices, dtype=np.int64).reshape(-1)
+    return _sensing_map(codes, n, tuple(pauli_words_from_indices(codes, n)))
+
+
+def _sensing_map(codes: np.ndarray, n: int, words: tuple) -> SensingMap:
+    """The map of ``words``, given as their codes: its index form in one pass."""
+    if not codes.size:
+        raise ValueError("need at least one Pauli observable")
+    if np.unique(codes).size != codes.size:
         raise ValueError("duplicate Pauli observables in sensing map")
-    n = len(words[0])
+    place = np.arange(n - 1, -1, -1)
+    digits = (codes[:, None] >> 2 * place) & 3
+    flip = ((digits == 1) | (digits == 2)) @ (1 << place)
+    phase = (digits >= 2) @ (1 << place)
+    y_counts = np.count_nonzero(digits == 2, axis=1)
     d = 1 << n
     rows = np.arange(d, dtype=np.int64)
     gather = (rows[:, None] * d + (rows[:, None] ^ rows)).reshape(-1)
@@ -178,40 +191,23 @@ def sample_observables(n: int, M: int, seed) -> list:
 # Measurement settings
 # ---------------------------------------------------------------------------
 
-def check_setting(word: str) -> str:
-    """Validate a measurement setting: a nonempty word over {X, Y, Z}."""
-    word = str(word).upper()
-    if not word or any(ch not in "XYZ" for ch in word):
-        raise ValueError(f"invalid measurement setting {word!r}")
-    return word
-
-
-def covered_word(setting: str, mask: int) -> str:
-    """Pauli word obtained from a setting by keeping letters where the mask
-    bit is 1 (leftmost letter is the most significant bit) and writing I
-    elsewhere."""
-    n = len(setting)
-    return "".join(setting[j] if (mask >> (n - 1 - j)) & 1 else "I"
-                   for j in range(n))
-
-
-def covered_words(setting: str) -> list:
-    """All 2^n Pauli words estimable from one setting, mask order 0, 1, ..."""
-    setting = check_setting(setting)
-    return [covered_word(setting, a) for a in range(1 << len(setting))]
+def _cover_masks(n: int) -> np.ndarray:
+    """Entry a keeps the letters of a code where bit a of the mask is 1
+    (leftmost letter most significant): ``code & masks[a]``."""
+    place = np.arange(n - 1, -1, -1)
+    return ((np.arange(1 << n)[:, None] >> place) & 1) @ (3 << 2 * place)
 
 
 def covered_codes(settings) -> np.ndarray:
-    """Base-4 codes (``pauli_index_from_word``) of the words settings cover:
-    entry ``[k, a]`` is the code of ``covered_word(settings[k], a)``."""
-    settings = [check_setting(s) for s in settings]
-    if len({len(s) for s in settings}) != 1:
-        raise ValueError("need settings of one length")
+    """Base-4 codes of the Pauli words that settings (words over XYZ, any
+    case) cover: entry ``[k, a]`` keeps the letters of ``settings[k]`` where
+    bit a of the mask is 1 and writes I elsewhere."""
+    settings = tuple(str(s).upper() for s in settings)
+    if not settings:
+        raise ValueError("need at least one measurement setting")
     n = len(settings[0])
-    raw = np.frombuffer("".join(settings).encode("ascii"), dtype=np.uint8)
-    digits = raw.reshape(-1, n).astype(np.int64) - ord("W")   # X=1, Y=2, Z=3
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return (digits << 2 * np.arange(n - 1, -1, -1)) @ bits.T
+    codes = pauli_indices_from_words(settings, n, "XYZ", "measurement setting")
+    return codes[:, None] & _cover_masks(n)
 
 
 def sample_settings_until(n: int, target_M: int, seed):
@@ -224,20 +220,19 @@ def sample_settings_until(n: int, target_M: int, seed):
     if n < 1 or not 1 <= target_M <= d2:
         raise ValueError(f"need n >= 1 and 1 <= target_M <= {d2}, got {target_M}")
     rng = as_rng(seed)
-    order = rng.permutation(3 ** n)
     place = np.arange(n - 1, -1, -1)
-    digits = order[:, None] // 3 ** place % 3 + 1          # X=1, Y=2, Z=3
-    bits = (np.arange(1 << n)[:, None] >> place) & 1
+    digits = rng.permutation(3 ** n)[:, None] // 3 ** place % 3 + 1   # X=1, Y=2, Z=3
+    settings = digits @ (4 ** place)
+    masks = _cover_masks(n)
     covered = np.zeros(d2, dtype=bool)
     total = 0
-    for k, word in enumerate(digits << 2 * place):
-        codes = bits @ word
+    for k, setting in enumerate(settings):
+        codes = setting & masks
         total += int(np.count_nonzero(~covered[codes]))
         covered[codes] = True
         if total >= target_M:
             break
-    letters = np.frombuffer(b"XYZ", np.uint8)[digits[:k + 1] - 1]
-    return letters.view(f"S{n}").reshape(-1).astype(str).tolist()
+    return pauli_words_from_indices(settings[:k + 1], n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +252,8 @@ class MeasurementPlan:
             raise ValueError(f"unknown plan mode {self.mode!r}")
         if not self.words:
             raise ValueError("empty measurement plan")
-        # one pass over the joined words: a word is bad if its length is off
-        # or it holds a byte outside the mode's (case-sensitive) alphabet
         alphabet = LETTERS if self.mode == "observables" else "XYZ"
-        allowed = np.zeros(256, dtype=bool)
-        allowed[list(alphabet.encode("ascii"))] = True
-        raw = np.frombuffer("".join(self.words).encode("ascii", "replace"), np.uint8)
-        lengths = np.fromiter(map(len, self.words), np.int64, len(self.words))
-        outside = np.concatenate(([0], np.cumsum(~allowed[raw])))
-        ends = np.cumsum(lengths)
-        bad = (lengths != self.n) | (outside[ends] > outside[ends - lengths])
-        if bad.any():
-            word = self.words[int(np.argmax(bad))]
-            raise ValueError(f"invalid {self.mode} word {word!r}")
-        if len(set(self.words)) != len(self.words):
+        codes = pauli_indices_from_words(self.words, self.n, alphabet,
+                                         f"{self.mode} word")
+        if np.unique(codes).size != codes.size:
             raise ValueError("duplicate words in measurement plan")

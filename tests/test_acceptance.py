@@ -21,8 +21,8 @@ from ampqst.measure import (
     apply_composite,
     apply_loss,
     build_measurements,
-    estimate_from_setting,
     outcome_distribution,
+    parity_estimates,
 )
 from ampqst.mifgd import MifgdConfig, run_mifgd
 from ampqst.pauli import (
@@ -30,8 +30,8 @@ from ampqst.pauli import (
     apply_adjoint,
     apply_sensing,
     build_sensing_map,
-    covered_words,
-    pauli_word_from_index,
+    covered_codes,
+    pauli_words_from_indices,
     sample_observables,
     sample_settings_until,
 )
@@ -139,9 +139,10 @@ def test_criterion_3_marginalization_oracle():
         for letters in itertools.product("XYZ", repeat=3):
             setting = "".join(letters)
             dist = outcome_distribution(rho, setting)
-            for mask, word in enumerate(covered_words(setting)):
+            words = pauli_words_from_indices(covered_codes([setting])[0], 3)
+            for mask, word in enumerate(words):
                 direct = float(np.real(np.trace(kron_word(word) @ rho)))
-                worst = max(worst, abs(estimate_from_setting(dist, mask) - direct))
+                worst = max(worst, abs(parity_estimates(dist[None])[0, mask] - direct))
     report(3, worst <= 1e-12,
            f"max |marginalized - Tr[P rho]| = {worst:.2e} over 3 states x 27 "
            f"settings x 8 masks")
@@ -190,7 +191,7 @@ def test_criterion_5_adjoint_and_gram():
     worst_gram = 0.0
     for n in (1, 2):
         d = 1 << n
-        words = [pauli_word_from_index(i, n) for i in range(4 ** n)]
+        words = pauli_words_from_indices(np.arange(4 ** n), n)
         smap = build_sensing_map(words)
         A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         Xh = 0.5 * (A + A.conj().T)
@@ -242,7 +243,7 @@ def test_criterion_7_onsager_calibration():
 def test_criterion_8_noiseless_exact_recovery():
     n, d = 3, 8
     rho = make_random_state(n, 1, np.random.default_rng(7))
-    words = tuple(pauli_word_from_index(i, n) for i in range(4 ** n))
+    words = tuple(pauli_words_from_indices(np.arange(4 ** n), n))
     plan = MeasurementPlan(n=n, mode="observables", words=words)
     smap, y = build_measurements(rho, plan, shots=None, seed=(8,))
     oracle = sum(y[k] * kron_word(smap.words[k]) for k in range(smap.M)) / d

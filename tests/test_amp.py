@@ -19,7 +19,7 @@ from ampqst.pauli import (
     MeasurementPlan,
     apply_adjoint,
     apply_sensing,
-    pauli_word_from_index,
+    pauli_words_from_indices,
     sample_observables,
 )
 from ampqst.states import (
@@ -231,7 +231,7 @@ class TestSpectralDenoise:
 def make_problem(n=3, M=None, seed=0, shots=None, rank=1):
     rho = make_random_state(n, rank, np.random.default_rng((seed, 1)))
     if M is None:
-        words = [pauli_word_from_index(i, n) for i in range(4 ** n)]
+        words = pauli_words_from_indices(np.arange(4 ** n), n)
     else:
         words = sample_observables(n, M, np.random.default_rng((seed, 2)))
     plan = MeasurementPlan(n=n, mode="observables", words=tuple(words))
@@ -392,6 +392,11 @@ class TestRunAmp:
             AmpConfig(damping=1.5)
         with pytest.raises(ValueError):
             AmpConfig(alpha=-1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                AmpConfig(alpha=bad)
+            with pytest.raises(ValueError, match="damping"):
+                AmpConfig(damping=bad)
         with pytest.raises(ValueError):
             AmpConfig(denoiser="hard")
         assert AmpConfig(denoiser="SVT").denoiser == "svt"

@@ -23,7 +23,9 @@ REMOVED = ["PauliString", "build_pauli", "pauli_expectation", "observables_of_se
            "sample_shots_observable", "OutcomeDistribution", "write_plan", "read_plan",
            "spectral_decompose", "SpectralDecomposition", "get_denoiser",
            "momentum_schedule", "setting_word_from_index", "noisy_basis_measurement",
-           "apply_readout"]
+           "apply_readout", "_pauli_batch", "check_setting", "pauli_index_from_word",
+           "pauli_word_from_index", "covered_word", "covered_words",
+           "estimate_from_setting", "_parse_mask"]
 
 
 @pytest.mark.parametrize("name", MODULES)

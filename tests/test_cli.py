@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from ampqst.cli import (
     parse_shots,
     run_trial,
 )
+from ampqst.pauli import MAX_QUBITS
 from ampqst.states import read_density
 
 
@@ -142,7 +144,8 @@ class TestOneDeclaration:
         assert experiment(["--shots", "inf"]).shots is None
 
     @pytest.mark.parametrize("line", ["shots=0", "noise=fancy=1", "denoiser=hard",
-                                      "state=foo"])
+                                      "state=foo", "alpha=nan", "rel_tol=inf",
+                                      "noise=coherent=nan"])
     def test_bad_file_values_name_their_line(self, line, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# header\nqubits=3\n{line}\n")
@@ -277,6 +280,12 @@ class TestSettingsTable:
         rows = cmd_settings_table([3], [0.25], trials=100, seed=1)
         assert 2.0 <= rows[0]["mean_T"] <= 4.0
 
+    def test_no_trials_rejected(self, capsys):
+        with pytest.raises(ValueError, match="trials"):
+            cmd_settings_table([3], [0.5], trials=0, seed=0)
+        assert main(["settings-table", "--qubits", "3", "--trials", "0"]) == 2
+        assert "trials must be at least 1" in capsys.readouterr().err
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "table.csv"
         cmd_settings_table([3], [0.25, 1.0], trials=5, seed=2, out=str(out))
@@ -354,6 +363,29 @@ class TestDumpState:
         rc = main(["reconstruct", "--qubits", "2", "--observables", "999"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--observables", "5"],
+    ["noise-study", "--channel", "depolarizing", "--observables", "5"],
+    ["dump-state", "--state", "ghz", "--out", "never.dmat"],
+])
+def test_qubits_beyond_the_bound_rejected_before_allocating(argv, tmp_path,
+                                                            monkeypatch, capsys):
+    # n=13 would start with a 2^13-entry state and a 1-GiB d x d target
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["--qubits", str(MAX_QUBITS + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert f"qubits must lie in [1, {MAX_QUBITS}]" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert not (tmp_path / "never.dmat").exists()
+    with pytest.raises(ValueError, match="qubits"):
+        ExperimentConfig(qubits=40, observables=5).validate()
 
 
 def test_cli_import_loads_no_scipy():

@@ -19,7 +19,6 @@ from ampqst.measure import (
     apply_pauli_flip,
     build_measurements,
     estimate,
-    estimate_from_setting,
     outcome_distribution,
     outcome_probabilities,
     overrotation_unitary,
@@ -35,7 +34,6 @@ from ampqst.pauli import (
     apply_sensing,
     build_sensing_map,
     covered_codes,
-    covered_words,
     sample_settings_until,
 )
 from ampqst.states import (
@@ -220,28 +218,42 @@ class TestOutcomeDistributions:
                 assert abs(dist.sum() - 1.0) < 1e-10
 
 
+def covered_words(setting):
+    """Reference cover, letter by letter: the words one setting covers, in
+    mask order, each keeping the letters where the mask bit is 1 (leftmost
+    letter the most significant bit) and I elsewhere."""
+    n = len(setting)
+    return ["".join(ch if (mask >> (n - 1 - j)) & 1 else "I"
+                    for j, ch in enumerate(setting)) for mask in range(1 << n)]
+
+
+def parity_of_mask(dist, mask):
+    """Reference parity estimate of one mask (leftmost qubit the most
+    significant bit): ``sum_b (-1)**|b & mask| p(b)``, p normalized first."""
+    p = np.asarray(dist, dtype=np.float64)
+    b = np.arange(p.size, dtype=np.uint64)
+    parity = np.bitwise_count(b & np.uint64(mask)) & 1
+    signs = 1.0 - 2.0 * parity.astype(np.float64)
+    return float(signs @ (p / p.sum()))
+
+
 class TestParityMarginalization:
     def test_zero_state(self):
         dist = outcome_distribution(pure_density(np.array([1.0, 0.0])), "Z")
-        assert abs(estimate_from_setting(dist, "1") - 1.0) < 1e-12
+        assert abs(parity_estimates(dist[None])[0, 0b1] - 1.0) < 1e-12
 
     def test_ghz_xx(self):
         dist = outcome_distribution(pure_density(make_named_state("GHZ", 2)), "XX")
-        assert abs(estimate_from_setting(dist, "11") - 1.0) < 1e-12
+        assert abs(parity_estimates(dist[None])[0, 0b11] - 1.0) < 1e-12
 
     def test_identity_mask(self):
         dist = outcome_distribution(make_random_state(3, 2, 0), "XYZ")
-        assert abs(estimate_from_setting(dist, "000") - 1.0) < 1e-12
+        assert abs(parity_estimates(dist[None])[0, 0b000] - 1.0) < 1e-12
 
     def test_counts_are_normalized(self):
-        counts = np.array([30, 0, 0, 70])
-        assert abs(estimate_from_setting(counts, "11") - 1.0) < 1e-12
-        assert abs(estimate_from_setting(counts, "01") - (0.3 - 0.7)) < 1e-12
-
-    def test_mask_length_mismatch(self):
-        dist = outcome_distribution(np.eye(2) / 2, "Z")
-        with pytest.raises(ValueError):
-            estimate_from_setting(dist, "01")
+        est = parity_estimates(np.array([[30, 0, 0, 70]]))[0]
+        assert abs(est[0b11] - 1.0) < 1e-12
+        assert abs(est[0b01] - (0.3 - 0.7)) < 1e-12
 
     def test_oracle_equivalence_all_settings(self):
         # every masked observable of every setting equals Tr[P rho], n <= 3
@@ -250,10 +262,10 @@ class TestParityMarginalization:
             rho = make_random_state(n, 2, rng)
             for letters in itertools.product("XYZ", repeat=n):
                 setting = "".join(letters)
-                dist = outcome_distribution(rho, setting)
+                est = parity_estimates(outcome_distribution(rho, setting)[None])[0]
                 for mask, word in enumerate(covered_words(setting)):
                     direct = np.real(np.trace(kron_word(word) @ rho))
-                    assert abs(estimate_from_setting(dist, mask) - direct) < 1e-12
+                    assert abs(est[mask] - direct) < 1e-12
 
 
 def parity_matrix(n):
@@ -278,7 +290,7 @@ class TestParityEstimates:
                  else 2 * int(rng.integers(1, 500_000)) + 1)
             freqs = np.array([rng.multinomial(N, row) for row in p])
         got = parity_estimates(freqs)
-        want = np.array([[estimate_from_setting(row, a) for a in range(d)]
+        want = np.array([[parity_of_mask(row, a) for a in range(d)]
                          for row in freqs])
         if kind == "power of two":
             assert np.array_equal(got, want)
@@ -340,7 +352,7 @@ def per_word_synthesis(probs, plan, shots, seed):
         else:
             counts.append(dist)
         for mask, word in enumerate(covered_words(setting)):
-            estimates.setdefault(word, []).append(estimate_from_setting(freqs, mask))
+            estimates.setdefault(word, []).append(parity_of_mask(freqs, mask))
     words = list(estimates)                    # in order of first appearance
     return words, np.array([np.mean(estimates[w]) for w in words]), counts
 
@@ -403,18 +415,20 @@ class TestSettingsSynthesis:
         assert np.max(np.abs(probs - per_row)) <= 1e-14
 
     def test_no_per_word_calls(self, function_calls):
-        # two batched word indexings, every word for synthesis and the
-        # covered words for the map; no parity estimate or covered word
-        # computed one word at a time
+        # one batched parse of the settings for synthesis and one for the
+        # estimates, and each map built from codes: no word parsed one at a
+        # time, and no map built from words decoded from codes
         rho = make_random_state(5, 2, 3)
         settings = sample_settings_until(5, 400, 1)
         plan = MeasurementPlan(n=5, mode="settings", words=tuple(settings))
-        for owner, name in [(measure, "estimate_from_setting"), (pauli, "covered_word"),
-                            (pauli, "_pauli_batch")]:
+        for owner, name in itertools.product(
+                (pauli, measure), ("pauli_indices_from_words", "sensing_map_from_indices",
+                                   "build_sensing_map")):
             function_calls.watch(owner, name)
         smap, y = build_measurements(rho, plan, shots=1024, seed=0)
         assert smap.M >= 400
-        assert function_calls == ["_pauli_batch", "_pauli_batch"]
+        assert function_calls \
+            == ["pauli_indices_from_words", "sensing_map_from_indices"] * 2
 
 
 class TestReadout:
@@ -676,6 +690,14 @@ class TestBuildMeasurements:
         with pytest.raises(ValueError):
             build_measurements(rho, plan, shots=10,
                                noise=NoiseModel(readout_q=0.1), seed=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"coherent_theta": np.nan}, {"coherent_theta": np.inf},
+        {"coherent_theta": -np.inf}, {"readout_q": np.nan},
+        {"depolarizing_eps": np.nan}])
+    def test_noise_model_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            NoiseModel(**kwargs)
 
     def test_settings_mode_shared_shots_reproducible(self):
         rho = make_random_state(2, 2, 6)

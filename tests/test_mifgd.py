@@ -3,7 +3,7 @@ import pytest
 
 from ampqst.mifgd import MifgdConfig, run_mifgd
 from ampqst.measure import build_measurements
-from ampqst.pauli import MeasurementPlan, apply_sensing, pauli_word_from_index
+from ampqst.pauli import MeasurementPlan, apply_sensing, pauli_words_from_indices
 from ampqst.states import (
     make_random_state,
     numerical_rank,
@@ -29,7 +29,7 @@ def kron_word(word):
 
 def full_basis_problem(n, seed, rank=1):
     rho = make_random_state(n, rank, np.random.default_rng((seed, 1)))
-    words = tuple(pauli_word_from_index(i, n) for i in range(4 ** n))
+    words = tuple(pauli_words_from_indices(np.arange(4 ** n), n))
     plan = MeasurementPlan(n=n, mode="observables", words=words)
     smap, y = build_measurements(rho, plan, shots=None, seed=(seed, 2))
     return rho, smap, y
@@ -111,3 +111,7 @@ class TestRunMifgd:
             MifgdConfig(rank_budget=0)
         with pytest.raises(ValueError):
             MifgdConfig(rel_tol=0.0)
+        for bad in (np.nan, np.inf):
+            for name in ("eta", "mu", "rel_tol"):
+                with pytest.raises(ValueError):
+                    MifgdConfig(**{name: bad})

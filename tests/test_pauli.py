@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,18 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ampqst.measure import read_shots
 from ampqst.pauli import (
     MeasurementPlan,
     apply_adjoint,
     apply_sensing,
     build_sensing_map,
     covered_codes,
-    covered_words,
-    pauli_index_from_word,
-    pauli_word_from_index,
+    pauli_indices_from_words,
     pauli_words_from_indices,
     sample_observables,
     sample_settings_until,
+    sensing_map_from_indices,
 )
 from ampqst.states import make_named_state, pure_density
 
@@ -42,6 +43,27 @@ def all_words(n):
 def word_from_index_loop(index, n):
     """Reference decoder: one base-4 digit at a time, leftmost first."""
     return "".join("IXYZ"[(index >> 2 * (n - 1 - q)) & 3] for q in range(n))
+
+
+def index_from_word_loop(word):
+    """Reference parser: one letter at a time, leftmost most significant."""
+    index = 0
+    for ch in word:
+        index = (index << 2) | "IXYZ".index(ch)
+    return index
+
+
+def covered_word_loop(setting, mask):
+    """Reference cover: keep the setting's letters where the mask bit is 1
+    (leftmost letter is the most significant bit), I elsewhere."""
+    n = len(setting)
+    return "".join(setting[j] if (mask >> (n - 1 - j)) & 1 else "I"
+                   for j in range(n))
+
+
+def covered(setting):
+    """The words one setting covers, in mask order, through the codes."""
+    return pauli_words_from_indices(covered_codes([setting])[0], len(setting))
 
 
 def settings_per_draw(n, target_M, seed):
@@ -97,9 +119,9 @@ class TestWords:
             build_sensing_map(["XQ"])
 
     def test_word_index_round_trip(self):
-        for idx in range(64):
-            word = pauli_word_from_index(idx, 3)
-            assert pauli_index_from_word(word) == idx
+        words = pauli_words_from_indices(np.arange(64), 3)
+        assert [index_from_word_loop(w) for w in words] == list(range(64))
+        assert pauli_indices_from_words(words, 3).tolist() == list(range(64))
 
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.integers(0, 4 ** n - 1), max_size=40))))
@@ -107,12 +129,69 @@ class TestWords:
         n, codes = case
         expected = [word_from_index_loop(c, n) for c in codes]
         assert pauli_words_from_indices(np.array(codes, dtype=np.int64), n) == expected
-        assert [pauli_word_from_index(c, n) for c in codes] == expected
 
     def test_decode_rejects_out_of_range(self):
         for codes, n in (([16], 2), ([-1], 2), ([3, 64], 3), ([0], 0)):
             with pytest.raises(ValueError, match="out of range"):
                 pauli_words_from_indices(codes, n)
+
+
+def read_settings_file(words, path):
+    """read_shots of a settings file holding one line per word."""
+    path.write_text("SHOTS v1 n=2 N=1 mode=settings\n"
+                    + "".join(f"{w} 00:1\n" for w in words), encoding="utf-8")
+    return read_shots(path)
+
+
+# every entry point that reads words from text, on two-letter settings
+ENTRY_POINTS = {
+    "MeasurementPlan": lambda words, path: MeasurementPlan(2, "settings", tuple(words)),
+    "build_sensing_map": lambda words, path: build_sensing_map(words),
+    "covered_codes": lambda words, path: covered_codes(words),
+    "read_shots": read_settings_file,
+}
+
+
+class TestCodec:
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 4 ** n - 1), max_size=40))))
+    def test_parse_inverts_decode(self, case):
+        n, codes = case
+        words = pauli_words_from_indices(codes, n)
+        parsed = pauli_indices_from_words(words, n)
+        assert parsed.dtype == np.int64 and parsed.tolist() == codes
+        assert [index_from_word_loop(w) for w in words] == codes
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", ["X", "XYZ", "XQ", "X\u00e9"],
+                             ids=["short", "long", "letter", "non-ascii"])
+    def test_entry_points_reject_the_same_bad_words(self, entry, bad, tmp_path):
+        ENTRY_POINTS[entry](["XY", "ZZ"], tmp_path / "good.txt")
+        # the first bad word is named (upper-cased where any case is taken),
+        # or its line where a file is read
+        expected = "line 3" if entry == "read_shots" else f"(?i){re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=expected):
+            ENTRY_POINTS[entry](["XY", bad, "ZZ", "??"], tmp_path / "bad.txt")
+
+    def test_parser_checks_lengths_before_letters(self):
+        with pytest.raises(ValueError, match="invalid Pauli word 'XXX'"):
+            pauli_indices_from_words(["XQ", "XXX"], 2)
+        with pytest.raises(ValueError, match="invalid setting 'XI'"):
+            pauli_indices_from_words(["XY", "XI"], 2, "XYZ", "setting")
+
+    def test_map_from_codes_is_map_from_words(self):
+        words = sample_observables(3, 20, 0)
+        a = build_sensing_map(words)
+        b = sensing_map_from_indices(pauli_indices_from_words(words, 3), 3)
+        assert a.words == b.words == tuple(words)
+        for name in ("gather", "take", "weight", "H"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_map_from_codes_rejects_empty_duplicate_or_out_of_range(self):
+        for codes, why in (([], "at least one"), ([5, 5], "duplicate"),
+                           ([16], "out of range")):
+            with pytest.raises(ValueError, match=why):
+                sensing_map_from_indices(codes, 2)
 
 
 class TestSensingMap:
@@ -326,22 +405,22 @@ class TestSampling:
 
 class TestSettings:
     def test_xy_setting_observables(self):
-        assert set(covered_words("XY")) == {"II", "XI", "IY", "XY"}
+        assert set(covered("XY")) == {"II", "XI", "IY", "XY"}
 
     def test_z_setting(self):
-        assert set(covered_words("z")) == {"I", "Z"}
+        assert set(covered("z")) == {"I", "Z"}
 
     def test_set_size(self):
         for s in ("XYZ", "ZZZ", "YXY"):
-            assert len(set(covered_words(s))) == 8
+            assert len(set(covered(s))) == 8
 
     def test_identity_in_every_intersection(self):
-        assert "II" in set(covered_words("XY")) & set(covered_words("ZZ"))
+        assert "II" in set(covered("XY")) & set(covered("ZZ"))
         codes = covered_codes(["XYZ", "ZZZ", "YXY"])
         assert np.all(codes[:, 0] == 0)
 
     def test_covered_word_order(self):
-        assert covered_words("XY") == ["II", "IY", "XI", "XY"]
+        assert covered("XY") == ["II", "IY", "XI", "XY"]
 
     @given(st.integers(1, 5).flatmap(lambda n: st.lists(
         st.text("XYZ", min_size=n, max_size=n), min_size=1, max_size=6)))
@@ -350,8 +429,8 @@ class TestSettings:
         n = len(settings[0])
         assert codes.shape == (len(settings), 1 << n)
         for k, setting in enumerate(settings):
-            assert [pauli_word_from_index(int(c), n) for c in codes[k]] \
-                == covered_words(setting)
+            assert pauli_words_from_indices(codes[k], n) \
+                == [covered_word_loop(setting, a) for a in range(1 << n)]
 
     def test_covered_codes_reject_mixed_settings(self):
         for settings in (["XY", "XYZ"], ["XY", "XI"], []):
@@ -396,7 +475,7 @@ class TestSettings:
         assert coverage(settings) >= 40 > coverage(settings[:-1])
         manual = set()
         for s in settings:
-            manual.update(covered_words(s))
+            manual.update(covered_word_loop(s, a) for a in range(8))
         assert len(manual) == coverage(settings)
 
 
