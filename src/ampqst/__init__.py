@@ -2,7 +2,7 @@
 message passing, with measurement planning, shot/noise simulation, and a
 momentum-inspired factored gradient descent baseline."""
 
-from .amp import AmpConfig, AmpState, AmpTrace, estimate_onsager, psvt, run_amp, svt
+from .amp import AmpConfig, AmpState, AmpTrace, psvt, run_amp, svt
 from .errors import DivergenceError
 from .measure import (
     NoiseModel,

@@ -23,7 +23,9 @@ Denoisers: ``svt`` soft-shrinks the eigenvalue magnitudes (singular value
 thresholding specialized to Hermitian matrices), and ``psvt`` composes it
 with the projection onto the density-matrix set, so every damped iterate is
 a valid state. Both are spectral functions evaluated from one ``eigh`` of
-the pseudo-data, so an iteration does a single eigendecomposition.
+the pseudo-data, the only O(d^3) step of an iteration: the loop applies the
+map unchecked to its exactly Hermitian iterates, and ``run_amp`` takes truth
+fidelities of density-matrix iterates from r x r grams.
 
 Each run owns its mutable state; the shared SensingMap is read-only, so
 independent runs (trials, seeds) parallelize freely.
@@ -32,13 +34,14 @@ independent runs (trials, seeds) parallelize freely.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
-from .pauli import SensingMap, apply_adjoint, apply_sensing
-from .states import as_rng, factor_density, nmse, state_fidelity
+from .pauli import SensingMap, _check_data, _sense, apply_adjoint
+from .states import (as_rng, factor_density, gram_fidelities, is_density, nmse,
+                     project_to_density)
 
 __all__ = [
     "AmpConfig",
@@ -49,13 +52,13 @@ __all__ = [
     "svt",
     "psvt",
     "DENOISERS",
-    "estimate_onsager",
     "hermitian_probe",
     "amp_step",
     "run_amp",
 ]
 
 _SIGMA_BLOWUP = 1e6   # sigma_t above this multiple of sigma_0 counts as divergence
+_PENDING_GRAM_ENTRIES = 2 ** 16   # bounds the r x r grams awaiting one eigvalsh
 DENOISERS = ("svt", "psvt")
 
 
@@ -97,7 +100,6 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
     # the linear piece of the threshold each eigenvalue lies on, and its slope
     piece = (w > 0.0) if project else np.sign(w)
     slope = np.abs(piece).astype(np.float64)
-    jac = np.diag(slope)
     if project:
         total = w[piece].sum()
         if total == 0.0:
@@ -106,7 +108,7 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
                     SpectralDerivative(vecs, zeros, zeros))
         w = np.where(piece, w / total, 0.0)
         slope /= total
-        jac = np.diag(slope) - np.outer(w, slope)
+    jac = np.diag(slope) - np.outer(w, slope) if project else np.diag(slope)
     # Within one piece the divided difference is that piece's slope; across
     # pieces the eigenvalues differ, so the quotient is safe from ties.
     same = piece[:, None] == piece[None, :]
@@ -193,32 +195,28 @@ class AmpState:
 
 @dataclass
 class AmpTrace:
-    """Per-iteration diagnostics, exportable as CSV."""
+    """Per-iteration diagnostics as float64 columns, exportable as CSV."""
 
-    sigma: list = field(default_factory=list)
-    tau: list = field(default_factory=list)
-    onsager: list = field(default_factory=list)
-    residual_norm: list = field(default_factory=list)
-    nmse: list | None = None
-    fidelity: list | None = None
+    sigma: np.ndarray
+    tau: np.ndarray
+    onsager: np.ndarray
+    residual_norm: np.ndarray
+    nmse: np.ndarray | None = None
+    fidelity: np.ndarray | None = None
     diverged: bool = False
 
     def __len__(self):
         return len(self.sigma)
 
     def to_csv(self, path) -> None:
-        cols = ["t", "sigma", "tau", "onsager", "residual_norm"]
+        names = ["sigma", "tau", "onsager", "residual_norm"]
         if self.nmse is not None:
-            cols += ["nmse", "fidelity"]
+            names += ["nmse", "fidelity"]
         with open(path, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
-            writer.writerow(cols)
-            for t in range(len(self)):
-                row = [t, f"{self.sigma[t]:.17g}", f"{self.tau[t]:.17g}",
-                       f"{self.onsager[t]:.17g}", f"{self.residual_norm[t]:.17g}"]
-                if self.nmse is not None:
-                    row += [f"{self.nmse[t]:.17g}", f"{self.fidelity[t]:.17g}"]
-                writer.writerow(row)
+            writer.writerow(["t"] + names)
+            for t, row in enumerate(zip(*(getattr(self, k) for k in names))):
+                writer.writerow([t] + [f"{x:.17g}" for x in row])
 
 
 def hermitian_probe(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -229,35 +227,10 @@ def hermitian_probe(rng: np.random.Generator, d: int) -> np.ndarray:
     matrix. Keeping the probe Hermitian keeps the perturbed pseudo-data in
     the denoiser's domain.
     """
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (z + z.conj().T) / 2.0
-
-
-def estimate_onsager(denoiser, v_prev: np.ndarray, tau_prev: float, M: int,
-                     epsilon: float, k: int, seed) -> float:
-    """Monte Carlo estimate of the normalized denoiser divergence.
-
-    Averages ``Re <h, f(v + eps h) - f(v)>_F / eps`` over ``k`` Hermitian
-    probes ``h`` and divides by ``M``: the paper's finite-difference probe,
-    kept as the reference for the exact ``SpectralDerivative.probe``.
-    """
-    if epsilon <= 0:
-        raise ValueError("probe scale must be positive")
-    if k < 1:
-        raise ValueError("need at least one probe sample")
-    rng = as_rng(seed)
-    d = v_prev.shape[0]
-    f_v = denoiser(v_prev, tau_prev)
-    total = 0.0
-    for _ in range(k):
-        h = hermitian_probe(rng, d)
-        diff = denoiser(v_prev + epsilon * h, tau_prev) - f_v
-        total += float(np.sum((h.conj() * diff).real)) / epsilon
-    return total / (M * k)
-
-
-def _check_finite(*arrays) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
+    re, im = rng.standard_normal((2, d, d))
+    h = ((re + re.T) / 2.0).astype(np.complex128)
+    h.imag = (im - im.T) / 2.0
+    return h
 
 
 def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
@@ -283,16 +256,16 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
                     for _ in range(config.mc_samples))
         c_hat = 2.0 * total / (M * config.mc_samples)
 
-    r = s * y - s * apply_sensing(smap, state.rho) + c_hat * state.residual
+    r = s * y - s * _sense(smap, state.rho) + c_hat * state.residual
     sigma = float(np.linalg.norm(r) / np.sqrt(M))
     tau = config.alpha * sigma * np.sqrt(d)
     v = state.rho + apply_adjoint(smap, s * r)
-    if not _check_finite(r, v):
+    if not (np.isfinite(r).all() and np.isfinite(v).all()):
         raise DivergenceError(f"non-finite values at iteration {state.t}",
                               iterate=state.rho)
     denoised, derivative = spectral_denoise(v, tau, config.denoiser == "psvt")
     rho_next = config.damping * denoised + (1.0 - config.damping) * state.rho
-    if not _check_finite(rho_next):
+    if not np.isfinite(rho_next).all():
         raise DivergenceError(f"non-finite iterate at iteration {state.t}",
                               iterate=state.rho)
     return AmpState(rho=rho_next, residual=r, onsager=c_hat, sigma=sigma,
@@ -315,39 +288,48 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
     with it disabled they are used as given (the divergent baseline). Raises
     DivergenceError (carrying the trace so far and the last finite iterate)
     on blow-up.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (smap.M,):
-        raise ValueError("data vector length does not match the map")
 
+    With ``ground_truth`` = B B^dagger the trace holds NMSE and fidelity; a
+    fidelity waits as the r x r gram B^dagger rho_t B for one stacked eigvalsh.
+    """
+    y = _check_data(smap, y)
     rng = as_rng(config.seed)
-    trace = AmpTrace()
+    steps, errors, fidelities, grams = [], [], [], []
     if ground_truth is not None:
-        trace.nmse = []
-        trace.fidelity = []
-        truth = factor_density(ground_truth)
+        B = factor_density(ground_truth).factor
+
+    def flush():
+        if grams:
+            fidelities.extend(gram_fidelities(np.stack(grams), smap.d))
+            grams.clear()
+
+    def finish(diverged: bool) -> AmpTrace:
+        flush()
+        sigma, tau, onsager = np.array(steps).reshape(-1, 3).T.copy()
+        metrics = (None, None) if ground_truth is None \
+            else (np.array(errors), np.array(fidelities))
+        return AmpTrace(sigma, tau, onsager, sigma * np.sqrt(smap.M), *metrics, diverged)
 
     state = initial_state(smap)
-    sigma0 = None
     try:
         for _ in range(config.max_iter):
             state = amp_step(state, smap, y, config, rng)
-            trace.sigma.append(state.sigma)
-            trace.tau.append(state.tau)
-            trace.onsager.append(state.onsager)
-            trace.residual_norm.append(state.sigma * np.sqrt(smap.M))
+            steps.extend((state.sigma, state.tau, state.onsager))
             if ground_truth is not None:
-                trace.nmse.append(nmse(ground_truth, state.rho))
-                trace.fidelity.append(state_fidelity(truth, state.rho))
-            if sigma0 is None:
-                sigma0 = state.sigma
-            elif sigma0 > 0 and state.sigma > _SIGMA_BLOWUP * sigma0:
+                errors.append(nmse(ground_truth, state.rho))
+                # PSVT iterates are density matrices by construction
+                rho = state.rho if config.denoiser == "psvt" or is_density(state.rho) \
+                    else project_to_density(state.rho)
+                grams.append(B.conj().T @ rho @ B)
+                if len(grams) * B.shape[1] ** 2 >= _PENDING_GRAM_ENTRIES:
+                    flush()
+            sigma0 = steps[0]
+            if sigma0 > 0 and state.sigma > _SIGMA_BLOWUP * sigma0:
                 raise DivergenceError(
                     f"residual blow-up at iteration {state.t}: "
                     f"sigma={state.sigma:.3g} vs sigma_0={sigma0:.3g}",
                     iterate=state.rho)
     except DivergenceError as err:
-        trace.diverged = True
-        err.trace = trace
+        err.trace = finish(True)
         raise
-    return state.rho, trace
+    return state.rho, finish(False)

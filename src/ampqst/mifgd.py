@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .pauli import SensingMap, apply_adjoint, apply_sensing
+from .pauli import SensingMap, _check_data, _sense, apply_adjoint
 from .states import as_rng, complex_normal
 
 __all__ = ["MifgdConfig", "run_mifgd"]
@@ -65,9 +65,7 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
     ``rho_hat = U U^dagger`` is PSD with rank at most the budget but is not
     trace-normalized. Raises DivergenceError if the factor goes non-finite.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (smap.M,):
-        raise ValueError("data vector length does not match the map")
+    y = _check_data(smap, y)
     d = smap.d
     r = config.rank_budget
     if r > d:
@@ -76,22 +74,18 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
 
     U = complex_normal(rng, (d, r), scale=1.0 / np.sqrt(d))
     Z = U.copy()
-    rho_prev = U @ U.conj().T
-    iterations = 0
-    for _ in range(config.max_iter):
-        iterations += 1
-        resid = apply_sensing(smap, Z @ Z.conj().T) - y
+    rho = U @ U.conj().T
+    for iterations in range(1, config.max_iter + 1):
+        resid = _sense(smap, Z @ Z.conj().T) - y
         grad = apply_adjoint(smap, resid)
         U_next = Z - config.eta * (grad @ Z)
         if not np.isfinite(U_next).all():
             raise DivergenceError(f"non-finite factor at iteration {iterations}",
-                                  iterate=rho_prev, iterations=iterations)
+                                  iterate=rho, iterations=iterations)
         Z = U_next + config.mu * (U_next - U)
         U = U_next
-        rho = U @ U.conj().T
+        rho_prev, rho = rho, U @ U.conj().T
         den = np.linalg.norm(rho)
         if den > 0 and np.linalg.norm(rho - rho_prev) / den < config.rel_tol:
-            rho_prev = rho
             break
-        rho_prev = rho
-    return rho_prev, iterations
+    return rho, iterations

@@ -152,18 +152,34 @@ def _sensing_map(codes: np.ndarray, n: int, words: tuple) -> SensingMap:
 def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
     """Apply the map: component k is ``Tr[P_k X]``.
 
-    Rejects an input whose anti-Hermitian part reaches 1e-10 times
-    ``max(1, max|X|)``: round-off grows with the entries, which on a
-    diverging run reach 1e6 and more.
+    Rejects a non-finite input, and one whose anti-Hermitian part reaches
+    1e-10 times ``max(1, max|X|)``: round-off grows with the entries, which
+    on a diverging run reach 1e6 and more.
     """
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.shape != (smap.d, smap.d):
         raise ValueError("dimension mismatch between map and matrix")
+    if not np.isfinite(X).all():
+        raise ValueError("input holds non-finite values")
     bound = _IMAG_RESIDUE_ATOL * max(1.0, float(np.max(np.abs(X))))
     if np.max(np.abs(X - X.conj().T)) >= bound:
         raise ValueError("input is not Hermitian")
+    return _sense(smap, X)
+
+
+def _sense(smap: SensingMap, X: np.ndarray) -> np.ndarray:
+    """``apply_sensing`` unchecked, for iterates Hermitian by construction."""
     G = X.reshape(-1)[smap.gather].view(np.float64).reshape(smap.d, 2 * smap.d)
     return (smap.H @ G).reshape(-1)[smap.take] * smap.weight
+
+
+def _check_data(smap: SensingMap, y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (smap.M,):
+        raise ValueError("data vector length does not match the map")
+    if not np.isfinite(y).all():
+        raise ValueError("data vector holds non-finite values")
+    return y
 
 
 def apply_adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:

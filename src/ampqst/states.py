@@ -40,6 +40,7 @@ __all__ = [
     "numerical_rank",
     "nmse",
     "state_fidelity",
+    "gram_fidelities",
     "ascii_lines",
     "write_density",
     "read_density",
@@ -211,9 +212,9 @@ class DensityFactor:
     factor: np.ndarray
 
 
-def _round_off_floor(vals: np.ndarray, d: int) -> float:
+def _round_off_floor(vals: np.ndarray, d: int) -> np.ndarray:
     # eigenvalues at round-off level would contribute sqrt(eps) each; drop them
-    return d * np.finfo(np.float64).eps * max(float(vals.max()), 1.0)
+    return d * np.finfo(np.float64).eps * np.maximum(vals.max(-1, keepdims=True), 1.0)
 
 
 def factor_density(rho: np.ndarray) -> DensityFactor:
@@ -246,13 +247,20 @@ def state_fidelity(rho, sigma: np.ndarray) -> float:
         raise ValueError("dimension mismatch between rho and sigma")
     if not is_density(sigma):
         sigma = project_to_density(sigma)
-    m = B.conj().T @ sigma @ B
-    vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    vals = np.where(vals > _round_off_floor(vals, B.shape[0]), vals, 0.0)
-    f = float(np.sum(np.sqrt(vals)) ** 2)
-    if f > 1.0 + 1e-6:
-        raise ArithmeticError(f"fidelity {f} exceeds 1 beyond round-off")
-    return float(np.clip(f, 0.0, 1.0))
+    return gram_fidelities(B.conj().T @ sigma @ B, B.shape[0])[0]
+
+
+def gram_fidelities(grams: np.ndarray, d: int) -> list:
+    """``state_fidelity``'s tail: ``(sum sqrt(mu))^2`` for each r x r gram
+    ``B^dagger sigma B`` (one, or a stack sharing one ``eigvalsh``), ``mu`` its
+    eigenvalues, ``d`` the dimension of sigma, which must be a density matrix."""
+    vals = np.linalg.eigvalsh(0.5 * (grams + grams.conj().swapaxes(-1, -2)))
+    vals = np.where(vals > _round_off_floor(vals, d), vals, 0.0)
+    # each row sum is squared as a scalar: an array square can differ by an ulp
+    fids = [float(total ** 2) for total in np.sum(np.sqrt(vals), axis=-1).reshape(-1)]
+    if any(f > 1.0 + 1e-6 for f in fids):
+        raise ArithmeticError(f"fidelity {max(fids)} exceeds 1 beyond round-off")
+    return [float(np.clip(f, 0.0, 1.0)) for f in fids]
 
 
 # ---------------------------------------------------------------------------

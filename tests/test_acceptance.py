@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ampqst.amp import AmpConfig, estimate_onsager, psvt, run_amp, svt
+from ampqst.amp import AmpConfig, psvt, run_amp, svt
 from ampqst.cli import ExperimentConfig, cmd_noise_study
 from ampqst.errors import DivergenceError
 from ampqst.measure import (
@@ -45,6 +45,7 @@ from ampqst.states import (
     pure_density,
     state_fidelity,
 )
+from test_amp import estimate_onsager
 
 I2 = np.eye(2, dtype=complex)
 PAULI1 = {

@@ -1,10 +1,13 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ampqst import amp as amp_module
 from ampqst.amp import (
     AmpConfig,
     AmpState,
-    estimate_onsager,
     hermitian_probe,
     initial_state,
     amp_step,
@@ -23,6 +26,7 @@ from ampqst.pauli import (
     sample_observables,
 )
 from ampqst.states import (
+    as_rng,
     is_density,
     make_random_state,
     nmse,
@@ -65,6 +69,28 @@ def with_spectrum(rng, lam):
                         + 1j * rng.standard_normal((d, d)))
     H = (Q * np.asarray(lam, dtype=float)) @ Q.conj().T
     return 0.5 * (H + H.conj().T)
+
+
+def estimate_onsager(denoiser, v_prev, tau_prev, M, epsilon, k, seed):
+    """Monte Carlo estimate of the normalized denoiser divergence.
+
+    Averages ``Re <h, f(v + eps h) - f(v)>_F / eps`` over ``k`` Hermitian
+    probes ``h`` and divides by ``M``: the paper's finite-difference probe,
+    the reference for the exact ``SpectralDerivative.probe``.
+    """
+    if epsilon <= 0:
+        raise ValueError("probe scale must be positive")
+    if k < 1:
+        raise ValueError("need at least one probe sample")
+    rng = as_rng(seed)
+    d = v_prev.shape[0]
+    f_v = denoiser(v_prev, tau_prev)
+    total = 0.0
+    for _ in range(k):
+        h = hermitian_probe(rng, d)
+        diff = denoiser(v_prev + epsilon * h, tau_prev) - f_v
+        total += float(np.sum((h.conj() * diff).real)) / epsilon
+    return total / (M * k)
 
 
 class TestSvt:
@@ -170,6 +196,14 @@ class TestOnsagerEstimator:
         h = hermitian_probe(rng, 64)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.1
+
+    def test_probe_is_the_symmetrized_complex_draw(self):
+        # the same stream and bits as (z + z^dagger) / 2, z = re + i im
+        for d in (1, 5, 32):
+            rng = np.random.default_rng(d)
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = hermitian_probe(np.random.default_rng(d), d)
+            assert np.array_equal(h, (z + z.conj().T) / 2.0)
 
 
 class TestSpectralDenoise:
@@ -300,12 +334,15 @@ class TestAmpStep:
         assert np.linalg.norm(state.rho - reassembled) == 0.0
 
     def test_psvt_iterates_are_densities(self):
+        # run_amp's truth fidelity of a PSVT iterate relies on this, over a
+        # run as long as the flagship's, without checking it
         rho, smap, y = make_problem(seed=4, shots=512)
         rng = np.random.default_rng(3)
         state = initial_state(smap)
-        for _ in range(10):
+        for _ in range(2000):
             state = amp_step(state, smap, y, AmpConfig(seed=0), rng)
             assert is_density(state.rho)
+            assert np.array_equal(state.rho, state.rho.conj().T)
 
 
 class TestRunAmp:
@@ -315,6 +352,15 @@ class TestRunAmp:
         oracle = sum(y[k] * kron_word(w) for k, w in enumerate(smap.words)) / smap.d
         assert nmse(oracle, rho_hat) < 1e-6
         assert nmse(rho, rho_hat) < 1e-6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected_at_the_boundary(self, bad):
+        # not reported as a divergence at iteration 0
+        rho, smap, y = make_problem(n=2, seed=6)
+        y = y.copy()
+        y[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run_amp(smap, y, AmpConfig(seed=0, max_iter=5))
 
     def test_unnormalized_baseline_diverges(self):
         rho, smap, y = make_problem(n=3, M=32, seed=6, shots=512)
@@ -332,33 +378,96 @@ class TestRunAmp:
         rho_hat, trace = run_amp(smap, y, cfg, ground_truth=rho)
         assert len(trace) == 40
         assert len(trace.nmse) == 40 and len(trace.fidelity) == 40
+        for col in (trace.sigma, trace.tau, trace.onsager, trace.residual_norm,
+                    trace.nmse, trace.fidelity):
+            assert isinstance(col, np.ndarray) and col.dtype == np.float64
         for s, t in zip(trace.sigma, trace.tau):
             assert abs(t - 2.0 * s * np.sqrt(smap.d)) < 1e-12
 
-    def test_trace_fidelity_matches_dense_recomputation(self):
-        # replay the iterates and judge each against the dense truth array
+    @pytest.mark.parametrize("denoiser", ["psvt", "svt"])
+    def test_trace_fidelity_matches_dense_recomputation(self, denoiser):
+        # replay the iterates and judge each against the dense truth array:
+        # the stacked PSVT path and the checked SVT path give the same bits
         rho, smap, y = make_problem(n=3, M=40, seed=12, shots=512, rank=3)
-        cfg = AmpConfig(seed=7, max_iter=25)
+        cfg = AmpConfig(seed=7, max_iter=25, denoiser=denoiser)
         _, trace = run_amp(smap, y, cfg, ground_truth=rho)
         state, rng = initial_state(smap), np.random.default_rng(cfg.seed)
         for t in range(cfg.max_iter):
             state = amp_step(state, smap, y, cfg, rng)
             assert trace.nmse[t] == nmse(rho, state.rho)
-            assert abs(trace.fidelity[t] - state_fidelity(rho, state.rho)) < 1e-12
+            assert trace.fidelity[t] == state_fidelity(rho, state.rho)
+
+    def test_truth_metrics_leave_the_run_unchanged(self):
+        rho, smap, y = make_problem(n=3, M=40, seed=14, shots=512, rank=2)
+        cfg = AmpConfig(seed=9, max_iter=60)
+        plain, bare = run_amp(smap, y, cfg)
+        judged, full = run_amp(smap, y, cfg, ground_truth=rho)
+        assert np.array_equal(plain, judged)
+        for col in ("sigma", "tau", "onsager", "residual_norm"):
+            assert np.array_equal(getattr(bare, col), getattr(full, col))
+        assert bare.nmse is None and bare.fidelity is None
 
     def test_truth_is_factored_once_per_run(self, eigensolver_calls):
-        # per iteration: the denoiser's one d x d eigh, and the fidelity's
-        # d x d eigvalsh (is_density of the iterate) and r x r eigvalsh;
-        # once per run: check_density's eigvalsh and the factor's eigh
+        # per iteration: the denoiser's one d x d eigh and nothing else;
+        # once per run: check_density's eigvalsh and the factor's eigh, and
+        # one stacked r x r eigvalsh for every iterate's fidelity
         rho, smap, y = make_problem(n=3, M=40, seed=13, shots=512, rank=2)
         calls = eigensolver_calls
         calls.clear()
         iters = 30
         run_amp(smap, y, AmpConfig(seed=8, max_iter=iters), ground_truth=rho)
         assert calls.count(("eigh", 8)) == iters + 1
-        assert calls.count(("eigvalsh", 8)) == iters + 1
-        assert calls.count(("eigvalsh", 2)) == iters
-        assert len(calls) == 3 * iters + 2
+        assert calls.count(("eigvalsh", 8)) == 1
+        assert calls.count(("eigvalsh", 2)) == 1
+        assert len(calls) == iters + 3
+
+    def test_diverging_trace_columns_agree(self):
+        rho, smap, y = make_problem(n=3, M=32, seed=6, shots=512)
+        cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=False)
+        with pytest.raises(DivergenceError) as exc:
+            run_amp(smap, y, cfg, ground_truth=rho)
+        trace = exc.value.trace
+        assert trace.diverged and len(trace) > 0
+        for col in (trace.tau, trace.onsager, trace.residual_norm,
+                    trace.nmse, trace.fidelity):
+            assert len(col) == len(trace)
+
+    def test_divergence_keeps_pending_fidelities(self, monkeypatch):
+        # PSVT iterates stay bounded, so the failure is injected: the step
+        # after ten iterations raises, with ten fidelities still pending
+        rho, smap, y = make_problem(n=3, M=40, seed=16, shots=512, rank=2)
+        cfg = AmpConfig(seed=4, max_iter=30)
+        _, ref = run_amp(smap, y, AmpConfig(seed=4, max_iter=10), ground_truth=rho)
+        step = amp_module.amp_step
+
+        def failing_step(state, *args):
+            if state.t == 10:
+                raise DivergenceError("injected", iterate=state.rho)
+            return step(state, *args)
+        monkeypatch.setattr(amp_module, "amp_step", failing_step)
+        with pytest.raises(DivergenceError) as exc:
+            run_amp(smap, y, cfg, ground_truth=rho)
+        trace = exc.value.trace
+        assert trace.diverged and len(trace) == 10
+        assert np.array_equal(trace.fidelity, ref.fidelity)
+        assert np.array_equal(trace.nmse, ref.nmse)
+
+    def test_retained_trace_is_compact(self):
+        # a caller that keeps every trial's trace keeps six float64 columns
+        rho, smap, y = make_problem(n=2, seed=15, shots=256)
+        cfg = AmpConfig(seed=3, max_iter=2000)
+        run_amp(smap, y, AmpConfig(seed=3, max_iter=5), ground_truth=rho)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, trace = run_amp(smap, y, cfg, ground_truth=rho)
+            gc.collect()   # also empties the interpreter's free lists
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 2000
+        assert held <= 120_000
 
     def test_trace_csv_export(self, tmp_path):
         rho, smap, y = make_problem(n=2, seed=8, shots=128)

@@ -104,6 +104,15 @@ class TestRunMifgd:
         b, _ = run_mifgd(smap, y, cfg)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected_at_the_boundary(self, bad):
+        # not reported as a divergence of the iteration
+        rho, smap, y = full_basis_problem(3, seed=8)
+        y = y.copy()
+        y[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run_mifgd(smap, y, MifgdConfig(seed=1, max_iter=5))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MifgdConfig(eta=0.0)

@@ -283,6 +283,18 @@ class TestSensingMap:
         with pytest.raises(ValueError):
             apply_sensing(smap, X)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_apply_rejects_non_finite(self, bad):
+        # NaN compares False against the Hermiticity bound, so it is caught
+        # on its own; inf entries, even Hermitian-paired, are too
+        smap = build_sensing_map(all_words(2))
+        X = np.eye(4, dtype=complex) / 4
+        X[1, 2] = X[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_sensing(smap, X)
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_sensing(smap, np.full((4, 4), bad, dtype=complex))
+
     def test_apply_accepts_large_hermitian(self):
         # entries of 1e6, as on a diverging run: the Hermiticity bound scales
         # with the entries, and the output keeps its relative accuracy

@@ -11,6 +11,7 @@ from ampqst.states import (
     check_density,
     check_hermitian,
     factor_density,
+    gram_fidelities,
     is_density,
     make_named_state,
     make_random_state,
@@ -281,6 +282,28 @@ class TestFactoredFidelity:
                 assert abs(state_fidelity(rho, sigma) - oracle) < 1e-10, (n, r)
                 assert abs(state_fidelity(factor_density(rho), sigma)
                            - oracle) < 1e-10, (n, r)
+
+    def test_stacked_grams_match_the_single_matrix_path(self):
+        # the stacked eigvalsh, row sums and scalar squares give the bits of
+        # the one-gram formula, whatever else shares the stack
+        def single(m, d):
+            vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+            floor = d * np.finfo(np.float64).eps * max(float(vals.max()), 1.0)
+            vals = np.where(vals > floor, vals, 0.0)
+            return float(np.clip(float(np.sum(np.sqrt(vals)) ** 2), 0.0, 1.0))
+
+        rng = np.random.default_rng(27)
+        for r in range(1, 5):
+            for n in (2, 3, 5):
+                d = 1 << n
+                truth = factor_density(make_random_state(n, r, rng))
+                B = truth.factor
+                sigmas = [make_random_state(n, int(rng.integers(1, d + 1)), rng)
+                          for _ in range(40)]
+                grams = np.stack([B.conj().T @ sigma @ B for sigma in sigmas])
+                stacked = gram_fidelities(grams, d)
+                assert stacked == [single(m, d) for m in grams]
+                assert stacked == [state_fidelity(truth, sigma) for sigma in sigmas]
 
     def test_factor_reconstructs_and_has_the_rank(self):
         rng = np.random.default_rng(22)
