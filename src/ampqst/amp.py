@@ -23,9 +23,9 @@ Denoisers: ``svt`` soft-shrinks the eigenvalue magnitudes (singular value
 thresholding specialized to Hermitian matrices), and ``psvt`` composes it
 with the projection onto the density-matrix set, so every damped iterate is
 a valid state. Both are spectral functions evaluated from one ``eigh`` of
-the pseudo-data, the only O(d^3) step of an iteration: the loop applies the
-map unchecked to its exactly Hermitian iterates, and ``run_amp`` takes truth
-fidelities of density-matrix iterates from r x r grams.
+the pseudo-data, the only O(d^3) step of an iteration; a probe of their
+derivative costs O(k d^2) for k kept eigenvalues. The loop applies the map
+unchecked to Hermitian iterates; ``run_amp`` takes fidelities from r x r grams.
 
 Each run owns its mutable state; the shared SensingMap is read-only, so
 independent runs (trials, seeds) parallelize freely.
@@ -52,7 +52,6 @@ __all__ = [
     "svt",
     "psvt",
     "DENOISERS",
-    "hermitian_probe",
     "amp_step",
     "run_amp",
 ]
@@ -69,19 +68,30 @@ class SpectralDerivative:
     By the Daleckii-Krein / Lewis formula, along a Hermitian h with
     ``h~ = V^dagger h V`` and ``a = Re diag(h~)``, Re <h, Df(H)[h]>_F =
     sum_{i != j} gamma_ij |h~_ij|^2 + a^T J a, where
-    gamma_ij = (w_i - w_j) / (lam_i - lam_j) and J = dw/dlam.
+    gamma_ij = (w_i - w_j) / (lam_i - lam_j) and J = dw/dlam. Both vanish
+    off K = {i : w_i != 0} (``kept``), so ``gamma`` keeps only rows K,
+    zero on the diagonal and doubled at (i in K, j not in K) for (j, i); on
+    K, J = slope (I - c 1^T) with ``coupling`` c = w (psvt) or 0 (svt).
     """
 
     vecs: np.ndarray
-    gamma: np.ndarray       # zero diagonal
-    jac: np.ndarray
+    kept: np.ndarray
+    gamma: np.ndarray
+    slope: float
+    coupling: np.ndarray
 
-    def probe(self, h: np.ndarray) -> float:
-        """Exact ``Re <h, Df(H)[h]>_F`` for a Hermitian direction ``h``."""
-        ht = self.vecs.conj().T @ h @ self.vecs
-        a = ht.diagonal().real
-        return float(np.sum(self.gamma * (ht.real ** 2 + ht.imag ** 2))
-                     + a @ self.jac @ a)
+    def probe(self, z: np.ndarray) -> float:
+        """Exact ``Re <h, Df(H)[h]>_F`` in O(k d^2), from the standard normals
+        ``z = (re, im)`` of shape (2, d, d) that give the Hermitian direction
+        ``h = ((re + re^T) + i (im - im^T)) / 2``; h itself is never formed."""
+        vk = np.ascontiguousarray(self.vecs[:, self.kept]).view(np.float64)
+        re_v, im_v = z @ vk                         # real GEMMs on (Re, Im) V_K
+        re_t, im_t = z.transpose(0, 2, 1) @ vk
+        hv = (re_v + re_t).view(np.complex128) + 1j * (im_v - im_t).view(np.complex128)
+        rows = hv.conj().T @ self.vecs              # rows K of 2 h~
+        a = rows[np.arange(self.kept.size), self.kept].real
+        value = np.sum(self.gamma * (rows.real ** 2 + rows.imag ** 2))
+        return 0.25 * float(value + self.slope * (a @ (a - self.coupling @ a)))
 
 
 def spectral_denoise(H: np.ndarray, tau: float, project: bool):
@@ -90,35 +100,37 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
     One eigendecomposition: soft-threshold the eigenvalues to
     ``s = sign(lam) (|lam| - tau)_+``; ``svt`` keeps ``w = s``, ``psvt`` keeps
     the positive ``s`` divided by their sum, or returns I/d when none is
-    positive, as ``project_to_density`` does.
+    positive, as ``project_to_density`` does. Raises ValueError on a
+    negative or non-finite threshold and on a non-finite matrix.
     """
-    if tau < 0:
-        raise ValueError("threshold must be nonnegative")
-    lam, vecs = np.linalg.eigh(np.asarray(H, dtype=np.complex128))
+    if not 0.0 <= tau < np.inf:
+        raise ValueError("threshold must be nonnegative and finite")
+    H = np.asarray(H, dtype=np.complex128)
+    if not np.isfinite(H).all():
+        raise ValueError("matrix must be finite")
+    lam, vecs = np.linalg.eigh(H)
     d = lam.size
-    w = np.sign(lam) * np.clip(np.abs(lam) - tau, 0.0, None)
-    # the linear piece of the threshold each eigenvalue lies on, and its slope
+    w = np.sign(lam) * np.maximum(np.abs(lam) - tau, 0.0)
+    # the linear piece of the threshold each eigenvalue lies on
     piece = (w > 0.0) if project else np.sign(w)
-    slope = np.abs(piece).astype(np.float64)
-    if project:
-        total = w[piece].sum()
-        if total == 0.0:
-            zeros = np.zeros((d, d))
-            return (np.eye(d, dtype=np.complex128) / d,
-                    SpectralDerivative(vecs, zeros, zeros))
-        w = np.where(piece, w / total, 0.0)
-        slope /= total
-    jac = np.diag(slope) - np.outer(w, slope) if project else np.diag(slope)
+    kept = np.flatnonzero(piece)
+    k, slope = kept.size, 1.0
+    if project and k:
+        total = w[kept].sum()
+        w, slope = np.maximum(w, 0.0) / total, 1.0 / total
     # Within one piece the divided difference is that piece's slope; across
     # pieces the eigenvalues differ, so the quotient is safe from ties.
-    same = piece[:, None] == piece[None, :]
-    gamma = np.where(same, slope[:, None],
-                     (w[:, None] - w[None, :])
-                     / np.where(same, 1.0, lam[:, None] - lam[None, :]))
-    np.fill_diagonal(gamma, 0.0)
-    V = vecs[:, w != 0.0]
-    out = (V * w[w != 0.0]) @ V.conj().T
-    return 0.5 * (out + out.conj().T), SpectralDerivative(vecs, gamma, jac)
+    gamma = np.divide(w[kept, None] - w, lam[kept, None] - lam,
+                      out=np.full((k, d), slope), where=piece[kept, None] != piece)
+    gamma[:, piece == 0] *= 2.0     # (i in K, j not in K) stands for (j, i) too
+    gamma[np.arange(k), kept] = 0.0
+    derivative = SpectralDerivative(vecs, kept, gamma, slope,
+                                    w[kept] if project else np.zeros(k))
+    if project and not k:
+        return np.eye(d, dtype=np.complex128) / d, derivative
+    V = vecs[:, kept]
+    out = (V * w[kept]) @ V.conj().T
+    return 0.5 * (out + out.conj().T), derivative
 
 
 def svt(H: np.ndarray, tau: float) -> np.ndarray:
@@ -219,20 +231,6 @@ class AmpTrace:
                 writer.writerow([t] + [f"{x:.17g}" for x in row])
 
 
-def hermitian_probe(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Hermitian random probe with unit second moment in every entry.
-
-    Off-diagonal entries are CN(0,1) (conjugate-paired), diagonal entries
-    real N(0,1), so E||h||_F^2 = d^2 exactly as for an unconstrained CN(0,1)
-    matrix. Keeping the probe Hermitian keeps the perturbed pseudo-data in
-    the denoiser's domain.
-    """
-    re, im = rng.standard_normal((2, d, d))
-    h = ((re + re.T) / 2.0).astype(np.complex128)
-    h.imag = (im - im.T) / 2.0
-    return h
-
-
 def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
              config: AmpConfig, rng: np.random.Generator) -> AmpState:
     """Advance the AMP iteration by one step.
@@ -252,7 +250,8 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
         # matrix space (2 d^2 real coordinates), which for a spectral denoiser
         # is twice that. Without the factor the damped and undamped dynamics
         # collapse onto each other and the damping step loses its effect.
-        total = sum(state.derivative.probe(hermitian_probe(rng, d))
+        # Normals are drawn even when nothing is kept: one stream for all k.
+        total = sum(state.derivative.probe(rng.standard_normal((2, d, d)))
                     for _ in range(config.mc_samples))
         c_hat = 2.0 * total / (M * config.mc_samples)
 
@@ -260,10 +259,11 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
     sigma = float(np.linalg.norm(r) / np.sqrt(M))
     tau = config.alpha * sigma * np.sqrt(d)
     v = state.rho + apply_adjoint(smap, s * r)
-    if not (np.isfinite(r).all() and np.isfinite(v).all()):
+    try:    # the denoiser rejects a non-finite v or tau (r enters both)
+        denoised, derivative = spectral_denoise(v, tau, config.denoiser == "psvt")
+    except ValueError as err:
         raise DivergenceError(f"non-finite values at iteration {state.t}",
-                              iterate=state.rho)
-    denoised, derivative = spectral_denoise(v, tau, config.denoiser == "psvt")
+                              iterate=state.rho) from err
     rho_next = config.damping * denoised + (1.0 - config.damping) * state.rho
     if not np.isfinite(rho_next).all():
         raise DivergenceError(f"non-finite iterate at iteration {state.t}",

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from ampqst import amp as amp_module
 from ampqst.amp import (
     AmpConfig,
     AmpState,
-    hermitian_probe,
     initial_state,
     amp_step,
     psvt,
@@ -28,6 +28,7 @@ from ampqst.pauli import (
 from ampqst.states import (
     as_rng,
     is_density,
+    make_named_state,
     make_random_state,
     nmse,
     project_to_density,
@@ -69,6 +70,68 @@ def with_spectrum(rng, lam):
                         + 1j * rng.standard_normal((d, d)))
     H = (Q * np.asarray(lam, dtype=float)) @ Q.conj().T
     return 0.5 * (H + H.conj().T)
+
+
+def hermitian(z):
+    """The Hermitian direction ``((re + re^T) + i (im - im^T)) / 2`` that
+    ``SpectralDerivative.probe`` takes from the normals ``z = (re, im)``."""
+    re, im = z
+    h = ((re + re.T) / 2.0).astype(np.complex128)
+    h.imag = (im - im.T) / 2.0
+    return h
+
+
+def hermitian_probe(rng, d):
+    """Hermitian random probe with unit second moment in every entry.
+
+    Off-diagonal entries are CN(0,1) (conjugate-paired), diagonal entries
+    real N(0,1), so E||h||_F^2 = d^2 exactly as for an unconstrained CN(0,1)
+    matrix: the direction of ``amp_step``'s probe, from the same draw.
+    """
+    return hermitian(rng.standard_normal((2, d, d)))
+
+
+@dataclass(frozen=True)
+class DenseDerivative:
+    """The dense Daleckii-Krein probe: ``h~ = V^dagger h V`` in full, the
+    d x d divided differences ``gamma`` and the Jacobian ``jac`` = dw/dlam."""
+
+    vecs: np.ndarray
+    gamma: np.ndarray
+    jac: np.ndarray
+
+    def probe(self, z):
+        ht = self.vecs.conj().T @ hermitian(z) @ self.vecs
+        a = ht.diagonal().real
+        return float(np.sum(self.gamma * (ht.real ** 2 + ht.imag ** 2))
+                     + a @ self.jac @ a)
+
+
+def dense_spectral_denoise(H, tau, project):
+    """``spectral_denoise`` with the dense derivative, piece by piece."""
+    lam, vecs = np.linalg.eigh(np.asarray(H, dtype=np.complex128))
+    d = lam.size
+    w = np.sign(lam) * np.clip(np.abs(lam) - tau, 0.0, None)
+    # the linear piece of the threshold each eigenvalue lies on, and its slope
+    piece = (w > 0.0) if project else np.sign(w)
+    slope = np.abs(piece).astype(np.float64)
+    if project:
+        total = w[piece].sum()
+        if total == 0.0:
+            zeros = np.zeros((d, d))
+            return (np.eye(d, dtype=np.complex128) / d,
+                    DenseDerivative(vecs, zeros, zeros))
+        w = np.where(piece, w / total, 0.0)
+        slope /= total
+    jac = np.diag(slope) - np.outer(w, slope) if project else np.diag(slope)
+    same = piece[:, None] == piece[None, :]
+    gamma = np.where(same, slope[:, None],
+                     (w[:, None] - w[None, :])
+                     / np.where(same, 1.0, lam[:, None] - lam[None, :]))
+    np.fill_diagonal(gamma, 0.0)
+    V = vecs[:, w != 0.0]
+    out = (V * w[w != 0.0]) @ V.conj().T
+    return 0.5 * (out + out.conj().T), DenseDerivative(vecs, gamma, jac)
 
 
 def estimate_onsager(denoiser, v_prev, tau_prev, M, epsilon, k, seed):
@@ -237,10 +300,44 @@ class TestSpectralDenoise:
         for seed in range(5):
             # M = 1 and one sample: estimate_onsager returns the bare quotient
             fd = estimate_onsager(denoiser, H, tau, 1, 1e-7, 1, seed)
-            exact = derivative.probe(hermitian_probe(np.random.default_rng(seed), d))
+            exact = derivative.probe(np.random.default_rng(seed).standard_normal((2, d, d)))
             assert abs(exact - fd) <= 1e-5 * max(1.0, abs(exact))
             if max(abs(x) for x in lam) < tau:
                 assert exact == 0.0 and fd == 0.0
+
+    @pytest.mark.parametrize("denoiser", [svt, psvt])
+    @pytest.mark.parametrize("spectrum", [
+        lambda d: np.linspace(-2.5, 2.5, d),
+        lambda d: np.resize([2.0, 2.0, 2.0 + 1e-12, 1.2, 1.2, -1.5, -1.5, 0.1, 0.1, 0.0], d),
+        lambda d: np.resize([0.4, 0.3, 0.3, 0.0, -0.2, -0.45, 0.1, 0.1, -0.1, 0.25], d),
+    ], ids=["generic", "tied", "all-killed"])
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    def test_probe_matches_dense_oracle(self, denoiser, spectrum, d):
+        # rows K of h~ from the normals against the full V^dagger h V
+        rng = np.random.default_rng(13)
+        lam = spectrum(d)
+        H = with_spectrum(rng, lam)
+        tau, project = 0.5, denoiser is psvt
+        _, derivative = spectral_denoise(H, tau, project)
+        _, dense = dense_spectral_denoise(H, tau, project)
+        for _ in range(5):
+            z = rng.standard_normal((2, d, d))
+            exact, ref = derivative.probe(z), dense.probe(z)
+            assert abs(exact - ref) <= 1e-12 * abs(ref)
+            if np.max(np.abs(lam)) < tau:
+                assert exact == 0.0
+
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("bad", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1),
+                                     (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)])
+    def test_non_finite_input_rejected(self, project, bad):
+        # unchecked, each of these returned a matrix (I/d, zero or NaN)
+        entry, tau = bad
+        H = np.diag([1.0, entry, 0.2]).astype(complex)
+        with pytest.raises(ValueError, match="finite"):
+            spectral_denoise(H, tau, project)
+        with pytest.raises(ValueError, match="finite"):
+            (psvt if project else svt)(H, tau)
 
     def test_probe_mean_matches_closed_form_psvt_divergence(self):
         d = 12
@@ -258,12 +355,13 @@ class TestSpectralDenoise:
                 if i != j:
                     div += (w[i] - w[j]) / (lam[i] - lam[j])
         _, derivative = spectral_denoise(H, tau, project=True)
-        probes = [derivative.probe(hermitian_probe(rng, d)) for _ in range(2000)]
+        probes = [derivative.probe(rng.standard_normal((2, d, d))) for _ in range(2000)]
         assert abs(np.mean(probes) - div) < 0.03 * div
 
 
-def make_problem(n=3, M=None, seed=0, shots=None, rank=1):
-    rho = make_random_state(n, rank, np.random.default_rng((seed, 1)))
+def make_problem(n=3, M=None, seed=0, shots=None, rank=1, rho=None):
+    if rho is None:
+        rho = make_random_state(n, rank, np.random.default_rng((seed, 1)))
     if M is None:
         words = pauli_words_from_indices(np.arange(4 ** n), n)
     else:
@@ -451,6 +549,28 @@ class TestRunAmp:
         assert trace.diverged and len(trace) == 10
         assert np.array_equal(trace.fidelity, ref.fidelity)
         assert np.array_equal(trace.nmse, ref.nmse)
+
+    @pytest.mark.parametrize("n, rank, M, seed", [(3, None, 48, 0), (5, 3, 384, 3)],
+                             ids=["ghz3", "random5-rank3"])
+    def test_run_matches_the_dense_oracle(self, monkeypatch, n, rank, M, seed):
+        # The rank-3 run keeps nothing in some iterations before keeping
+        # again: a probe that drew no normals there would shift the stream.
+        rho = pure_density(make_named_state("ghz", n)) if rank is None else None
+        _, smap, y = make_problem(n=n, M=M, seed=seed, shots=1024, rank=rank, rho=rho)
+        cfg = AmpConfig(seed=6, max_iter=300)
+        _, fast = run_amp(smap, y, cfg)
+        kept = []
+
+        def dense(H, tau, project):
+            out, derivative = dense_spectral_denoise(H, tau, project)
+            kept.append(bool(derivative.gamma.any() or derivative.jac.any()))
+            return out, derivative
+        monkeypatch.setattr(amp_module, "spectral_denoise", dense)
+        _, slow = run_amp(smap, y, cfg)
+        if rank is not None:
+            assert not all(kept) and any(kept[kept.index(False) + 1:])
+        for col in ("sigma", "tau", "onsager", "residual_norm"):
+            assert np.allclose(getattr(fast, col), getattr(slow, col), rtol=1e-10, atol=0)
 
     def test_retained_trace_is_compact(self):
         # a caller that keeps every trial's trace keeps six float64 columns

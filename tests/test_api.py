@@ -25,7 +25,7 @@ REMOVED = ["PauliString", "build_pauli", "pauli_expectation", "observables_of_se
            "momentum_schedule", "setting_word_from_index", "noisy_basis_measurement",
            "apply_readout", "_pauli_batch", "check_setting", "pauli_index_from_word",
            "pauli_word_from_index", "covered_word", "covered_words",
-           "estimate_from_setting", "_parse_mask", "estimate_onsager"]
+           "estimate_from_setting", "_parse_mask", "estimate_onsager", "hermitian_probe"]
 
 
 @pytest.mark.parametrize("name", MODULES)
