@@ -34,13 +34,14 @@ independent runs (trials, seeds) parallelize freely.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
-from .pauli import SensingMap, _check_data, _sense, apply_adjoint
-from .states import (as_rng, factor_density, gram_fidelities, is_density, nmse,
+from .pauli import SensingMap, _adjoint, _check_data, _sense
+from .states import (as_rng, factor_density, gram_fidelities, is_density,
                      project_to_density)
 
 __all__ = [
@@ -69,13 +70,14 @@ class SpectralDerivative:
     ``h~ = V^dagger h V`` and ``a = Re diag(h~)``, Re <h, Df(H)[h]>_F =
     sum_{i != j} gamma_ij |h~_ij|^2 + a^T J a, where
     gamma_ij = (w_i - w_j) / (lam_i - lam_j) and J = dw/dlam. Both vanish
-    off K = {i : w_i != 0} (``kept``), so ``gamma`` keeps only rows K,
-    zero on the diagonal and doubled at (i in K, j not in K) for (j, i); on
-    K, J = slope (I - c 1^T) with ``coupling`` c = w (psvt) or 0 (svt).
+    off K = {i : w_i != 0}, so ``gamma`` keeps only rows K, zero on the
+    diagonal and doubled at (i in K, j not in K) for (j, i); on K,
+    J = slope (I - c 1^T) with ``coupling`` c = w (psvt) or 0 (svt).
+    ``vkh`` is V_K^dagger, the kept eigenvectors as contiguous rows.
     """
 
     vecs: np.ndarray
-    kept: np.ndarray
+    vkh: np.ndarray
     gamma: np.ndarray
     slope: float
     coupling: np.ndarray
@@ -83,14 +85,15 @@ class SpectralDerivative:
     def probe(self, z: np.ndarray) -> float:
         """Exact ``Re <h, Df(H)[h]>_F`` in O(k d^2), from the standard normals
         ``z = (re, im)`` of shape (2, d, d) that give the Hermitian direction
-        ``h = ((re + re^T) + i (im - im^T)) / 2``; h itself is never formed."""
-        vk = np.ascontiguousarray(self.vecs[:, self.kept]).view(np.float64)
-        re_v, im_v = z @ vk                         # real GEMMs on (Re, Im) V_K
-        re_t, im_t = z.transpose(0, 2, 1) @ vk
-        hv = (re_v + re_t).view(np.complex128) + 1j * (im_v - im_t).view(np.complex128)
-        rows = hv.conj().T @ self.vecs              # rows K of 2 h~
-        a = rows[np.arange(self.kept.size), self.kept].real
-        value = np.sum(self.gamma * (rows.real ** 2 + rows.imag ** 2))
+        ``h = ((re + re^T) + i (im - im^T)) / 2``."""
+        h2 = np.empty(z.shape[1:], dtype=np.complex128)      # 2h
+        np.add(z[0], z[0].T, out=h2.real)
+        np.subtract(z[1], z[1].T, out=h2.imag)
+        left = self.vkh @ h2                                  # rows K of 2 V^dagger h
+        rows = left @ self.vecs                               # rows K of 2 h~
+        # Re of the K x K diagonal of 2 h~: row sums of left * conj(V_K^dagger)
+        a = (left.view(np.float64) * self.vkh.view(np.float64)).sum(axis=1)
+        value = np.vdot(rows, self.gamma * rows).real
         return 0.25 * float(value + self.slope * (a @ (a - self.coupling @ a)))
 
 
@@ -110,26 +113,32 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
         raise ValueError("matrix must be finite")
     lam, vecs = np.linalg.eigh(H)
     d = lam.size
-    w = np.sign(lam) * np.maximum(np.abs(lam) - tau, 0.0)
-    # the linear piece of the threshold each eigenvalue lies on
-    piece = (w > 0.0) if project else np.sign(w)
-    kept = np.flatnonzero(piece)
-    k, slope = kept.size, 1.0
+    # The eigenvalues ascend, so K is two tails, each on one linear piece of
+    # the threshold: lam[:lo] < -tau (svt only) and lam[hi:] > tau.
+    hi = int(lam.searchsorted(tau, "right"))
+    lo = 0 if project else int(lam.searchsorted(-tau))
+    kept = np.r_[:lo, hi:d] if lo else slice(hi, d)
+    lk, vk = lam[kept], vecs[:, kept]
+    wk = lk - np.copysign(tau, lk)
+    k, slope = wk.size, 1.0
     if project and k:
-        total = w[kept].sum()
-        w, slope = np.maximum(w, 0.0) / total, 1.0 / total
-    # Within one piece the divided difference is that piece's slope; across
-    # pieces the eigenvalues differ, so the quotient is safe from ties.
-    gamma = np.divide(w[kept, None] - w, lam[kept, None] - lam,
-                      out=np.full((k, d), slope), where=piece[kept, None] != piece)
-    gamma[:, piece == 0] *= 2.0     # (i in K, j not in K) stands for (j, i) too
-    gamma[np.arange(k), kept] = 0.0
-    derivative = SpectralDerivative(vecs, kept, gamma, slope,
-                                    w[kept] if project else np.zeros(k))
+        total = wk.sum()
+        wk, slope = wk / total, 1.0 / total
+    # Within one piece the divided difference is the slope; across pieces
+    # the eigenvalues differ, so the quotients are safe from ties.
+    gamma = np.full((k, d), slope)
+    gamma[:, lo:hi] = 2.0 * wk[:, None] / (lk[:, None] - lam[lo:hi])  # for (j, i) too
+    if lo:
+        gamma[:lo, hi:] = (wk[:lo, None] - wk[lo:]) / (lk[:lo, None] - lk[lo:])
+        gamma[lo:, :lo] = gamma[:lo, hi:].T
+    np.fill_diagonal(gamma[:lo, :lo], 0.0)     # entries (i, kept[i]) are J's
+    np.fill_diagonal(gamma[lo:, hi:], 0.0)
+    vkh = np.conjugate(vk.T, order="C")
+    derivative = SpectralDerivative(vecs, vkh, gamma, slope,
+                                    wk if project else np.zeros(k))
     if project and not k:
         return np.eye(d, dtype=np.complex128) / d, derivative
-    V = vecs[:, kept]
-    out = (V * w[kept]) @ V.conj().T
+    out = (vk * wk) @ vkh
     return 0.5 * (out + out.conj().T), derivative
 
 
@@ -240,7 +249,7 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
     non-finite values.
     """
     d, M = smap.d, smap.M
-    s = float(np.sqrt(d / M)) if config.normalize else 1.0
+    s = math.sqrt(d / M) if config.normalize else 1.0
 
     if state.derivative is None:
         c_hat = 0.0
@@ -256,15 +265,16 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
         c_hat = 2.0 * total / (M * config.mc_samples)
 
     r = s * y - s * _sense(smap, state.rho) + c_hat * state.residual
-    sigma = float(np.linalg.norm(r) / np.sqrt(M))
-    tau = config.alpha * sigma * np.sqrt(d)
-    v = state.rho + apply_adjoint(smap, s * r)
+    sigma = math.sqrt(r @ r) / math.sqrt(M)
+    tau = config.alpha * sigma * math.sqrt(d)
+    v = state.rho + _adjoint(smap, s * r)
     try:    # the denoiser rejects a non-finite v or tau (r enters both)
-        denoised, derivative = spectral_denoise(v, tau, config.denoiser == "psvt")
+        rho_next, derivative = spectral_denoise(v, tau, config.denoiser == "psvt")
     except ValueError as err:
         raise DivergenceError(f"non-finite values at iteration {state.t}",
                               iterate=state.rho) from err
-    rho_next = config.damping * denoised + (1.0 - config.damping) * state.rho
+    rho_next *= config.damping
+    rho_next += (1.0 - config.damping) * state.rho
     if not np.isfinite(rho_next).all():
         raise DivergenceError(f"non-finite iterate at iteration {state.t}",
                               iterate=state.rho)
@@ -296,7 +306,11 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
     rng = as_rng(config.seed)
     steps, errors, fidelities, grams = [], [], [], []
     if ground_truth is not None:
-        B = factor_density(ground_truth).factor
+        truth = np.asarray(ground_truth, dtype=np.complex128)
+        if truth.shape != (smap.d, smap.d):
+            raise ValueError("dimension mismatch between map and ground truth")
+        B = factor_density(truth).factor
+        Bh, truth_sq = B.conj().T, np.linalg.norm(truth) ** 2
 
     def flush():
         if grams:
@@ -316,11 +330,12 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
             state = amp_step(state, smap, y, config, rng)
             steps.extend((state.sigma, state.tau, state.onsager))
             if ground_truth is not None:
-                errors.append(nmse(ground_truth, state.rho))
+                # states.nmse without its per-call checks
+                errors.append(np.linalg.norm(state.rho - truth) ** 2 / truth_sq)
                 # PSVT iterates are density matrices by construction
                 rho = state.rho if config.denoiser == "psvt" or is_density(state.rho) \
                     else project_to_density(state.rho)
-                grams.append(B.conj().T @ rho @ B)
+                grams.append(Bh @ rho @ B)
                 if len(grams) * B.shape[1] ** 2 >= _PENDING_GRAM_ENTRIES:
                     flush()
             sigma0 = steps[0]

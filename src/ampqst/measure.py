@@ -23,6 +23,7 @@ from .pauli import (
     LETTERS,
     MAX_QUBITS,
     MeasurementPlan,
+    _all_expectations,
     apply_sensing,
     build_sensing_map,
     covered_codes,
@@ -90,8 +91,7 @@ def outcome_probabilities(rho: np.ndarray, settings, theta: float = 0.0,
         raise ValueError("dimension mismatch between state and setting")
     if not 0.0 <= q <= 0.5:
         raise ValueError("readout flip probability must lie in [0, 0.5]")
-    e = apply_sensing(sensing_map_from_indices(np.arange(4 ** n), n), rho)
-    e = e.reshape((4,) * n)
+    e = _all_expectations(rho, n).reshape((4,) * n)
     if theta != 0.0:
         c, s = np.cos(theta), np.sin(theta)     # letter axis in I, X, Y, Z order
         R = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])

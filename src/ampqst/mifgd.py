@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .pauli import SensingMap, _check_data, _sense, apply_adjoint
+from .pauli import SensingMap, _adjoint, _check_data, _sense
 from .states import as_rng, complex_normal
 
 __all__ = ["MifgdConfig", "run_mifgd"]
@@ -77,7 +77,7 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
     rho = U @ U.conj().T
     for iterations in range(1, config.max_iter + 1):
         resid = _sense(smap, Z @ Z.conj().T) - y
-        grad = apply_adjoint(smap, resid)
+        grad = _adjoint(smap, resid)
         U_next = Z - config.eta * (grad @ Z)
         if not np.isfinite(U_next).all():
             raise DivergenceError(f"non-finite factor at iteration {iterations}",

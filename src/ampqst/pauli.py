@@ -126,11 +126,19 @@ def sensing_map_from_indices(indices, n: int) -> SensingMap:
 
 
 def _sensing_map(codes: np.ndarray, n: int, words: tuple) -> SensingMap:
-    """The map of ``words``, given as their codes: its index form in one pass."""
+    """The map of ``words``, given as their codes."""
     if not codes.size:
         raise ValueError("need at least one Pauli observable")
     if np.unique(codes).size != codes.size:
         raise ValueError("duplicate Pauli observables in sensing map")
+    arrays = _index_form(codes, n)
+    for a in arrays:
+        a.flags.writeable = False
+    return SensingMap(words, n, 1 << n, len(words), *arrays)
+
+
+def _index_form(codes: np.ndarray, n: int) -> tuple:
+    """``(gather, take, weight, H)`` of the map of ``codes``, in one pass."""
     place = np.arange(n - 1, -1, -1)
     digits = (codes[:, None] >> 2 * place) & 3
     flip = ((digits == 1) | (digits == 2)) @ (1 << place)
@@ -143,10 +151,7 @@ def _sensing_map(codes: np.ndarray, n: int, words: tuple) -> SensingMap:
     take = phase * (2 * d) + 2 * flip + (y_counts & 1)
     weight = 1.0 - 2.0 * (((y_counts & 1) + (y_counts >> 1)) & 1)
     H = 1.0 - 2.0 * (np.bitwise_count(rows[:, None] & rows) & 1)
-    for a in (gather, take, weight, H):
-        a.flags.writeable = False
-    return SensingMap(words=words, n=n, d=d, M=len(words), gather=gather,
-                      take=take, weight=weight, H=H)
+    return gather, take, weight, H
 
 
 def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
@@ -156,21 +161,41 @@ def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
     1e-10 times ``max(1, max|X|)``: round-off grows with the entries, which
     on a diverging run reach 1e6 and more.
     """
+    return _sense(smap, _hermitian_input(X, smap.d))
+
+
+def _all_expectations(X: np.ndarray, n: int) -> np.ndarray:
+    """``Tr[P X]`` of all 4^n words P in code order, checked as by
+    ``apply_sensing``: the map of every code, with no word decoded."""
+    gather, take, weight, H = _index_form(np.arange(4 ** n), n)
+    G = _hermitian_input(X, 1 << n).reshape(-1)[gather].view(np.float64)
+    return (H @ G.reshape(1 << n, 2 << n)).reshape(-1)[take] * weight
+
+
+def _hermitian_input(X: np.ndarray, d: int) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.complex128)
-    if X.shape != (smap.d, smap.d):
+    if X.shape != (d, d):
         raise ValueError("dimension mismatch between map and matrix")
     if not np.isfinite(X).all():
         raise ValueError("input holds non-finite values")
     bound = _IMAG_RESIDUE_ATOL * max(1.0, float(np.max(np.abs(X))))
     if np.max(np.abs(X - X.conj().T)) >= bound:
         raise ValueError("input is not Hermitian")
-    return _sense(smap, X)
+    return X
 
 
 def _sense(smap: SensingMap, X: np.ndarray) -> np.ndarray:
     """``apply_sensing`` unchecked, for iterates Hermitian by construction."""
     G = X.reshape(-1)[smap.gather].view(np.float64).reshape(smap.d, 2 * smap.d)
     return (smap.H @ G).reshape(-1)[smap.take] * smap.weight
+
+
+def _adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:
+    """``apply_adjoint`` unchecked, for float64 vectors of length M."""
+    C = np.zeros((smap.d, 2 * smap.d))
+    C.reshape(-1)[smap.take] = y * smap.weight
+    X = (smap.H @ C).view(np.complex128).reshape(-1)
+    return X[smap.gather].reshape(smap.d, smap.d)
 
 
 def _check_data(smap: SensingMap, y) -> np.ndarray:
@@ -187,10 +212,7 @@ def apply_adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (smap.M,):
         raise ValueError("dimension mismatch between map and data vector")
-    C = np.zeros((smap.d, 2 * smap.d))
-    C.reshape(-1)[smap.take] = y * smap.weight
-    X = (smap.H @ C).view(np.complex128).reshape(-1)
-    return X[smap.gather].reshape(smap.d, smap.d)
+    return _adjoint(smap, y)
 
 
 def sample_observables(n: int, M: int, seed) -> list:

@@ -260,7 +260,7 @@ def gram_fidelities(grams: np.ndarray, d: int) -> list:
     fids = [float(total ** 2) for total in np.sum(np.sqrt(vals), axis=-1).reshape(-1)]
     if any(f > 1.0 + 1e-6 for f in fids):
         raise ArithmeticError(f"fidelity {max(fids)} exceeds 1 beyond round-off")
-    return [float(np.clip(f, 0.0, 1.0)) for f in fids]
+    return [min(max(f, 0.0), 1.0) for f in fids]
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,34 @@ class TestSpectralDenoise:
             if np.max(np.abs(lam)) < tau:
                 assert exact == 0.0
 
+    @pytest.mark.parametrize("project", [False, True], ids=["svt", "psvt"])
+    @pytest.mark.parametrize("lam, tau, rotate", [
+        ([1.5, 0.5, 0.2, -0.5, -1.2, 0.5], 0.5, False),            # |lam| = tau
+        ([1.0, 0.0, 0.0, -0.7, 0.3, 0.0], 0.0, False),             # tau = 0
+        ([-2.0, -1.5, -1.5, -0.1, 0.2, 1.1, 2.5, 2.5], 0.5, True),  # two tails
+        ([0.4, -0.3, 0.0, 0.25, -0.45], 0.5, True),                # k = 0
+    ], ids=["at-tau", "tau-zero", "two-tails", "none-kept"])
+    def test_kept_tails_match_dense_oracle(self, project, lam, tau, rotate):
+        # K is the tails lam > tau and, for svt, lam < -tau: an eigenvalue at
+        # +-tau or at zero is not kept. Diagonal inputs keep their exact
+        # eigenvalues, so the boundary cases really sit on the boundary.
+        rng = np.random.default_rng(15)
+        lam = np.asarray(lam)
+        H = with_spectrum(rng, lam) if rotate else np.diag(lam).astype(complex)
+        if not rotate:
+            assert np.array_equal(np.linalg.eigvalsh(H), np.sort(lam))
+        out, derivative = spectral_denoise(H, tau, project)
+        ref, dense = dense_spectral_denoise(H, tau, project)
+        k = np.count_nonzero(lam > tau if project else np.abs(lam) > tau)
+        assert derivative.gamma.shape == (k, lam.size)
+        assert np.max(np.abs(out - ref)) <= 1e-14
+        for _ in range(5):
+            z = rng.standard_normal((2, lam.size, lam.size))
+            exact, oracle = derivative.probe(z), dense.probe(z)
+            assert abs(exact - oracle) <= 1e-12 * abs(oracle)
+            if k == 0:
+                assert exact == 0.0
+
     @pytest.mark.parametrize("project", [False, True])
     @pytest.mark.parametrize("bad", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1),
                                      (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)])
@@ -483,11 +511,14 @@ class TestRunAmp:
             assert abs(t - 2.0 * s * np.sqrt(smap.d)) < 1e-12
 
     @pytest.mark.parametrize("denoiser", ["psvt", "svt"])
-    def test_trace_fidelity_matches_dense_recomputation(self, denoiser):
+    @pytest.mark.parametrize("n, M, rank, iters", [(3, 40, 3, 25), (5, 384, 3, 200)],
+                             ids=["n3", "flagship-shape"])
+    def test_trace_fidelity_matches_dense_recomputation(self, denoiser, n, M, rank, iters):
         # replay the iterates and judge each against the dense truth array:
-        # the stacked PSVT path and the checked SVT path give the same bits
-        rho, smap, y = make_problem(n=3, M=40, seed=12, shots=512, rank=3)
-        cfg = AmpConfig(seed=7, max_iter=25, denoiser=denoiser)
+        # the stacked PSVT path and the checked SVT path give the same bits,
+        # and run_amp's NMSE, computed without states.nmse, gives its bits
+        rho, smap, y = make_problem(n=n, M=M, seed=12, shots=512, rank=rank)
+        cfg = AmpConfig(seed=7, max_iter=iters, denoiser=denoiser)
         _, trace = run_amp(smap, y, cfg, ground_truth=rho)
         state, rng = initial_state(smap), np.random.default_rng(cfg.seed)
         for t in range(cfg.max_iter):
@@ -571,6 +602,22 @@ class TestRunAmp:
             assert not all(kept) and any(kept[kept.index(False) + 1:])
         for col in ("sigma", "tau", "onsager", "residual_norm"):
             assert np.allclose(getattr(fast, col), getattr(slow, col), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("alpha, mc_samples", [(2.0, 1), (2.0, 3), (50.0, 2)],
+                             ids=["kept", "kept-3-probes", "none-kept"])
+    def test_probes_take_2d2_normals_each(self, alpha, mc_samples):
+        # t iterations probe t - 1 times, each probe 2 d^2 normals, whatever
+        # the step keeps: the generator is left where a fresh one is after
+        # 2 d^2 (t - 1) mc_samples draws. At alpha = 50 nothing is kept.
+        rho, smap, y = make_problem(n=3, M=40, seed=17, shots=512, rank=2)
+        rng, iters, d = np.random.default_rng(21), 30, smap.d
+        _, trace = run_amp(smap, y, AmpConfig(seed=rng, max_iter=iters, alpha=alpha,
+                                              mc_samples=mc_samples))
+        assert len(trace) == iters
+        assert (trace.onsager[1:] != 0.0).any() == (alpha == 2.0)
+        fresh = np.random.default_rng(21)
+        fresh.standard_normal(2 * d * d * (iters - 1) * mc_samples)
+        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
 
     def test_retained_trace_is_compact(self):
         # a caller that keeps every trial's trace keeps six float64 columns

@@ -416,8 +416,9 @@ class TestSettingsSynthesis:
 
     def test_no_per_word_calls(self, function_calls):
         # one batched parse of the settings for synthesis and one for the
-        # estimates, and each map built from codes: no word parsed one at a
-        # time, and no map built from words decoded from codes
+        # estimates: no word parsed one at a time, and no map built from
+        # words decoded from codes. Synthesis takes all 4^n expectations from
+        # the codes and decodes nothing; only the estimates' map spells words
         rho = make_random_state(5, 2, 3)
         settings = sample_settings_until(5, 400, 1)
         plan = MeasurementPlan(n=5, mode="settings", words=tuple(settings))
@@ -425,10 +426,11 @@ class TestSettingsSynthesis:
                 (pauli, measure), ("pauli_indices_from_words", "sensing_map_from_indices",
                                    "build_sensing_map")):
             function_calls.watch(owner, name)
+        function_calls.watch(pauli, "pauli_words_from_indices")
         smap, y = build_measurements(rho, plan, shots=1024, seed=0)
         assert smap.M >= 400
-        assert function_calls \
-            == ["pauli_indices_from_words", "sensing_map_from_indices"] * 2
+        assert function_calls == ["pauli_indices_from_words"] * 2 \
+            + ["sensing_map_from_indices", "pauli_words_from_indices"]
 
 
 class TestReadout:
