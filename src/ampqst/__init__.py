@@ -15,7 +15,6 @@ from .measure import (
     apply_pauli_flip,
     build_measurements,
     estimate,
-    outcome_distribution,
     simulate,
 )
 from .mifgd import MifgdConfig, run_mifgd
@@ -24,9 +23,9 @@ from .pauli import (
     SensingMap,
     apply_adjoint,
     apply_sensing,
-    build_sensing_map,
     sample_observables,
     sample_settings_until,
+    sensing_map_from_indices,
 )
 from .states import (
     make_named_state,

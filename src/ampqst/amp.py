@@ -11,8 +11,8 @@ low-rank denoiser:
 with threshold tau_t = alpha * sigma_t * sqrt(d), sigma_t = ||r_t||_2 / sqrt(M),
 starting from rho_0 = I/d and r_{-1} = 0. The Onsager coefficient c_t is the
 normalized divergence of the denoiser at the previous pseudo-data, estimated
-by Monte Carlo: the mean over random Hermitian probes h of the exact
-derivative Re <h, Df(v)[h]> (see ``SpectralDerivative``). ``A~ = s A`` and
+by Monte Carlo: the exact derivative Re <h, Df(v)[h]> along one random
+Hermitian probe h per iteration (see ``SpectralDerivative``). ``A~ = s A`` and
 ``y~ = s y`` are the raw Pauli map and data rescaled by s = sqrt(d/M), so that
 the Gram operator is an identity on average. The rescaling belongs to AMP:
 ``amp_step`` applies s as a scalar to the raw SensingMap and data, which
@@ -166,10 +166,9 @@ class AmpConfig:
 
     ``damping`` is the convex blending weight lam; ``damping=1`` runs the
     undamped update. ``denoiser`` names one of ``DENOISERS`` in any case and
-    is stored lower-cased. ``mc_samples`` is the number of
-    Hermitian probes averaged per Onsager estimate, drawn from a generator
-    seeded by ``seed``; each probe's directional derivative is exact, so
-    the only randomness is the probe itself.
+    is stored lower-cased. Each Onsager estimate takes one Hermitian probe,
+    drawn from a generator seeded by ``seed``; the probe's directional
+    derivative is exact, so the only randomness is the probe itself.
     ``normalize=True`` rescales map and data by sqrt(d/M) inside each step;
     disabling it runs the raw (divergent) baseline.
     """
@@ -177,7 +176,6 @@ class AmpConfig:
     alpha: float = 2.0
     damping: float = 0.01
     max_iter: int = 2000
-    mc_samples: int = 1
     denoiser: str = "psvt"
     normalize: bool = True
     seed: int = 0
@@ -189,8 +187,6 @@ class AmpConfig:
             raise ValueError("alpha must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be at least 1")
         self.denoiser = self.denoiser.lower()
         if self.denoiser not in DENOISERS:
             raise ValueError(f"unknown denoiser {self.denoiser!r}")
@@ -260,9 +256,7 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
         # is twice that. Without the factor the damped and undamped dynamics
         # collapse onto each other and the damping step loses its effect.
         # Normals are drawn even when nothing is kept: one stream for all k.
-        total = sum(state.derivative.probe(rng.standard_normal((2, d, d)))
-                    for _ in range(config.mc_samples))
-        c_hat = 2.0 * total / (M * config.mc_samples)
+        c_hat = 2.0 * state.derivative.probe(rng.standard_normal((2, d, d))) / M
 
     r = s * y - s * _sense(smap, state.rho) + c_hat * state.residual
     sigma = math.sqrt(r @ r) / math.sqrt(M)

@@ -33,7 +33,8 @@ from .measure import (
     overrotation_unitary,
 )
 from .mifgd import MifgdConfig, run_mifgd
-from .pauli import MAX_QUBITS, MeasurementPlan, sample_observables, sample_settings_until
+from .pauli import (MeasurementPlan, _check_qubits, sample_observables,
+                    sample_settings_until)
 from .states import (
     ascii_lines,
     factor_density,
@@ -77,12 +78,6 @@ def _finite_float(text: str) -> float:
     if not abs(value) < np.inf:
         raise ValueError(f"{text.strip()!r} is not a finite number")
     return value
-
-
-def _check_qubits(n: int) -> None:
-    """Bound n before anything sized 2^n is allocated."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubits must lie in [1, {MAX_QUBITS}]")
 
 
 def parse_shots(text: str) -> int | None:
@@ -237,10 +232,10 @@ def build_plan(cfg: ExperimentConfig, trial: int) -> tuple[MeasurementPlan, int]
     n = cfg.qubits
     rng = _rng_for(cfg, trial, _ROLE_PLAN)
     if cfg.plan_mode == "observables":
-        mode, words = "observables", sample_observables(n, cfg.observables, rng)
+        codes = sample_observables(n, cfg.observables, rng)
     else:
-        mode, words = "settings", sample_settings_until(n, cfg.settings_budget(), rng)
-    return MeasurementPlan(n=n, mode=mode, words=tuple(words)), len(words)
+        codes = sample_settings_until(n, cfg.settings_budget(), rng)
+    return MeasurementPlan(n, cfg.plan_mode, codes), len(codes)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int,
@@ -368,8 +363,7 @@ def cmd_settings_table(n_values, fractions, trials: int, seed: int,
         raise ValueError("trials must be at least 1")
     rows = []
     for n in n_values:
-        if n > 10:
-            raise ValueError("settings table supports n <= 10")
+        _check_qubits(n)
         d2 = 4 ** n
         for fi, frac in enumerate(fractions):
             target = max(1, round(frac * d2))

@@ -24,8 +24,8 @@ from .pauli import (
     MAX_QUBITS,
     MeasurementPlan,
     _all_expectations,
+    _check_codes,
     apply_sensing,
-    build_sensing_map,
     covered_codes,
     pauli_indices_from_words,
     sensing_map_from_indices,
@@ -37,7 +37,6 @@ __all__ = [
     "NoiseModel",
     "PhotonicNoise",
     "outcome_probabilities",
-    "outcome_distribution",
     "parity_estimates",
     "apply_depolarizing",
     "apply_coherent",
@@ -74,21 +73,18 @@ def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def outcome_probabilities(rho: np.ndarray, settings, theta: float = 0.0,
+def outcome_probabilities(rho: np.ndarray, setting_codes, theta: float = 0.0,
                           q: float = 0.0) -> np.ndarray:
-    """Exact probabilities ``(T, 2^n)`` of the outcomes of each setting on
-    ``rho``: ``p(b) = 2^-n sum_a (-1)**|a & b| e(a)``, ``e(a)`` the mean parity
+    """Exact probabilities ``(T, 2^n)`` of the outcomes of each setting code
+    on ``rho``: ``p(b) = 2^-n sum_a (-1)**|a & b| e(a)``, ``e(a)`` the mean parity
     of the bits under mask ``a``, from the 4^n ``Tr[P rho]`` of one sensing-map
     product. An RX(theta) overrotation of the basis change makes an X letter
     read ``cos(theta) X - sin(theta) Y`` and a Y letter ``cos(theta) Y +
     sin(theta) X`` (Z needs no rotation); flipping each bit with probability
     ``q`` scales ``e(a)`` by ``(1 - 2q)**|a|``."""
-    codes = covered_codes(settings)
-    d = codes.shape[1]
+    d = len(rho)                # its shape is checked with its expectations
     n = d.bit_length() - 1
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (d, d):
-        raise ValueError("dimension mismatch between state and setting")
+    codes = covered_codes(_check_codes(setting_codes, n, settings=True), n)
     if not 0.0 <= q <= 0.5:
         raise ValueError("readout flip probability must lie in [0, 0.5]")
     e = _all_expectations(rho, n).reshape((4,) * n)
@@ -101,13 +97,6 @@ def outcome_probabilities(rho: np.ndarray, settings, theta: float = 0.0,
     if q:
         e = e * (1.0 - 2.0 * q) ** np.bitwise_count(np.arange(d))
     return np.clip(_walsh_hadamard(e) / d, 0.0, None)
-
-
-def outcome_distribution(rho: np.ndarray, setting: str,
-                         theta: float = 0.0) -> np.ndarray:
-    """Exact probabilities of the 2^n outcomes of measuring ``setting`` on
-    ``rho``: the one-setting case of ``outcome_probabilities``."""
-    return outcome_probabilities(rho, [setting], theta)[0]
 
 
 def parity_estimates(freqs: np.ndarray) -> np.ndarray:
@@ -301,7 +290,7 @@ def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,
     if plan.mode == "observables":
         if noise is not None and noise.measurement_side:
             raise ValueError("coherent/readout noise needs a settings-mode plan")
-        y = apply_sensing(build_sensing_map(plan.words), rho)
+        y = apply_sensing(sensing_map_from_indices(plan.codes, plan.n), rho)
         if shots is not None:
             p = (y + 1.0) / 2.0
             ok = (p >= -1e-10) & (p <= 1.0 + 1e-10)
@@ -313,7 +302,7 @@ def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,
         return ShotRecord(plan, shots, y)
 
     theta, q = (noise.coherent_theta, noise.readout_q) if noise else (0.0, 0.0)
-    freqs = outcome_probabilities(rho, plan.words, theta, q)
+    freqs = outcome_probabilities(rho, plan.codes, theta, q)
     if shots is not None:
         freqs = np.array([_setting_seed(seed, k).multinomial(shots, p / p.sum())
                           for k, p in enumerate(freqs)])
@@ -323,7 +312,7 @@ def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,
 def estimate(record: ShotRecord):
     """``(SensingMap, y)`` of a simulated or read record.
 
-    Observable mode gives the map of the plan's words and a copy of the
+    Observable mode gives the map of the plan's codes and a copy of the
     means. Setting mode extracts every covered Pauli of every setting by
     parity marginalization, all at once; observables covered by several
     settings are averaged with equal weight, in order of first appearance.
@@ -332,8 +321,8 @@ def estimate(record: ShotRecord):
     """
     plan, data = record.plan, record.data
     if plan.mode == "observables":
-        return build_sensing_map(plan.words), data.copy()
-    codes = covered_codes(plan.words).reshape(-1)
+        return sensing_map_from_indices(plan.codes, plan.n), data.copy()
+    codes = covered_codes(plan.codes, plan.n).reshape(-1)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     group = np.argsort(np.argsort(first))[inverse]      # words by first appearance
     y = np.bincount(group, parity_estimates(data).reshape(-1)) / np.bincount(group)
@@ -371,7 +360,7 @@ class ShotRecord:
         data = np.array(self.data, dtype=np.float64 if exact else None)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        shape = (len(plan.words),) + ((1 << plan.n,) if plan.mode == "settings" else ())
+        shape = (plan.codes.size,) + ((1 << plan.n,) if plan.mode == "settings" else ())
         if data.shape != shape:
             raise ValueError(f"{plan.mode} record needs data of shape {shape}")
         if plan.mode == "observables":
@@ -431,26 +420,26 @@ def read_shots(path) -> ShotRecord:
         raise ValueError("SHOTS v1: settings counts need a finite N at line 1")
     alphabet = LETTERS if mode == "observables" else "XYZ"
     item = re.compile(f"([01]{{{n}}}):([0-9]+)")
-    rows = {}                                   # word -> mean or counts, in order
+    rows = {}                                   # code -> mean or counts, in order
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
             continue
         word, fields = parts[0], parts[1:]
         try:
-            pauli_indices_from_words([word], n, alphabet, f"{mode} word")
+            (code,) = pauli_indices_from_words([word], n, alphabet, f"{mode} word")
         except ValueError as err:
             raise ValueError(f"SHOTS v1: {err} at line {lineno}") from None
-        if word in rows:
+        if code in rows:
             raise ValueError(f"SHOTS v1: repeated {mode} word {word!r} at line {lineno}")
         if mode == "observables":
             try:
                 (text,) = fields
-                rows[word] = float(text)
+                rows[code] = float(text)
             except ValueError:
                 raise ValueError(
                     f"SHOTS v1: malformed value at line {lineno}") from None
-            if not abs(rows[word]) <= _MEAN_BOUND:
+            if not abs(rows[code]) <= _MEAN_BOUND:
                 raise ValueError(f"SHOTS v1: sample mean outside [-1, 1] "
                                  f"at line {lineno}")
             continue
@@ -462,9 +451,9 @@ def read_shots(path) -> ShotRecord:
             raise ValueError(f"SHOTS v1: repeated outcome at line {lineno}")
         if sum(counts.values()) != shots:
             raise ValueError(f"SHOTS v1: counts do not sum to N at line {lineno}")
-        rows[word] = np.zeros(1 << n, dtype=np.int64)
-        rows[word][list(counts)] = list(counts.values())
+        rows[code] = np.zeros(1 << n, dtype=np.int64)
+        rows[code][list(counts)] = list(counts.values())
     if not rows:
         raise ValueError(f"SHOTS v1: no data at line {len(lines) + 1}")
-    return ShotRecord(MeasurementPlan(n, mode, tuple(rows)), shots,
+    return ShotRecord(MeasurementPlan(n, mode, list(rows)), shots,
                       list(rows.values()))

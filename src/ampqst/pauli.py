@@ -7,11 +7,10 @@ qubit's bit between row and column index, I and Z preserve it, and the entry
 value is ``i**y_count`` times a sign picked up from Y and Z letters.
 
 Inside the package a word, or a setting (a word over {X, Y, Z}), is its
-base-4 code: I=0, X=1, Y=2, Z=3, leftmost letter most significant. Words are
-text only at the edges: ``pauli_indices_from_words`` is the one parser (one
-byte-table pass, naming the first bad word) and ``pauli_words_from_indices``
-the one decoder. The sensing map, the settings cover, settings sampling and
-data synthesis all run on codes.
+base-4 code: I=0, X=1, Y=2, Z=3, leftmost letter most significant. Maps,
+plans and samplers hold codes; words are text only at the SHOTS edge, through
+the one parser ``pauli_indices_from_words`` (one byte-table pass, naming the
+first bad word) and the one decoder ``pauli_words_from_indices``.
 
 The sensing map for an ordered list of ``M`` Pauli words sends a Hermitian
 ``X`` to the vector of expectation values ``Tr[P_k X]``. A word whose X/Y bits
@@ -19,8 +18,8 @@ are ``x`` and Y/Z bits ``z`` reads ``X[j, j^x]`` with signs ``(-1)**|j & z|``,
 so all 4^n expectations are one Walsh-Hadamard product ``H @ G`` of the real
 d x 2d ``G[j, (x, re/im)] = X[j, j^x]``, ``H`` the +-1 Sylvester matrix. The
 map stores O(d^2 + M) numbers: the d^2 gather from X to G (an involution, used
-by the adjoint too), and per word its entry of ``H @ G`` and a +-1 weight. The
-sqrt(d/M) rescaling of AMP is applied by the solver, not by the map.
+by the adjoint too), and per word its code, its entry of ``H @ G`` and a +-1
+weight. AMP's sqrt(d/M) rescaling is applied by the solver, not by the map.
 
 A SensingMap is immutable after construction; applying a shared map from
 several threads is safe. Sampling functions take caller-owned seeds or
@@ -42,7 +41,6 @@ __all__ = [
     "MeasurementPlan",
     "pauli_indices_from_words",
     "pauli_words_from_indices",
-    "build_sensing_map",
     "sensing_map_from_indices",
     "apply_sensing",
     "apply_adjoint",
@@ -89,20 +87,46 @@ def pauli_words_from_indices(indices, n: int) -> list:
     return letters.view(f"S{n}").reshape(-1).astype(str).tolist()
 
 
+def _check_qubits(n: int) -> None:
+    """Bound n before anything sized 2^n is allocated."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubits must lie in [1, {MAX_QUBITS}]")
+
+
+def _check_codes(codes, n: int, settings: bool = False) -> np.ndarray:
+    """A read-only int64 copy of the codes of n-qubit words, or of settings
+    (words with no I letter). Rejects no codes, codes that are not integers
+    in [0, 4^n), and n outside [1, MAX_QUBITS]."""
+    _check_qubits(n)
+    codes = np.array(codes).reshape(-1)
+    if not codes.size:
+        raise ValueError("need at least one word")
+    if codes.dtype.kind not in "iu":
+        raise ValueError("pauli codes must be integers")
+    if codes.min() < 0 or codes.max() >= 4 ** n:
+        raise ValueError("pauli index out of range")
+    codes = codes.astype(np.int64, copy=False)
+    low = (4 ** n - 1) // 3                     # the low bit of every letter
+    if settings and np.any(((codes | codes >> 1) & low) != low):
+        raise ValueError("measurement setting holds an I letter")
+    codes.flags.writeable = False
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # Sensing map
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class SensingMap:
-    """Ordered Pauli words (upper case) with the index form of their map.
+    """Distinct Pauli words in order, as codes, with their map's index form.
 
     ``gather`` (d^2) sends the flat X to ``G[j, x] = X[j, j^x]`` and back;
     word k reads entry ``take[k]`` of the d x 2d product ``H @ G`` (``H`` the
     d x d Sylvester matrix) with sign ``weight[k]``. All arrays are read-only.
     """
 
-    words: tuple
+    codes: np.ndarray
     n: int
     d: int
     M: int
@@ -112,29 +136,15 @@ class SensingMap:
     H: np.ndarray
 
 
-def build_sensing_map(words) -> SensingMap:
-    """Assemble a SensingMap from distinct Pauli words (any case)."""
-    words = tuple(str(w).upper() for w in words)
-    n = len(words[0]) if words else 1
-    return _sensing_map(pauli_indices_from_words(words, n), n, words)
-
-
-def sensing_map_from_indices(indices, n: int) -> SensingMap:
-    """Assemble a SensingMap from distinct base-4 codes of n-qubit words."""
-    codes = np.asarray(indices, dtype=np.int64).reshape(-1)
-    return _sensing_map(codes, n, tuple(pauli_words_from_indices(codes, n)))
-
-
-def _sensing_map(codes: np.ndarray, n: int, words: tuple) -> SensingMap:
-    """The map of ``words``, given as their codes."""
-    if not codes.size:
-        raise ValueError("need at least one Pauli observable")
+def sensing_map_from_indices(codes, n: int) -> SensingMap:
+    """Assemble the SensingMap of distinct base-4 codes of n-qubit words."""
+    codes = _check_codes(codes, n)
     if np.unique(codes).size != codes.size:
         raise ValueError("duplicate Pauli observables in sensing map")
     arrays = _index_form(codes, n)
     for a in arrays:
         a.flags.writeable = False
-    return SensingMap(words, n, 1 << n, len(words), *arrays)
+    return SensingMap(codes, n, 1 << n, codes.size, *arrays)
 
 
 def _index_form(codes: np.ndarray, n: int) -> tuple:
@@ -209,20 +219,15 @@ def _check_data(smap: SensingMap, y) -> np.ndarray:
 
 def apply_adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:
     """Adjoint map ``sum_k y_k P_k``, exactly Hermitian."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (smap.M,):
-        raise ValueError("dimension mismatch between map and data vector")
-    return _adjoint(smap, y)
+    return _adjoint(smap, _check_data(smap, y))
 
 
-def sample_observables(n: int, M: int, seed) -> list:
-    """Sample M distinct Pauli words uniformly (without replacement)."""
+def sample_observables(n: int, M: int, seed) -> np.ndarray:
+    """Codes of M distinct Pauli words drawn uniformly (without replacement)."""
     d2 = 4 ** n
     if not 1 <= M <= d2:
         raise ValueError(f"need 1 <= M <= {d2}, got {M}")
-    rng = as_rng(seed)
-    idx = rng.choice(d2, size=M, replace=False)
-    return pauli_words_from_indices(idx, n)
+    return as_rng(seed).choice(d2, size=M, replace=False)
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +241,17 @@ def _cover_masks(n: int) -> np.ndarray:
     return ((np.arange(1 << n)[:, None] >> place) & 1) @ (3 << 2 * place)
 
 
-def covered_codes(settings) -> np.ndarray:
-    """Base-4 codes of the Pauli words that settings (words over XYZ, any
-    case) cover: entry ``[k, a]`` keeps the letters of ``settings[k]`` where
-    bit a of the mask is 1 and writes I elsewhere."""
-    settings = tuple(str(s).upper() for s in settings)
-    if not settings:
-        raise ValueError("need at least one measurement setting")
-    n = len(settings[0])
-    codes = pauli_indices_from_words(settings, n, "XYZ", "measurement setting")
-    return codes[:, None] & _cover_masks(n)
+def covered_codes(codes, n: int) -> np.ndarray:
+    """Codes of the Pauli words that n-qubit settings (codes of words over
+    XYZ) cover: entry ``[k, a]`` keeps the letters of setting k where bit a
+    of the mask is 1 and writes I elsewhere."""
+    return np.asarray(codes, dtype=np.int64)[:, None] & _cover_masks(n)
 
 
 def sample_settings_until(n: int, target_M: int, seed):
     """Draw settings uniformly without replacement until the union of their
-    covered observables reaches ``target_M``; return the drawn setting
-    words in order (their count is the circuit count T). Permutation entry
+    covered observables reaches ``target_M``; return the codes of the drawn
+    settings in order (their count is the circuit count T). Permutation entry
     i is the setting whose base-3 digits (0=X, 1=Y, 2=Z, leftmost first)
     spell i; its covered codes are those of ``covered_codes``."""
     d2 = 4 ** n
@@ -270,28 +270,30 @@ def sample_settings_until(n: int, target_M: int, seed):
         covered[codes] = True
         if total >= target_M:
             break
-    return pauli_words_from_indices(settings[:k + 1], n)
+    return settings[:k + 1]
 
 
 # ---------------------------------------------------------------------------
 # Measurement plans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementPlan:
-    """An ordered measurement plan: Pauli words or setting words."""
+    """An ordered measurement plan: read-only codes of distinct words or settings."""
 
     n: int
     mode: str  # "observables" | "settings"
-    words: tuple
+    codes: np.ndarray
 
     def __post_init__(self):
         if self.mode not in ("observables", "settings"):
             raise ValueError(f"unknown plan mode {self.mode!r}")
-        if not self.words:
-            raise ValueError("empty measurement plan")
-        alphabet = LETTERS if self.mode == "observables" else "XYZ"
-        codes = pauli_indices_from_words(self.words, self.n, alphabet,
-                                         f"{self.mode} word")
+        codes = _check_codes(self.codes, self.n, self.mode == "settings")
         if np.unique(codes).size != codes.size:
-            raise ValueError("duplicate words in measurement plan")
+            raise ValueError("duplicate codes in measurement plan")
+        object.__setattr__(self, "codes", codes)
+
+    @property
+    def words(self) -> list:
+        """The plan's words as text, decoded on each read."""
+        return pauli_words_from_indices(self.codes, self.n)

@@ -2,10 +2,40 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from ampqst.pauli import (
+    MeasurementPlan,
+    pauli_indices_from_words,
+    pauli_words_from_indices,
+    sensing_map_from_indices,
+)
+
 # Property tests run a fixed example sequence so the suite is reproducible,
 # and with no deadline because a loaded machine can stall any one example.
 settings.register_profile("repro", deadline=None, derandomize=True, database=None)
 settings.load_profile("repro")
+
+
+def codes_of(words, n=None):
+    """Base-4 codes of words given as text, through the one parser; n is the
+    first word's length unless given."""
+    words = list(words)
+    return pauli_indices_from_words(words, len(words[0]) if n is None else n)
+
+
+def map_of(words):
+    """The sensing map of Pauli words given as text."""
+    words = list(words)
+    return sensing_map_from_indices(codes_of(words), len(words[0]))
+
+
+def plan_of(n, mode, words):
+    """A measurement plan of n-qubit words given as text."""
+    return MeasurementPlan(n, mode, codes_of(words, n))
+
+
+def words_of(held):
+    """The words of a sensing map or plan, decoded from its codes."""
+    return pauli_words_from_indices(held.codes, held.n)
 
 
 class CallLog(list):

@@ -21,7 +21,7 @@ from ampqst.measure import (
     apply_composite,
     apply_loss,
     build_measurements,
-    outcome_distribution,
+    outcome_probabilities,
     parity_estimates,
 )
 from ampqst.mifgd import MifgdConfig, run_mifgd
@@ -29,11 +29,11 @@ from ampqst.pauli import (
     MeasurementPlan,
     apply_adjoint,
     apply_sensing,
-    build_sensing_map,
     covered_codes,
     pauli_words_from_indices,
     sample_observables,
     sample_settings_until,
+    sensing_map_from_indices,
 )
 from ampqst.states import (
     is_density,
@@ -45,6 +45,7 @@ from ampqst.states import (
     pure_density,
     state_fidelity,
 )
+from conftest import codes_of
 from test_amp import estimate_onsager
 
 I2 = np.eye(2, dtype=complex)
@@ -73,8 +74,8 @@ def flagship_problem():
     """n=5 rank-3 random state, M=384 observables, N=1024 shots (frozen trial)."""
     seed = 41
     rho = make_random_state(5, 3, np.random.default_rng((seed, 1)))
-    words = sample_observables(5, 384, np.random.default_rng((seed, 2)))
-    plan = MeasurementPlan(n=5, mode="observables", words=tuple(words))
+    codes = sample_observables(5, 384, np.random.default_rng((seed, 2)))
+    plan = MeasurementPlan(5, "observables", codes)
     smap, y = build_measurements(rho, plan, shots=1024, seed=(seed, 3))
     return rho, smap, y
 
@@ -138,9 +139,9 @@ def test_criterion_3_marginalization_oracle():
     worst = 0.0
     for rho in states.values():
         for letters in itertools.product("XYZ", repeat=3):
-            setting = "".join(letters)
-            dist = outcome_distribution(rho, setting)
-            words = pauli_words_from_indices(covered_codes([setting])[0], 3)
+            setting = codes_of(["".join(letters)])
+            dist = outcome_probabilities(rho, setting)[0]
+            words = pauli_words_from_indices(covered_codes(setting, 3)[0], 3)
             for mask, word in enumerate(words):
                 direct = float(np.real(np.trace(kron_word(word) @ rho)))
                 worst = max(worst, abs(parity_estimates(dist[None])[0, mask] - direct))
@@ -179,7 +180,7 @@ def test_criterion_5_adjoint_and_gram():
     worst_adj = 0.0
     count = 0
     for n in (1, 2, 3):
-        smap = build_sensing_map(sample_observables(n, 3 ** n, rng))
+        smap = sensing_map_from_indices(sample_observables(n, 3 ** n, rng), n)
         d = smap.d
         for _ in range(34):
             A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -192,8 +193,7 @@ def test_criterion_5_adjoint_and_gram():
     worst_gram = 0.0
     for n in (1, 2):
         d = 1 << n
-        words = pauli_words_from_indices(np.arange(4 ** n), n)
-        smap = build_sensing_map(words)
+        smap = sensing_map_from_indices(np.arange(4 ** n), n)
         A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         Xh = 0.5 * (A + A.conj().T)
         gram = apply_adjoint(smap, apply_sensing(smap, Xh))
@@ -244,10 +244,10 @@ def test_criterion_7_onsager_calibration():
 def test_criterion_8_noiseless_exact_recovery():
     n, d = 3, 8
     rho = make_random_state(n, 1, np.random.default_rng(7))
-    words = tuple(pauli_words_from_indices(np.arange(4 ** n), n))
-    plan = MeasurementPlan(n=n, mode="observables", words=words)
+    plan = MeasurementPlan(n, "observables", np.arange(4 ** n))
     smap, y = build_measurements(rho, plan, shots=None, seed=(8,))
-    oracle = sum(y[k] * kron_word(smap.words[k]) for k in range(smap.M)) / d
+    words = pauli_words_from_indices(smap.codes, n)
+    oracle = sum(y[k] * kron_word(words[k]) for k in range(smap.M)) / d
 
     rho_amp, _ = run_amp(smap, y, AmpConfig(seed=3))
     amp_nmse = nmse(oracle, rho_amp)

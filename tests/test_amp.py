@@ -22,7 +22,6 @@ from ampqst.pauli import (
     MeasurementPlan,
     apply_adjoint,
     apply_sensing,
-    pauli_words_from_indices,
     sample_observables,
 )
 from ampqst.states import (
@@ -35,6 +34,7 @@ from ampqst.states import (
     pure_density,
     state_fidelity,
 )
+from conftest import words_of
 
 
 PAULI1 = {
@@ -391,10 +391,10 @@ def make_problem(n=3, M=None, seed=0, shots=None, rank=1, rho=None):
     if rho is None:
         rho = make_random_state(n, rank, np.random.default_rng((seed, 1)))
     if M is None:
-        words = pauli_words_from_indices(np.arange(4 ** n), n)
+        codes = np.arange(4 ** n)
     else:
-        words = sample_observables(n, M, np.random.default_rng((seed, 2)))
-    plan = MeasurementPlan(n=n, mode="observables", words=tuple(words))
+        codes = sample_observables(n, M, np.random.default_rng((seed, 2)))
+    plan = MeasurementPlan(n, "observables", codes)
     smap, y = build_measurements(rho, plan, shots=shots, seed=(seed, 3))
     return rho, smap, y
 
@@ -438,13 +438,13 @@ class TestAmpStep:
         # the step probes the previous pseudo-data with the first draws of
         # its generator, as estimate_onsager does with the same seed
         rho, smap, y = make_problem(seed=12, M=40, shots=512)
-        cfg = AmpConfig(seed=0, mc_samples=3)
+        cfg = AmpConfig(seed=0)
         rng = np.random.default_rng(5)
         start = initial_state(smap)
         first = amp_step(start, smap, y, cfg, rng)
         second = amp_step(first, smap, y, cfg, rng)
         fd = estimate_onsager(psvt, pseudo_data(start.rho, smap, first), first.tau,
-                              smap.M, 1e-7, 3, np.random.default_rng(5))
+                              smap.M, 1e-7, 1, np.random.default_rng(5))
         assert second.onsager != 0.0
         assert abs(second.onsager - 2.0 * fd) <= 1e-5 * abs(second.onsager)
 
@@ -475,7 +475,7 @@ class TestRunAmp:
     def test_noiseless_full_basis_recovery(self):
         rho, smap, y = make_problem(n=3, seed=5)
         rho_hat, trace = run_amp(smap, y, AmpConfig(seed=1))
-        oracle = sum(y[k] * kron_word(w) for k, w in enumerate(smap.words)) / smap.d
+        oracle = sum(y[k] * kron_word(w) for k, w in enumerate(words_of(smap))) / smap.d
         assert nmse(oracle, rho_hat) < 1e-6
         assert nmse(rho, rho_hat) < 1e-6
 
@@ -603,20 +603,18 @@ class TestRunAmp:
         for col in ("sigma", "tau", "onsager", "residual_norm"):
             assert np.allclose(getattr(fast, col), getattr(slow, col), rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("alpha, mc_samples", [(2.0, 1), (2.0, 3), (50.0, 2)],
-                             ids=["kept", "kept-3-probes", "none-kept"])
-    def test_probes_take_2d2_normals_each(self, alpha, mc_samples):
+    @pytest.mark.parametrize("alpha", [2.0, 50.0], ids=["kept", "none-kept"])
+    def test_probes_take_2d2_normals_each(self, alpha):
         # t iterations probe t - 1 times, each probe 2 d^2 normals, whatever
         # the step keeps: the generator is left where a fresh one is after
-        # 2 d^2 (t - 1) mc_samples draws. At alpha = 50 nothing is kept.
+        # 2 d^2 (t - 1) draws. At alpha = 50 nothing is kept.
         rho, smap, y = make_problem(n=3, M=40, seed=17, shots=512, rank=2)
         rng, iters, d = np.random.default_rng(21), 30, smap.d
-        _, trace = run_amp(smap, y, AmpConfig(seed=rng, max_iter=iters, alpha=alpha,
-                                              mc_samples=mc_samples))
+        _, trace = run_amp(smap, y, AmpConfig(seed=rng, max_iter=iters, alpha=alpha))
         assert len(trace) == iters
         assert (trace.onsager[1:] != 0.0).any() == (alpha == 2.0)
         fresh = np.random.default_rng(21)
-        fresh.standard_normal(2 * d * d * (iters - 1) * mc_samples)
+        fresh.standard_normal(2 * d * d * (iters - 1))
         assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
 
     def test_retained_trace_is_compact(self):

@@ -14,7 +14,7 @@ import ampqst
 from ampqst.amp import AmpConfig
 from ampqst.cli import ExperimentConfig, build_parser
 from ampqst.measure import NoiseModel, ShotRecord, build_measurements
-from ampqst.pauli import SensingMap
+from ampqst.pauli import MeasurementPlan, SensingMap
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ampqst.__path__))
 
@@ -25,7 +25,8 @@ REMOVED = ["PauliString", "build_pauli", "pauli_expectation", "observables_of_se
            "momentum_schedule", "setting_word_from_index", "noisy_basis_measurement",
            "apply_readout", "_pauli_batch", "check_setting", "pauli_index_from_word",
            "pauli_word_from_index", "covered_word", "covered_words",
-           "estimate_from_setting", "_parse_mask", "estimate_onsager", "hermitian_probe"]
+           "estimate_from_setting", "_parse_mask", "estimate_onsager", "hermitian_probe",
+           "build_sensing_map", "outcome_distribution"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,10 +54,16 @@ def test_package_imports_resolve():
     assert not [n for n in REMOVED if hasattr(ampqst, n)]
 
 
-def test_sensing_map_holds_words_and_index_form_only():
+def test_sensing_map_holds_codes_and_index_form_only():
     fields = [f.name for f in dataclasses.fields(SensingMap)]
     assert "paulis" not in fields
-    assert fields == ["words", "n", "d", "M", "gather", "take", "weight", "H"]
+    assert fields == ["codes", "n", "d", "M", "gather", "take", "weight", "H"]
+
+
+def test_measurement_plan_holds_codes_only():
+    # words are spelt on read by a property, not stored
+    fields = [f.name for f in dataclasses.fields(MeasurementPlan)]
+    assert fields == ["n", "mode", "codes"]
 
 
 def test_one_measurement_data_path():
@@ -74,6 +81,10 @@ def test_amp_config_has_no_damping_switch():
     # damping=1 is the undamped run; AMP stops at max_iter or on divergence
     fields = [f.name for f in dataclasses.fields(AmpConfig)]
     assert not {"damping_enabled", "early_stop", "early_stop_tol"} & set(fields)
+
+
+def test_amp_config_takes_one_probe_per_step():
+    assert "mc_samples" not in [f.name for f in dataclasses.fields(AmpConfig)]
 
 
 def test_reconstruct_flags_are_config_plus_one_per_setting():

@@ -286,6 +286,19 @@ class TestSettingsTable:
         assert main(["settings-table", "--qubits", "3", "--trials", "0"]) == 2
         assert "trials must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("qubits", ["0", str(MAX_QUBITS + 1)])
+    def test_qubits_bounded_as_reconstruct_bounds_them(self, qubits, capsys):
+        assert main(["reconstruct", "--observables", "1", "--qubits", qubits]) == 2
+        expected = capsys.readouterr().err
+        assert f"qubits must lie in [1, {MAX_QUBITS}]" in expected
+        assert main(["settings-table", "--qubits", qubits, "--trials", "1"]) == 2
+        assert capsys.readouterr().err == expected
+
+    def test_runs_beyond_n_10(self, capsys):
+        assert main(["settings-table", "--qubits", "11", "--fractions", "0.001",
+                     "--trials", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["11", "4194"]
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "table.csv"
         cmd_settings_table([3], [0.25, 1.0], trials=5, seed=2, out=str(out))
@@ -369,6 +382,7 @@ class TestDumpState:
     ["reconstruct", "--observables", "5"],
     ["noise-study", "--channel", "depolarizing", "--observables", "5"],
     ["dump-state", "--state", "ghz", "--out", "never.dmat"],
+    ["settings-table", "--trials", "1"],
 ])
 def test_qubits_beyond_the_bound_rejected_before_allocating(argv, tmp_path,
                                                             monkeypatch, capsys):

@@ -19,7 +19,6 @@ from ampqst.measure import (
     apply_pauli_flip,
     build_measurements,
     estimate,
-    outcome_distribution,
     outcome_probabilities,
     overrotation_unitary,
     parity_estimates,
@@ -32,7 +31,6 @@ from ampqst.pauli import (
     MeasurementPlan,
     apply_adjoint,
     apply_sensing,
-    build_sensing_map,
     covered_codes,
     sample_settings_until,
 )
@@ -43,6 +41,7 @@ from ampqst.states import (
     numerical_rank,
     pure_density,
 )
+from conftest import codes_of, map_of, plan_of, words_of
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -107,6 +106,11 @@ def kron_distribution(rho, setting, theta=0.0, q=0.0):
     return apply_readout(np.clip(probs, 0.0, None), q)
 
 
+def distribution(rho, setting, theta=0.0):
+    """Outcome probabilities of one setting given as text."""
+    return outcome_probabilities(rho, codes_of([setting]), theta)[0]
+
+
 def kron_word(word):
     out = np.array([[1.0]], dtype=complex)
     for ch in word:
@@ -116,19 +120,19 @@ def kron_word(word):
 
 class TestExpectations:
     def test_mixed_state_traceless(self):
-        smap = build_sensing_map(["XZ", "YY", "IX"])
+        smap = map_of(["XZ", "YY", "IX"])
         assert np.allclose(apply_sensing(smap, np.eye(4) / 4), 0.0)
 
     def test_ghz_stabilizers(self):
         rho = pure_density(make_named_state("GHZ", 2))
-        smap = build_sensing_map(["ZZ", "ZI", "XX"])
+        smap = map_of(["ZZ", "ZI", "XX"])
         y = apply_sensing(smap, rho)
         assert np.allclose(y, [1.0, 0.0, 1.0], atol=1e-12)
 
 
 def one_word_draw(rho, word, N, seed):
     """The observables-mode estimate of one word from N shots."""
-    plan = MeasurementPlan(n=len(word), mode="observables", words=(word,))
+    plan = plan_of(len(word), "observables", [word])
     return build_measurements(rho, plan, N, seed=seed)[1][0]
 
 
@@ -162,7 +166,7 @@ class TestShotSampling:
 
     def test_unbiasedness_four_sigma(self):
         rho = make_random_state(2, 2, 3)
-        exact = apply_sensing(build_sensing_map(["XZ"]), rho)[0]
+        exact = apply_sensing(map_of(["XZ"]), rho)[0]
         N, K = 64, 10_000
         draws = [one_word_draw(rho, "XZ", N, (11, k)) for k in range(K)]
         se = np.sqrt((1 - exact ** 2) / N / K)
@@ -186,7 +190,7 @@ class TestShotSampling:
         n = len(words[0])
         rho = (make_random_state(n, 2, seed) if state == "random"
                else pure_density(make_named_state(state, n)))
-        plan = MeasurementPlan(n=n, mode="observables", words=tuple(words))
+        plan = plan_of(n, "observables", words)
         smap, y = build_measurements(rho, plan, N, seed=seed)
         p = (apply_sensing(smap, rho) + 1.0) / 2.0
         dense = [(np.trace(kron_word(w) @ rho).real + 1.0) / 2.0 for w in words]
@@ -196,15 +200,15 @@ class TestShotSampling:
 
 class TestOutcomeDistributions:
     def test_zero_state_z(self):
-        dist = outcome_distribution(pure_density(np.array([1.0, 0.0])), "Z")
+        dist = distribution(pure_density(np.array([1.0, 0.0])), "Z")
         assert np.allclose(dist, [1.0, 0.0])
 
     def test_zero_state_x(self):
-        dist = outcome_distribution(pure_density(np.array([1.0, 0.0])), "X")
+        dist = distribution(pure_density(np.array([1.0, 0.0])), "X")
         assert np.allclose(dist, [0.5, 0.5])
 
     def test_ghz_zz(self):
-        dist = outcome_distribution(pure_density(make_named_state("GHZ", 2)), "ZZ")
+        dist = distribution(pure_density(make_named_state("GHZ", 2)), "ZZ")
         assert np.allclose(dist, [0.5, 0, 0, 0.5], atol=1e-12)
 
     def test_matches_projector_oracle(self):
@@ -212,7 +216,7 @@ class TestOutcomeDistributions:
         for n in (1, 2, 3):
             rho = make_random_state(n, 2, rng)
             for setting in ("X" * n, "YZX"[:n], "ZYX"[:n]):
-                dist = outcome_distribution(rho, setting)
+                dist = distribution(rho, setting)
                 assert np.allclose(dist, oracle_distribution(rho, setting),
                                    atol=1e-12)
                 assert abs(dist.sum() - 1.0) < 1e-10
@@ -239,15 +243,15 @@ def parity_of_mask(dist, mask):
 
 class TestParityMarginalization:
     def test_zero_state(self):
-        dist = outcome_distribution(pure_density(np.array([1.0, 0.0])), "Z")
+        dist = distribution(pure_density(np.array([1.0, 0.0])), "Z")
         assert abs(parity_estimates(dist[None])[0, 0b1] - 1.0) < 1e-12
 
     def test_ghz_xx(self):
-        dist = outcome_distribution(pure_density(make_named_state("GHZ", 2)), "XX")
+        dist = distribution(pure_density(make_named_state("GHZ", 2)), "XX")
         assert abs(parity_estimates(dist[None])[0, 0b11] - 1.0) < 1e-12
 
     def test_identity_mask(self):
-        dist = outcome_distribution(make_random_state(3, 2, 0), "XYZ")
+        dist = distribution(make_random_state(3, 2, 0), "XYZ")
         assert abs(parity_estimates(dist[None])[0, 0b000] - 1.0) < 1e-12
 
     def test_counts_are_normalized(self):
@@ -262,7 +266,7 @@ class TestParityMarginalization:
             rho = make_random_state(n, 2, rng)
             for letters in itertools.product("XYZ", repeat=n):
                 setting = "".join(letters)
-                est = parity_estimates(outcome_distribution(rho, setting)[None])[0]
+                est = parity_estimates(distribution(rho, setting)[None])[0]
                 for mask, word in enumerate(covered_words(setting)):
                     direct = np.real(np.trace(kron_word(word) @ rho))
                     assert abs(est[mask] - direct) < 1e-12
@@ -367,15 +371,15 @@ class TestSettingsSynthesis:
     def test_matches_per_word_loop(self, n, noise, shots):
         rho = make_random_state(n, 2, 40 + n)
         settings = sample_settings_until(n, min(4 ** n, 12 * n), n)
-        plan = MeasurementPlan(n=n, mode="settings", words=tuple(settings))
+        plan = MeasurementPlan(n, "settings", settings)
         rec = simulate(rho, plan, shots, noise, seed=7)
         smap, y = estimate(rec)
         theta, q = noise.coherent_theta, noise.readout_q
         probs = outcome_probabilities(rho, settings, theta, q)
-        oracle = [kron_distribution(rho, s, theta, q) for s in settings]
+        oracle = [kron_distribution(rho, s, theta, q) for s in plan.words]
         assert np.max(np.abs(probs - oracle)) <= 1e-14
         words, y_ref, counts = per_word_synthesis(probs, plan, shots, 7)
-        assert list(smap.words) == words
+        assert words_of(smap) == words
         # the map acts as the per-word matrix, forward and adjoint, up to
         # the round-off of sums of d terms
         A_ref, d, eps = per_word_matrix(words), 1 << n, np.finfo(float).eps
@@ -408,34 +412,38 @@ class TestSettingsSynthesis:
         # readout against apply_readout row by row
         settings, rank = settings_rank
         rho = make_random_state(len(settings[0]), rank, seed)
-        probs = outcome_probabilities(rho, settings, theta, q)
+        codes = codes_of(settings)
+        probs = outcome_probabilities(rho, codes, theta, q)
         oracle = [kron_distribution(rho, s, theta, q) for s in settings]
         assert np.max(np.abs(probs - oracle)) <= 1e-14
-        per_row = [apply_readout(p, q) for p in outcome_probabilities(rho, settings, theta)]
+        per_row = [apply_readout(p, q) for p in outcome_probabilities(rho, codes, theta)]
         assert np.max(np.abs(probs - per_row)) <= 1e-14
 
-    def test_no_per_word_calls(self, function_calls):
-        # one batched parse of the settings for synthesis and one for the
-        # estimates: no word parsed one at a time, and no map built from
-        # words decoded from codes. Synthesis takes all 4^n expectations from
-        # the codes and decodes nothing; only the estimates' map spells words
+    @pytest.mark.parametrize("mode", ["observables", "settings"])
+    def test_no_per_word_calls(self, function_calls, mode):
+        # plans hold codes, so measurement parses and decodes no word: an
+        # observables plan builds its map once to simulate and once to
+        # estimate; settings synthesis takes all 4^n expectations from the
+        # codes, and only the estimates build a map
         rho = make_random_state(5, 2, 3)
-        settings = sample_settings_until(5, 400, 1)
-        plan = MeasurementPlan(n=5, mode="settings", words=tuple(settings))
+        if mode == "observables":
+            codes, maps = pauli.sample_observables(5, 400, 1), 2
+        else:
+            codes, maps = sample_settings_until(5, 400, 1), 1
+        plan = MeasurementPlan(5, mode, codes)
         for owner, name in itertools.product(
-                (pauli, measure), ("pauli_indices_from_words", "sensing_map_from_indices",
-                                   "build_sensing_map")):
+                (pauli, measure),
+                ("pauli_indices_from_words", "sensing_map_from_indices")):
             function_calls.watch(owner, name)
         function_calls.watch(pauli, "pauli_words_from_indices")
         smap, y = build_measurements(rho, plan, shots=1024, seed=0)
         assert smap.M >= 400
-        assert function_calls == ["pauli_indices_from_words"] * 2 \
-            + ["sensing_map_from_indices", "pauli_words_from_indices"]
+        assert function_calls == ["sensing_map_from_indices"] * maps
 
 
 class TestReadout:
     def test_identity_at_zero(self):
-        dist = outcome_distribution(make_random_state(2, 1, 3), "XZ")
+        dist = distribution(make_random_state(2, 1, 3), "XZ")
         out = apply_readout(dist, 0.0)
         assert np.allclose(out, dist)
 
@@ -627,14 +635,14 @@ class TestNoisyBasisMeasurement:
     def test_zero_angle_reduces_to_exact(self):
         rho = make_random_state(2, 2, 13)
         for setting in ("XY", "ZX"):
-            a = outcome_distribution(rho, setting, 0.0)
-            b = outcome_distribution(rho, setting)
+            a = distribution(rho, setting, 0.0)
+            b = distribution(rho, setting)
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_all_z_immune(self):
         rho = make_random_state(2, 3, 14)
-        a = outcome_distribution(rho, "ZZ", 0.3)
-        b = outcome_distribution(rho, "ZZ")
+        a = distribution(rho, "ZZ", 0.3)
+        b = distribution(rho, "ZZ")
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_plus_state_oracle(self):
@@ -646,7 +654,7 @@ class TestNoisyBasisMeasurement:
         RX = np.array([[c, -1j * s], [-1j * s, c]])
         G = RX @ H.conj().T
         expected = np.real(np.diag(G @ plus @ G.conj().T))
-        dist = outcome_distribution(plus, "X", theta)
+        dist = distribution(plus, "X", theta)
         assert np.allclose(dist, expected, atol=1e-12)
         assert abs(dist[0] - np.cos(theta / 2) ** 2) < 1e-12
 
@@ -654,17 +662,15 @@ class TestNoisyBasisMeasurement:
 class TestBuildMeasurements:
     def test_observable_mode_infinite_matches_exact(self):
         rho = make_random_state(3, 2, 1)
-        plan = MeasurementPlan(n=3, mode="observables",
-                               words=("XYZ", "ZZI", "IXI", "YYY"))
+        plan = plan_of(3, "observables", ("XYZ", "ZZI", "IXI", "YYY"))
         smap, y = build_measurements(rho, plan, shots=None, seed=0)
         assert np.allclose(y, apply_sensing(smap, rho), atol=1e-12)
 
     def test_modes_agree_at_infinite_shots(self):
         rho = make_random_state(2, 2, 2)
-        settings_plan = MeasurementPlan(n=2, mode="settings", words=("XY", "ZZ"))
+        settings_plan = plan_of(2, "settings", ("XY", "ZZ"))
         smap_s, y_s = build_measurements(rho, settings_plan, shots=None, seed=0)
-        obs_plan = MeasurementPlan(n=2, mode="observables",
-                                   words=smap_s.words)
+        obs_plan = MeasurementPlan(2, "observables", smap_s.codes)
         smap_o, y_o = build_measurements(rho, obs_plan, shots=None, seed=0)
         assert np.max(np.abs(y_s - y_o)) < 1e-12
 
@@ -672,15 +678,14 @@ class TestBuildMeasurements:
         rho = pure_density(make_named_state("GHZ", 3))
         settings = sample_settings_until(3, 64, 5)
         assert len(settings) == 27
-        assert np.unique(covered_codes(settings[:-1])).size < 64
-        plan = MeasurementPlan(n=3, mode="settings", words=tuple(settings))
+        assert np.unique(covered_codes(settings[:-1], 3)).size < 64
+        plan = MeasurementPlan(3, "settings", settings)
         smap, y = build_measurements(rho, plan, shots=16, seed=1)
         assert smap.M == 64
 
     def test_observable_mode_consumes_one_draw_each(self):
         rho = make_random_state(2, 3, 3)
-        words = ("XX", "YZ", "IX", "ZZ", "XY")
-        plan = MeasurementPlan(n=2, mode="observables", words=words)
+        plan = plan_of(2, "observables", ("XX", "YZ", "IX", "ZZ", "XY"))
         smap, y = build_measurements(rho, plan, shots=64, seed=9)
         # replay the exact RNG stream: M draws, one per observable, in order
         p = (apply_sensing(smap, rho) + 1.0) / 2.0
@@ -688,7 +693,7 @@ class TestBuildMeasurements:
 
     def test_measurement_noise_requires_settings(self):
         rho = make_random_state(2, 1, 4)
-        plan = MeasurementPlan(n=2, mode="observables", words=("XX",))
+        plan = plan_of(2, "observables", ["XX"])
         with pytest.raises(ValueError):
             build_measurements(rho, plan, shots=10,
                                noise=NoiseModel(readout_q=0.1), seed=0)
@@ -703,22 +708,26 @@ class TestBuildMeasurements:
 
     def test_settings_mode_shared_shots_reproducible(self):
         rho = make_random_state(2, 2, 6)
-        plan = MeasurementPlan(n=2, mode="settings", words=("XX", "YZ"))
+        plan = plan_of(2, "settings", ("XX", "YZ"))
         a = build_measurements(rho, plan, shots=128, seed=3)[1]
         b = build_measurements(rho, plan, shots=128, seed=3)[1]
         assert np.array_equal(a, b)
 
     def test_readout_shrinks_expectations(self):
         rho = pure_density(make_named_state("GHZ", 2))
-        plan = MeasurementPlan(n=2, mode="settings", words=("ZZ",))
+        plan = plan_of(2, "settings", ["ZZ"])
         smap, y = build_measurements(rho, plan, shots=None,
                                      noise=NoiseModel(readout_q=0.1), seed=0)
-        idx = smap.words.index("ZZ")
+        idx = words_of(smap).index("ZZ")
         assert abs(y[idx] - (1 - 2 * 0.1) ** 2) < 1e-12
 
 
 def record(n, mode, shots, words, data):
-    return ShotRecord(MeasurementPlan(n=n, mode=mode, words=tuple(words)), shots, data)
+    return ShotRecord(plan_of(n, mode, words), shots, data)
+
+
+def same_plan(a, b):
+    return (a.n, a.mode, a.words) == (b.n, b.mode, b.words)
 
 
 class TestShotsFormat:
@@ -727,7 +736,7 @@ class TestShotsFormat:
         path = tmp_path / "shots.txt"
         write_shots(path, rec)
         back = read_shots(path)
-        assert back.plan == rec.plan
+        assert same_plan(back.plan, rec.plan)
         assert np.array_equal(back.data, rec.data)
         assert back.shots == 128
 
@@ -766,7 +775,7 @@ class TestShotsFormat:
 
     def test_exact_probabilities_are_not_written(self, tmp_path):
         rho = make_random_state(2, 1, 7)
-        plan = MeasurementPlan(n=2, mode="settings", words=("XX", "ZY"))
+        plan = plan_of(2, "settings", ("XX", "ZY"))
         rec = simulate(rho, plan, shots=None)
         assert (rec.shots, rec.data.dtype) == (None, np.float64)
         with pytest.raises(ValueError, match="exact probabilities"):
@@ -774,9 +783,9 @@ class TestShotsFormat:
 
     def test_build_measurements_record(self, tmp_path):
         rho = make_random_state(2, 1, 7)
-        plan = MeasurementPlan(n=2, mode="settings", words=("XX", "ZY"))
+        plan = plan_of(2, "settings", ("XX", "ZY"))
         rec = simulate(rho, plan, shots=32, seed=2)
-        assert rec.plan == plan and rec.shots == 32
+        assert rec.plan is plan and rec.shots == 32
         path = tmp_path / "rec.txt"
         write_shots(path, rec)
         back = read_shots(path)
@@ -811,7 +820,7 @@ class TestShotsReader:
         path = tmp_path_factory.mktemp("shots") / "shots.txt"
         write_shots(path, rec)
         back = read_shots(path)
-        assert (back.plan, back.shots) == (rec.plan, rec.shots)
+        assert same_plan(back.plan, rec.plan) and back.shots == rec.shots
         assert np.array_equal(back.data, rec.data)
 
     @given(st.integers(1, 4), st.sampled_from(["observables", "settings"]),
@@ -822,17 +831,17 @@ class TestShotsReader:
         rng = np.random.default_rng(seed)
         rho = make_random_state(n, min(2, 1 << n), rng)
         if mode == "observables":
-            words = pauli.sample_observables(n, min(4 ** n, 10), rng)
+            codes = pauli.sample_observables(n, min(4 ** n, 10), rng)
             noise = None
         else:
-            words = sample_settings_until(n, min(4 ** n, 6 * n), rng)
+            codes = sample_settings_until(n, min(4 ** n, 6 * n), rng)
             noise = NoiseModel(readout_q=0.03)
-        plan = MeasurementPlan(n=n, mode=mode, words=tuple(words))
+        plan = MeasurementPlan(n, mode, codes)
         path = tmp_path_factory.mktemp("shots") / "shots.txt"
         write_shots(path, simulate(rho, plan, shots, noise, seed=seed))
         smap, y = estimate(read_shots(path))
         smap_ref, y_ref = build_measurements(rho, plan, shots, noise, seed=seed)
-        assert smap.words == smap_ref.words
+        assert np.array_equal(smap.codes, smap_ref.codes)
         assert y.tobytes() == y_ref.tobytes()
 
     @pytest.mark.parametrize("text, line", [

@@ -3,13 +3,14 @@ import pytest
 
 from ampqst.mifgd import MifgdConfig, run_mifgd
 from ampqst.measure import build_measurements
-from ampqst.pauli import MeasurementPlan, apply_sensing, pauli_words_from_indices
+from ampqst.pauli import MeasurementPlan, apply_sensing
 from ampqst.states import (
     make_random_state,
     numerical_rank,
     project_to_density,
     state_fidelity,
 )
+from conftest import words_of
 
 
 PAULI1 = {
@@ -29,8 +30,7 @@ def kron_word(word):
 
 def full_basis_problem(n, seed, rank=1):
     rho = make_random_state(n, rank, np.random.default_rng((seed, 1)))
-    words = tuple(pauli_words_from_indices(np.arange(4 ** n), n))
-    plan = MeasurementPlan(n=n, mode="observables", words=words)
+    plan = MeasurementPlan(n, "observables", np.arange(4 ** n))
     smap, y = build_measurements(rho, plan, shots=None, seed=(seed, 2))
     return rho, smap, y
 
@@ -50,7 +50,7 @@ class TestMomentum:
 class TestRunMifgd:
     def test_noiseless_pure_recovery(self):
         rho, smap, y = full_basis_problem(2, seed=0)
-        oracle = sum(y[k] * kron_word(w) for k, w in enumerate(smap.words)) / smap.d
+        oracle = sum(y[k] * kron_word(w) for k, w in enumerate(words_of(smap))) / smap.d
         rho_hat, iters = run_mifgd(smap, y, MifgdConfig(rank_budget=1, mu=0.0, seed=3))
         fid = state_fidelity(project_to_density(oracle),
                              project_to_density(rho_hat))

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ampqst.measure import read_shots
+from ampqst.measure import outcome_probabilities, read_shots
 from ampqst.pauli import (
+    MAX_QUBITS,
     MeasurementPlan,
     apply_adjoint,
     apply_sensing,
-    build_sensing_map,
     covered_codes,
     pauli_indices_from_words,
     pauli_words_from_indices,
@@ -21,6 +21,7 @@ from ampqst.pauli import (
     sensing_map_from_indices,
 )
 from ampqst.states import make_named_state, pure_density
+from conftest import codes_of, map_of, words_of
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -63,16 +64,18 @@ def covered_word_loop(setting, mask):
 
 def covered(setting):
     """The words one setting covers, in mask order, through the codes."""
-    return pauli_words_from_indices(covered_codes([setting])[0], len(setting))
+    n = len(setting)
+    return pauli_words_from_indices(covered_codes(codes_of([setting]), n)[0], n)
 
 
 def settings_per_draw(n, target_M, seed):
-    """Reference sampler: decode and cover one drawn setting at a time."""
+    """Reference sampler: decode and cover one drawn setting at a time; the
+    setting words in draw order."""
     order = np.random.default_rng(seed).permutation(3 ** n)
     covered, total, settings = np.zeros(4 ** n, dtype=bool), 0, []
     for index in order:
         word = "".join("XYZ"[int(index) // 3 ** (n - 1 - q) % 3] for q in range(n))
-        codes = covered_codes([word])[0]
+        codes = covered_codes(codes_of([word]), n)[0]
         total += int(np.count_nonzero(~covered[codes]))
         covered[codes] = True
         settings.append(word)
@@ -80,9 +83,9 @@ def settings_per_draw(n, target_M, seed):
             return settings
 
 
-def coverage(settings):
-    """Number of distinct Pauli words the settings cover."""
-    return np.unique(covered_codes(settings)).size
+def coverage(settings, n):
+    """Number of distinct Pauli words the n-qubit settings' codes cover."""
+    return np.unique(covered_codes(settings, n)).size
 
 
 def random_hermitian(rng, d):
@@ -97,13 +100,13 @@ def maps_and_rngs(draw):
     words = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n),
                           min_size=1, max_size=12, unique=True))
     seed = draw(st.integers(0, 2**32 - 1))
-    return build_sensing_map(words), np.random.default_rng(seed)
+    return map_of(words), np.random.default_rng(seed)
 
 
 
 def word_matrix(word):
     """The matrix of one word through the map: the adjoint of a unit vector."""
-    return apply_adjoint(build_sensing_map([word]), np.ones(1))
+    return apply_adjoint(map_of([word]), np.ones(1))
 
 
 class TestWords:
@@ -116,7 +119,7 @@ class TestWords:
 
     def test_invalid_letter(self):
         with pytest.raises(ValueError):
-            build_sensing_map(["XQ"])
+            map_of(["XQ"])
 
     def test_word_index_round_trip(self):
         words = pauli_words_from_indices(np.arange(64), 3)
@@ -145,9 +148,8 @@ def read_settings_file(words, path):
 
 # every entry point that reads words from text, on two-letter settings
 ENTRY_POINTS = {
-    "MeasurementPlan": lambda words, path: MeasurementPlan(2, "settings", tuple(words)),
-    "build_sensing_map": lambda words, path: build_sensing_map(words),
-    "covered_codes": lambda words, path: covered_codes(words),
+    "pauli_indices_from_words":
+        lambda words, path: pauli_indices_from_words(words, 2, "XYZ", "setting"),
     "read_shots": read_settings_file,
 }
 
@@ -167,9 +169,8 @@ class TestCodec:
                              ids=["short", "long", "letter", "non-ascii"])
     def test_entry_points_reject_the_same_bad_words(self, entry, bad, tmp_path):
         ENTRY_POINTS[entry](["XY", "ZZ"], tmp_path / "good.txt")
-        # the first bad word is named (upper-cased where any case is taken),
-        # or its line where a file is read
-        expected = "line 3" if entry == "read_shots" else f"(?i){re.escape(repr(bad))}"
+        # the first bad word is named, or its line where a file is read
+        expected = "line 3" if entry == "read_shots" else re.escape(repr(bad))
         with pytest.raises(ValueError, match=expected):
             ENTRY_POINTS[entry](["XY", bad, "ZZ", "??"], tmp_path / "bad.txt")
 
@@ -179,17 +180,18 @@ class TestCodec:
         with pytest.raises(ValueError, match="invalid setting 'XI'"):
             pauli_indices_from_words(["XY", "XI"], 2, "XYZ", "setting")
 
-    def test_map_from_codes_is_map_from_words(self):
-        words = sample_observables(3, 20, 0)
-        a = build_sensing_map(words)
-        b = sensing_map_from_indices(pauli_indices_from_words(words, 3), 3)
-        assert a.words == b.words == tuple(words)
-        for name in ("gather", "take", "weight", "H"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+    def test_map_holds_a_read_only_copy_of_its_codes_in_order(self):
+        codes = sample_observables(3, 20, 0)
+        smap = sensing_map_from_indices(codes, 3)
+        assert smap.codes.dtype == np.int64 and smap.codes.tolist() == codes.tolist()
+        assert not smap.codes.flags.writeable
+        codes[0] = (codes[0] + 1) % 64
+        assert smap.codes[0] != codes[0]
+        assert words_of(map_of(["XZY", "YYI", "IIZ"])) == ["XZY", "YYI", "IIZ"]
 
     def test_map_from_codes_rejects_empty_duplicate_or_out_of_range(self):
         for codes, why in (([], "at least one"), ([5, 5], "duplicate"),
-                           ([16], "out of range")):
+                           ([16], "out of range"), ([-1], "out of range")):
             with pytest.raises(ValueError, match=why):
                 sensing_map_from_indices(codes, 2)
 
@@ -197,7 +199,7 @@ class TestCodec:
 class TestSensingMap:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
-            build_sensing_map(["XX", "XX"])
+            map_of(["XX", "XX"])
 
     def test_rows_factorize(self):
         # the map applied to the unit basis of the interleaved real
@@ -206,71 +208,68 @@ class TestSensingMap:
         # vec(P_k)^dagger. apply_sensing takes Hermitian input, so each unit
         # matrix E enters as its Hermitian part (E + E^dagger) / 2, on which
         # the real-linear map Re<P, E> takes the same value.
-        smap = build_sensing_map(["XY", "ZI", "YY", "IZ", "YI", "YX"])
+        smap = map_of(["XY", "ZI", "YY", "IZ", "YI", "YX"])
         d = smap.d
         columns = []
         for e in np.eye(2 * d * d):
             E = e.view(np.complex128).reshape(d, d)
             columns.append(apply_sensing(smap, (E + E.conj().T) / 2))
         A = np.column_stack(columns)
-        for k, word in enumerate(smap.words):
+        for k, word in enumerate(words_of(smap)):
             expected = kron_pauli(word).conj().reshape(-1)
             row = A[k, 0::2] - 1j * A[k, 1::2]
             assert np.array_equal(row, expected), word
 
     def test_memory_contract(self):
-        # O(d^2 + M) numbers: no array of the map has M*d entries
+        # O(d^2 + M) numbers: no array of the map has M*d entries; per word
+        # the map holds its code, its take and its weight, and it holds
+        # nothing outside these arrays but three ints (no per-word objects)
         n, M = 4, 200
-        smap = build_sensing_map(sample_observables(n, M, 0))
+        smap = sensing_map_from_indices(sample_observables(n, M, 0), n)
         d = smap.d
         arrays = [v for v in vars(smap).values() if isinstance(v, np.ndarray)]
         assert arrays and all(a.size < M * d for a in arrays)
-        assert sum(a.nbytes for a in arrays) <= 8 * (2 * d * d + 2 * M)
+        assert sum(a.nbytes for a in arrays) <= 8 * (2 * d * d + 3 * M)
         assert all(not a.flags.writeable for a in arrays)
+        others = [v for v in vars(smap).values() if not isinstance(v, np.ndarray)]
+        assert others == [n, d, M] and all(type(v) is int for v in others)
 
     def test_build_peak_memory(self):
         # n=7 with 8192 distinct words: the map is built without any (M, d)
         # array, which alone would take 8 MB
-        words = sample_observables(7, 8192, 0)
+        words = pauli_words_from_indices(sample_observables(7, 8192, 0), 7)
         tracemalloc.start()
         try:
-            build_sensing_map(words)
+            map_of(words)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
 
-    def test_words_kept_upper_case_in_order(self):
-        smap = build_sensing_map(["xzy", "yyi", "IIZ"])
-        assert smap.words == ("XZY", "YYI", "IIZ")
-        assert all(type(w) is str for w in smap.words)
-        with pytest.raises(ValueError, match="duplicate"):
-            build_sensing_map(["xx", "XX"])
-
     def test_invalid_or_unequal_words_rejected(self):
         for words in (["XX", "XXX"], ["X", ""], ["XX", "XQ"], ["XX", "Xé"]):
             with pytest.raises(ValueError):
-                build_sensing_map(words)
+                map_of(words)
 
     @given(st.integers(1, 6), st.integers(1, 300), st.integers(0, 2**32 - 1))
     def test_adjoint_is_exactly_hermitian(self, n, M, seed):
         rng = np.random.default_rng(seed)
-        smap = build_sensing_map(sample_observables(n, min(M, 4 ** n), rng))
+        smap = sensing_map_from_indices(sample_observables(n, min(M, 4 ** n), rng), n)
         out = apply_adjoint(smap, rng.standard_normal(smap.M))
         assert np.array_equal(out, out.conj().T)
 
     def test_apply_traceless(self):
-        smap = build_sensing_map(["XI", "YZ", "ZZ"])
+        smap = map_of(["XI", "YZ", "ZZ"])
         y = apply_sensing(smap, np.eye(4) / 4)
         assert np.allclose(y, 0.0)
 
     def test_apply_identity_observable(self):
-        smap = build_sensing_map(["II", "XX"])
+        smap = map_of(["II", "XX"])
         y = apply_sensing(smap, np.eye(4) / 4)
         assert abs(y[0] - 1.0) < 1e-12
 
     def test_apply_ghz_stabilizer(self):
-        smap = build_sensing_map(["XX", "ZZ", "ZI"])
+        smap = map_of(["XX", "ZZ", "ZI"])
         y = apply_sensing(smap, pure_density(make_named_state("GHZ", 2)))
         assert abs(y[0] - 1.0) < 1e-12
         assert abs(y[1] - 1.0) < 1e-12
@@ -278,7 +277,7 @@ class TestSensingMap:
 
     def test_apply_rejects_non_hermitian(self):
         rng = np.random.default_rng(1)
-        smap = build_sensing_map(all_words(2))
+        smap = map_of(all_words(2))
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with pytest.raises(ValueError):
             apply_sensing(smap, X)
@@ -287,7 +286,7 @@ class TestSensingMap:
     def test_apply_rejects_non_finite(self, bad):
         # NaN compares False against the Hermiticity bound, so it is caught
         # on its own; inf entries, even Hermitian-paired, are too
-        smap = build_sensing_map(all_words(2))
+        smap = map_of(all_words(2))
         X = np.eye(4, dtype=complex) / 4
         X[1, 2] = X[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
@@ -299,7 +298,7 @@ class TestSensingMap:
         # entries of 1e6, as on a diverging run: the Hermiticity bound scales
         # with the entries, and the output keeps its relative accuracy
         rng = np.random.default_rng(0)
-        smap = build_sensing_map(all_words(3))
+        smap = map_of(all_words(3))
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         X = 1e6 * (A + A.conj().T) / 2
         y = apply_sensing(smap, X)
@@ -307,14 +306,19 @@ class TestSensingMap:
         assert np.max(np.abs(y - dense)) < 1e-12 * np.max(np.abs(dense))
 
     def test_adjoint_basis_vector(self):
-        smap = build_sensing_map(["XY", "ZZ"])
+        smap = map_of(["XY", "ZZ"])
         e0 = np.array([1.0, 0.0])
         assert np.array_equal(apply_adjoint(smap, e0), kron_pauli("XY"))
         assert np.allclose(apply_adjoint(smap, np.zeros(2)), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_adjoint_rejects_non_finite_data(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_adjoint(map_of(["XX", "ZZ"]), np.array([1.0, bad]))
+
     def test_adjoint_output_exactly_hermitian(self):
         rng = np.random.default_rng(0)
-        smap = build_sensing_map(sample_observables(3, 20, rng))
+        smap = sensing_map_from_indices(sample_observables(3, 20, rng), 3)
         out = apply_adjoint(smap, rng.standard_normal(20))
         assert np.array_equal(out, out.conj().T)
 
@@ -322,7 +326,7 @@ class TestSensingMap:
         # <A(X), y> == <X, A^dagger(y)>_F on random inputs
         rng = np.random.default_rng(1)
         for n in (1, 2, 3):
-            smap = build_sensing_map(sample_observables(n, 3 ** n, rng))
+            smap = sensing_map_from_indices(sample_observables(n, 3 ** n, rng), n)
             for _ in range(5):
                 A = rng.standard_normal((smap.d, smap.d)) \
                     + 1j * rng.standard_normal((smap.d, smap.d))
@@ -337,14 +341,14 @@ class TestSensingMap:
         rng = np.random.default_rng(2)
         for n in (1, 2):
             d = 1 << n
-            smap = build_sensing_map(all_words(n))
+            smap = map_of(all_words(n))
             A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             Xh = 0.5 * (A + A.conj().T)
             acc = apply_adjoint(smap, apply_sensing(smap, Xh))
             assert np.max(np.abs(acc - d * Xh)) < 1e-10
 
     def test_dimension_mismatch(self):
-        smap = build_sensing_map(["XX"])
+        smap = map_of(["XX"])
         with pytest.raises(ValueError):
             apply_sensing(smap, np.eye(8) / 8)
         with pytest.raises(ValueError):
@@ -355,8 +359,8 @@ class TestSensingMap:
         rng = np.random.default_rng(9)
         for n in (1, 2):
             d = 1 << n
-            smap = build_sensing_map(sample_observables(n, 3 ** n, rng))
-            B = np.vstack([kron_pauli(w).conj().reshape(-1) for w in smap.words])
+            smap = sensing_map_from_indices(sample_observables(n, 3 ** n, rng), n)
+            B = np.vstack([kron_pauli(w).conj().reshape(-1) for w in words_of(smap)])
             A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             Xh = 0.5 * (A + A.conj().T)
             y = rng.standard_normal(smap.M)
@@ -373,7 +377,7 @@ class TestSensingMapProperties:
         smap, rng = case
         Xh = random_hermitian(rng, smap.d)
         y = apply_sensing(smap, Xh)
-        dense = [np.trace(kron_pauli(w) @ Xh).real for w in smap.words]
+        dense = [np.trace(kron_pauli(w) @ Xh).real for w in words_of(smap)]
         assert np.max(np.abs(y - dense)) < 1e-10
         z = rng.standard_normal(smap.M)
         lhs = float(y @ z)
@@ -390,16 +394,16 @@ class TestSensingMapProperties:
 
 class TestSampling:
     def test_single_qubit_exhaustive(self):
-        got = set(sample_observables(1, 4, 0))
-        assert got == {"I", "X", "Y", "Z"}
+        got = sample_observables(1, 4, 0)
+        assert got.dtype == np.int64 and set(got.tolist()) == {0, 1, 2, 3}
 
     def test_two_qubit_full(self):
-        got = set(sample_observables(2, 16, 1))
-        assert got == set(all_words(2))
+        got = sample_observables(2, 16, 1)
+        assert set(pauli_words_from_indices(got, 2)) == set(all_words(2))
 
     def test_no_replacement(self):
         got = sample_observables(2, 8, 5)
-        assert len(set(got)) == 8
+        assert len(set(got.tolist())) == 8
 
     def test_too_many_rejected(self):
         with pytest.raises(ValueError):
@@ -408,11 +412,11 @@ class TestSampling:
     def test_deterministic(self):
         a = sample_observables(3, 10, 7)
         b = sample_observables(3, 10, 7)
-        assert a == b
+        assert np.array_equal(a, b)
 
-    def test_words_in_draw_order(self):
+    def test_codes_in_draw_order(self):
         codes = np.random.default_rng(4).choice(4 ** 3, size=10, replace=False)
-        assert sample_observables(3, 10, 4) == [word_from_index_loop(c, 3) for c in codes]
+        assert sample_observables(3, 10, 4).tolist() == codes.tolist()
 
 
 class TestSettings:
@@ -420,7 +424,7 @@ class TestSettings:
         assert set(covered("XY")) == {"II", "XI", "IY", "XY"}
 
     def test_z_setting(self):
-        assert set(covered("z")) == {"I", "Z"}
+        assert set(covered("Z")) == {"I", "Z"}
 
     def test_set_size(self):
         for s in ("XYZ", "ZZZ", "YXY"):
@@ -428,7 +432,7 @@ class TestSettings:
 
     def test_identity_in_every_intersection(self):
         assert "II" in set(covered("XY")) & set(covered("ZZ"))
-        codes = covered_codes(["XYZ", "ZZZ", "YXY"])
+        codes = covered_codes(codes_of(["XYZ", "ZZZ", "YXY"]), 3)
         assert np.all(codes[:, 0] == 0)
 
     def test_covered_word_order(self):
@@ -437,26 +441,37 @@ class TestSettings:
     @given(st.integers(1, 5).flatmap(lambda n: st.lists(
         st.text("XYZ", min_size=n, max_size=n), min_size=1, max_size=6)))
     def test_covered_codes_match_covered_words(self, settings):
-        codes = covered_codes(settings)
         n = len(settings[0])
+        codes = covered_codes(codes_of(settings), n)
         assert codes.shape == (len(settings), 1 << n)
         for k, setting in enumerate(settings):
             assert pauli_words_from_indices(codes[k], n) \
                 == [covered_word_loop(setting, a) for a in range(1 << n)]
 
-    def test_covered_codes_reject_mixed_settings(self):
-        for settings in (["XY", "XYZ"], ["XY", "XI"], []):
+    def test_mixed_or_identity_settings_rejected(self):
+        # covered_codes takes codes; the text checks are the parser's, and
+        # the code checks those of outcome_probabilities and the plan
+        for settings in (["XY", "XYZ"], ["XY", "XI"]):
             with pytest.raises(ValueError):
-                covered_codes(settings)
+                pauli_indices_from_words(settings, 2, "XYZ", "setting")
+        rho = np.eye(4) / 4
+        for codes, why in (([], "at least one"), ([4], "I letter"),
+                           ([21], "out of range"), ([-1], "out of range")):
+            with pytest.raises(ValueError, match=why):
+                outcome_probabilities(rho, codes)
+        # n comes from the length of rho; its shape must then be 2^n x 2^n
+        for bad_rho in (np.eye(5) / 5, np.eye(4)[:, :3], np.ones(4)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                outcome_probabilities(bad_rho, [5])                   # XX
 
     def test_table_counts_full_coverage(self):
         # covering all d^2 observables requires every one of the 3^n settings
         for n, expected in ((3, 27), (4, 81)):
             for seed in range(3):
                 settings = sample_settings_until(n, 4 ** n, seed)
-                assert len(settings) == expected
-                assert coverage(settings) == 4 ** n
-                assert coverage(settings[:-1]) < 4 ** n
+                assert settings.dtype == np.int64 and len(settings) == expected
+                assert coverage(settings, n) == 4 ** n
+                assert coverage(settings[:-1], n) < 4 ** n
 
     def test_quarter_coverage_mean(self):
         counts = [len(sample_settings_until(3, 16, s)) for s in range(100)]
@@ -474,44 +489,64 @@ class TestSettings:
         d2 = 4 ** n
         for target in (1, d2 // 4 + 1, d2 // 2, d2):
             for seed in range(5):
-                assert sample_settings_until(n, target, seed) \
+                settings = sample_settings_until(n, target, seed)
+                assert pauli_words_from_indices(settings, n) \
                     == settings_per_draw(n, target, seed)
 
     def test_matches_per_draw_loop_n8(self):
         for target in (1000, 4 ** 8):
-            assert sample_settings_until(8, target, 3) == settings_per_draw(8, target, 3)
+            assert pauli_words_from_indices(sample_settings_until(8, target, 3), 8) \
+                == settings_per_draw(8, target, 3)
 
     def test_coverage_is_genuine(self):
         # the drawn settings reach the target and stop at the first that does
         settings = sample_settings_until(3, 40, 12)
-        assert coverage(settings) >= 40 > coverage(settings[:-1])
+        assert coverage(settings, 3) >= 40 > coverage(settings[:-1], 3)
         manual = set()
-        for s in settings:
+        for s in pauli_words_from_indices(settings, 3):
             manual.update(covered_word_loop(s, a) for a in range(8))
-        assert len(manual) == coverage(settings)
+        assert len(manual) == coverage(settings, 3)
 
 
 class TestMeasurementPlan:
-    def test_settings_reject_identity_letter(self):
-        with pytest.raises(ValueError):
-            MeasurementPlan(n=2, mode="settings", words=("XI",))
-
-    def test_duplicate_words_rejected(self):
-        with pytest.raises(ValueError):
-            MeasurementPlan(n=1, mode="observables", words=("X", "X"))
-
-    def test_empty_plan_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            MeasurementPlan(n=2, mode="observables", words=())
-
-    @pytest.mark.parametrize("mode, good, bad", [
-        ("observables", ("IX", "ZY"), ["XA", "X", "XYZ", "xy", "Iy", "", "X\u00e9"]),
-        ("settings", ("XY", "ZZ"), ["XI", "X", "XYZ", "xy", "Zz", "", "Y\u00e9"]),
+    @pytest.mark.parametrize("n, mode, codes, why", [
+        (2, "observables", [], "at least one"),
+        (2, "observables", [-1], "out of range"),
+        (2, "observables", [16], "out of range"),
+        (2, "observables", [1.5], "integers"),
+        (2, "observables", [2 ** 70], "integers"),
+        (2, "settings", [5, 4], "I letter"),            # XX, then XI
+        (2, "settings", [5, 1], "I letter"),            # XX, then IX
+        (1, "observables", [1, 1], "duplicate"),
+        (2, "settings", [5, 5], "duplicate"),
+        (0, "observables", [0], "qubits"),
+        (MAX_QUBITS + 1, "observables", [0], "qubits"),
+        (2, "words", [5], "unknown plan mode"),
     ])
-    def test_bad_words_named(self, mode, good, bad):
-        assert MeasurementPlan(n=2, mode=mode, words=good).words == good
+    def test_rejects(self, n, mode, codes, why):
+        with pytest.raises(ValueError, match=why):
+            MeasurementPlan(n, mode, codes)
+
+    def test_holds_read_only_codes_and_spells_words_on_read(self):
+        codes = np.array([6, 15])                       # XY, ZZ
+        plan = MeasurementPlan(2, "settings", codes)
+        codes[0] = 7
+        assert plan.codes.dtype == np.int64 and plan.codes.tolist() == [6, 15]
+        assert not plan.codes.flags.writeable
+        assert plan.words == ["XY", "ZZ"] and "words" not in vars(plan)
+
+    @pytest.mark.parametrize("mode, alphabet, good, bad", [
+        ("observables", "IXYZ", ("IX", "ZY"),
+         ["XA", "X", "XYZ", "xy", "Iy", "", "X\u00e9"]),
+        ("settings", "XYZ", ("XY", "ZZ"),
+         ["XI", "X", "XYZ", "xy", "Zz", "", "Y\u00e9"]),
+    ])
+    def test_bad_words_named(self, mode, alphabet, good, bad):
+        # the parser as read_shots calls it for a plan of this mode
+        codes = pauli_indices_from_words(good, 2, alphabet, f"{mode} word")
+        assert MeasurementPlan(2, mode, codes).words == list(good)
         for word in bad:
             # the first bad word is named, wherever it sits
             words = (good[0], word, "??", good[1])
             with pytest.raises(ValueError, match=rf"invalid {mode} word {word!r}"):
-                MeasurementPlan(n=2, mode=mode, words=words)
+                pauli_indices_from_words(words, 2, alphabet, f"{mode} word")
