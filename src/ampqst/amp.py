@@ -290,8 +290,8 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
     ``smap`` is the raw map and ``y`` holds raw sample means. With
     ``config.normalize`` (the default) each step rescales both by sqrt(d/M);
     with it disabled they are used as given (the divergent baseline). Raises
-    DivergenceError (carrying the trace so far and the last finite iterate)
-    on blow-up.
+    DivergenceError (carrying the trace so far, its length as
+    ``iterations``, and the last finite iterate) on blow-up.
 
     With ``ground_truth`` = B B^dagger the trace holds NMSE and fidelity; a
     fidelity waits as the r x r gram B^dagger rho_t B for one stacked eigvalsh.
@@ -340,5 +340,6 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
                     iterate=state.rho)
     except DivergenceError as err:
         err.trace = finish(True)
+        err.iterations = len(err.trace)
         raise
     return state.rho, finish(False)

@@ -25,13 +25,7 @@ import numpy as np
 
 from .amp import DENOISERS, AmpConfig, AmpTrace, run_amp
 from .errors import DivergenceError
-from .measure import (
-    NoiseModel,
-    apply_coherent,
-    apply_depolarizing,
-    build_measurements,
-    overrotation_unitary,
-)
+from .measure import CHANNELS, NoiseModel, build_measurements
 from .mifgd import MifgdConfig, run_mifgd
 from .pauli import (MeasurementPlan, _check_qubits, sample_observables,
                     sample_settings_until)
@@ -90,20 +84,17 @@ def parse_shots(text: str) -> int | None:
     return shots
 
 
-def parse_noise(text: str | None) -> NoiseModel | None:
-    if text is None or not text.strip():
-        return None
+def parse_noise(text: str) -> NoiseModel:
+    """Comma-separated ``channel=level`` items; blank text is no noise."""
     kwargs = {}
-    for item in text.split(","):
+    for item in text.split(",") if text.strip() else ():
         key, _, val = item.strip().partition("=")
         key = key.strip().lower()
         if not val:
             raise ValueError(f"noise item {item!r} is not key=val")
-        names = {"depolarizing": "depolarizing_eps", "readout": "readout_q",
-                 "coherent": "coherent_theta"}
-        if key not in names:
+        if key not in CHANNELS:
             raise ValueError(f"unknown noise key {key!r}")
-        kwargs[names[key]] = _finite_float(val)
+        kwargs[CHANNELS[key]] = _finite_float(val)
     return NoiseModel(**kwargs)
 
 
@@ -128,17 +119,20 @@ class ExperimentConfig:
     settings_target: int | None = _setting(None, int, "settings: cover M observables")
     shots: int | None = _setting(1024, parse_shots, "shots per circuit, or inf")
     algorithm: str = _setting("amp", _one_of(ALGORITHMS), "solver")
-    alpha: float = _setting(2.0, _finite_float, "AMP threshold multiplier")
-    damping: float = _setting(0.01, _finite_float, "AMP damping in (0, 1]; 1 is undamped")
-    max_iter: int | None = _setting(None, int, "iteration cap (amp: 2000, mifgd: 1000)")
-    denoiser: str = _setting("psvt", _one_of(DENOISERS), "AMP denoiser")
-    normalize: bool = _setting(True, _parse_bool, "skip AMP's sqrt(d/M) rescaling")
-    eta: float = _setting(0.001, _finite_float, "MiFGD step size")
-    mu: float = _setting(0.75, _finite_float, "MiFGD momentum weight")
-    rank_budget: int = _setting(5, int, "MiFGD factor width")
-    rel_tol: float = _setting(1e-4, _finite_float,
+    alpha: float = _setting(AmpConfig.alpha, _finite_float, "AMP threshold multiplier")
+    damping: float = _setting(AmpConfig.damping, _finite_float,
+                              "AMP damping in (0, 1]; 1 is undamped")
+    max_iter: int | None = _setting(None, int, "iteration cap (amp: %d, mifgd: %d)"
+                                    % (AmpConfig.max_iter, MifgdConfig.max_iter))
+    denoiser: str = _setting(AmpConfig.denoiser, _one_of(DENOISERS), "AMP denoiser")
+    normalize: bool = _setting(AmpConfig.normalize, _parse_bool,
+                               "skip AMP's sqrt(d/M) rescaling")
+    eta: float = _setting(MifgdConfig.eta, _finite_float, "MiFGD step size")
+    mu: float = _setting(MifgdConfig.mu, _finite_float, "MiFGD momentum weight")
+    rank_budget: int = _setting(MifgdConfig.rank_budget, int, "MiFGD factor width")
+    rel_tol: float = _setting(MifgdConfig.rel_tol, _finite_float,
                               "MiFGD relative-change stopping tolerance")
-    noise: NoiseModel | None = _setting(None, parse_noise, "e.g. readout=0.02")
+    noise: NoiseModel = _setting(NoiseModel(), parse_noise, "e.g. readout=0.02")
     trials: int = _setting(1, int, "number of trials")
     out: str | None = _setting(None, str, "results CSV path")
     trace: str | None = _setting(None, str, "per-iteration trace CSV path (amp only)")
@@ -161,6 +155,9 @@ class ExperimentConfig:
             raise ValueError("fraction must lie in (0, 1]")
         if self.observables is not None and not 1 <= self.observables <= d2:
             raise ValueError(f"observables must lie in [1, {d2}]")
+        if self.observables is not None and self.noise.measurement_side:
+            raise ValueError("coherent/readout noise needs a settings-mode plan "
+                             "(--fraction or --settings-target)")
         if self.settings_target is not None and not 1 <= self.settings_target <= d2:
             raise ValueError(f"settings target must lie in [1, {d2}]")
         if self.algorithm not in ALGORITHMS:
@@ -182,7 +179,15 @@ class ExperimentConfig:
     def solver_max_iter(self) -> int:
         if self.max_iter is not None:
             return self.max_iter
-        return 2000 if self.algorithm == "amp" else 1000
+        return (AmpConfig if self.algorithm == "amp" else MifgdConfig).max_iter
+
+    def solver_config(self, seed: int) -> AmpConfig | MifgdConfig:
+        """The solver's configuration: each of its knobs is the setting of
+        the same name."""
+        kind = AmpConfig if self.algorithm == "amp" else MifgdConfig
+        knobs = {f.name: getattr(self, f.name) for f in fields(kind)
+                 if f.name not in ("max_iter", "seed")}
+        return kind(**knobs, max_iter=self.solver_max_iter(), seed=seed)
 
 
 @dataclass
@@ -214,19 +219,6 @@ def build_target_state(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     return pure_density(make_named_state(cfg.state, cfg.qubits))
 
 
-def prepare_state(cfg: ExperimentConfig, target: np.ndarray) -> np.ndarray:
-    """Apply the state-level part of the noise model to the target."""
-    rho = target
-    if cfg.noise is None:
-        return rho
-    if cfg.noise.coherent_theta:
-        rho = apply_coherent(rho, overrotation_unitary(cfg.qubits,
-                                                       cfg.noise.coherent_theta))
-    if cfg.noise.depolarizing_eps:
-        rho = apply_depolarizing(rho, cfg.noise.depolarizing_eps)
-    return rho
-
-
 def build_plan(cfg: ExperimentConfig, trial: int) -> tuple[MeasurementPlan, int]:
     """Per-trial measurement plan and the circuit count T."""
     n = cfg.qubits
@@ -242,46 +234,29 @@ def run_trial(cfg: ExperimentConfig, trial: int,
               want_trace: bool = False) -> TrialResult:
     start = time.perf_counter()
     target = build_target_state(cfg, trial)
-    rho_star = prepare_state(cfg, target)
     target_factor = factor_density(target)
+    rho_star = cfg.noise.prepare(target)
+    truth = target_factor if rho_star is target else factor_density(rho_star)
     plan, T = build_plan(cfg, trial)
     smap, y = build_measurements(rho_star, plan, cfg.shots, cfg.noise,
                                  seed=(cfg.seed, trial, _ROLE_MEAS))
-
+    solver = cfg.solver_config(_seed_int(cfg, trial, _ROLE_ALGO))
     trace = None
-    failed = False
-    if cfg.algorithm == "amp":
-        acfg = AmpConfig(alpha=cfg.alpha, damping=cfg.damping,
-                         max_iter=cfg.solver_max_iter(), denoiser=cfg.denoiser,
-                         normalize=cfg.normalize,
-                         seed=_seed_int(cfg, trial, _ROLE_ALGO))
-        try:
-            rho_hat, trace = run_amp(smap, y, acfg,
+    try:
+        if cfg.algorithm == "amp":
+            rho_hat, trace = run_amp(smap, y, solver,
                                      ground_truth=rho_star if want_trace else None)
-        except DivergenceError as err:
-            failed = True
-            rho_hat = err.iterate
-            trace = err.trace
-        iters = len(trace)
-    else:
-        mcfg = MifgdConfig(eta=cfg.eta, mu=cfg.mu, rank_budget=cfg.rank_budget,
-                           max_iter=cfg.solver_max_iter(), rel_tol=cfg.rel_tol,
-                           seed=_seed_int(cfg, trial, _ROLE_ALGO))
-        try:
-            rho_hat, iters = run_mifgd(smap, y, mcfg)
-        except DivergenceError as err:
-            failed = True
-            rho_hat = err.iterate
-            iters = err.iterations
-
-    if failed:
+            iters = len(trace)
+        else:
+            rho_hat, iters = run_mifgd(smap, y, solver)
+    except DivergenceError as err:
+        rho_hat, trace, iters = err.iterate, err.trace, err.iterations
         # failed recovery reports a state infidelity of 1.0
-        fid_truth = 0.0
-        fid_target = 0.0
+        fid_truth = fid_target = 0.0
         err_nmse = nmse(rho_star, project_to_density(rho_hat)) \
             if rho_hat is not None and np.isfinite(rho_hat).all() else float("inf")
     else:
-        fid_truth = state_fidelity(rho_star, rho_hat)
+        fid_truth = state_fidelity(truth, rho_hat)
         fid_target = state_fidelity(target_factor, rho_hat)
         err_nmse = nmse(rho_star, rho_hat)
     fid_prep = state_fidelity(target_factor, rho_star)
@@ -393,7 +368,6 @@ def cmd_settings_table(n_values, fractions, trials: int, seed: int,
 # Noise study
 # ---------------------------------------------------------------------------
 
-_NOISE_CHANNELS = ("depolarizing", "readout", "coherent")
 _DEFAULT_LEVELS = {
     "depolarizing": (0.0, 1e-3, 5e-3, 1e-2),
     "readout": (0.0, 0.01, 0.03, 0.05),
@@ -401,32 +375,21 @@ _DEFAULT_LEVELS = {
 }
 
 
-def _noise_for(channel: str, level: float) -> NoiseModel | None:
-    if level == 0.0:
-        return None
-    if channel == "depolarizing":
-        return NoiseModel(depolarizing_eps=level)
-    if channel == "readout":
-        return NoiseModel(readout_q=level)
-    return NoiseModel(coherent_theta=level)
-
-
 def cmd_noise_study(cfg: ExperimentConfig, channel: str, levels,
                     out: str | None = None,
                     gnuplot: str | None = None) -> list[dict]:
     """Sweep one noise channel; report estimated vs true preparation fidelity."""
-    if channel not in _NOISE_CHANNELS:
+    if channel not in CHANNELS:
         raise ValueError(f"unknown noise channel {channel!r}")
     if cfg.trace or cfg.timing:
         raise ValueError(f"noise-study takes no {'--trace' if cfg.trace else '--timing'}"
                          ": it writes neither traces nor wall times")
-    if cfg.plan_mode == "observables" and channel in ("readout", "coherent"):
-        raise ValueError(f"{channel} noise needs a settings-mode plan "
-                         "(--fraction or --settings-target)")
-    rows = []
-    for level in levels:
-        level_cfg = replace(cfg, noise=_noise_for(channel, level))
+    level_cfgs = [replace(cfg, noise=NoiseModel(**{CHANNELS[channel]: level}))
+                  for level in levels]
+    for level_cfg in level_cfgs:
         level_cfg.validate()
+    rows = []
+    for level, level_cfg in zip(levels, level_cfgs):
         results = _run_trials(level_cfg, want_trace=False)
         for r in results:
             rows.append({"channel": channel, "level": level, "trial": r.trial,
@@ -559,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise = sub.add_parser("noise-study",
                              help="fidelity prediction under channel noise")
     _add_experiment_flags(p_noise)
-    p_noise.add_argument("--channel", required=True, choices=_NOISE_CHANNELS)
+    p_noise.add_argument("--channel", required=True, choices=tuple(CHANNELS))
     p_noise.add_argument("--levels", help="comma-separated noise levels")
     p_noise.add_argument("--gnuplot", help="also write a gnuplot script")
 
@@ -582,11 +545,9 @@ def main(argv=None) -> int:
             return 0
         if args.command == "dump-state":
             _check_qubits(args.qubits)
-            if args.state == "random":
-                rho = make_random_state(args.qubits, args.rank, args.seed)
-            else:
-                rho = pure_density(make_named_state(args.state, args.qubits))
-            write_density(args.out, rho)
+            cfg = ExperimentConfig(state=args.state, qubits=args.qubits,
+                                   rank=args.rank, seed=args.seed)
+            write_density(args.out, build_target_state(cfg, 0))
             return 0
         file_values = load_config_file(args.config) if args.config else {}
         cfg = _experiment_from(args, file_values)

@@ -8,9 +8,9 @@ __all__ = ["DivergenceError"]
 class DivergenceError(RuntimeError):
     """An iterative solver produced non-finite values or a blown-up residual.
 
-    Carries the last finite iterate, (for AMP) the trace collected up to the
-    failure and (for MiFGD) the iteration that failed, so a failed run can
-    still be reported.
+    Carries the last finite iterate, the iteration count (AMP: the steps
+    completed; MiFGD: the failing iteration) and AMP's trace up to the
+    failure, so a failed run of either solver is reported the same way.
     """
 
     def __init__(self, message: str, trace=None, iterate=None,

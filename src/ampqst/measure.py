@@ -25,7 +25,6 @@ from .pauli import (
     MeasurementPlan,
     _all_expectations,
     _check_codes,
-    apply_sensing,
     covered_codes,
     pauli_indices_from_words,
     sensing_map_from_indices,
@@ -34,6 +33,7 @@ from .states import ascii_lines
 
 __all__ = [
     "ShotRecord",
+    "CHANNELS",
     "NoiseModel",
     "PhotonicNoise",
     "outcome_probabilities",
@@ -228,9 +228,14 @@ def apply_composite(rho: np.ndarray, model: PhotonicNoise) -> np.ndarray:
     return out
 
 
+# each noise channel's name (``--noise``, ``--channel``) -> its NoiseModel field
+CHANNELS = {"depolarizing": "depolarizing_eps", "readout": "readout_q",
+            "coherent": "coherent_theta"}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Channel-level noise configuration.
+    """Channel-level noise configuration; ``NoiseModel()`` is no noise.
 
     ``depolarizing_eps`` acts on the prepared state;
     ``coherent_theta`` perturbs state preparation and every X/Y basis change
@@ -253,6 +258,17 @@ class NoiseModel:
     def measurement_side(self) -> bool:
         return self.coherent_theta != 0.0 or self.readout_q != 0.0
 
+    def prepare(self, target: np.ndarray) -> np.ndarray:
+        """The prepared state: ``target`` overrotated, then depolarized.
+        With no state-side channel it is ``target`` itself, not a copy."""
+        rho = target
+        if self.coherent_theta:
+            n = len(rho).bit_length() - 1
+            rho = apply_coherent(rho, overrotation_unitary(n, self.coherent_theta))
+        if self.depolarizing_eps:
+            rho = apply_depolarizing(rho, self.depolarizing_eps)
+        return rho
+
 
 # ---------------------------------------------------------------------------
 # Plan-driven data synthesis
@@ -267,7 +283,7 @@ def _setting_seed(seed, index: int) -> np.random.Generator:
 
 
 def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,
-             noise: NoiseModel | None = None, seed=0) -> ShotRecord:
+             noise: NoiseModel = NoiseModel(), seed=0) -> ShotRecord:
     """The record a device would give for a measurement plan on a state.
 
     Observable mode draws the M binomials, one per Pauli with success
@@ -288,9 +304,10 @@ def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,
         raise ValueError("shot count must be at least 1 (or None for infinite)")
 
     if plan.mode == "observables":
-        if noise is not None and noise.measurement_side:
+        if noise.measurement_side:
             raise ValueError("coherent/readout noise needs a settings-mode plan")
-        y = apply_sensing(sensing_map_from_indices(plan.codes, plan.n), rho)
+        # the map's own transform, so the means equal apply_sensing's bits
+        y = _all_expectations(rho, plan.n)[plan.codes]
         if shots is not None:
             p = (y + 1.0) / 2.0
             ok = (p >= -1e-10) & (p <= 1.0 + 1e-10)
@@ -301,8 +318,8 @@ def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,
             y = 2.0 * _setting_seed(seed, 0).binomial(shots, p) / shots - 1.0
         return ShotRecord(plan, shots, y)
 
-    theta, q = (noise.coherent_theta, noise.readout_q) if noise else (0.0, 0.0)
-    freqs = outcome_probabilities(rho, plan.codes, theta, q)
+    freqs = outcome_probabilities(rho, plan.codes, noise.coherent_theta,
+                                  noise.readout_q)
     if shots is not None:
         freqs = np.array([_setting_seed(seed, k).multinomial(shots, p / p.sum())
                           for k, p in enumerate(freqs)])
@@ -330,7 +347,7 @@ def estimate(record: ShotRecord):
 
 
 def build_measurements(rho: np.ndarray, plan: MeasurementPlan,
-                       shots: int | None, noise: NoiseModel | None = None,
+                       shots: int | None, noise: NoiseModel = NoiseModel(),
                        seed=0):
     """Simulate a measurement plan on a state and assemble (SensingMap, y):
     ``estimate(simulate(rho, plan, shots, noise, seed))``."""

@@ -65,11 +65,11 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.nd
     return (scale / np.sqrt(2.0)) * z
 
 
-def check_state_vector(psi: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def check_state_vector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim != 1 or psi.size == 0 or psi.size & (psi.size - 1):
         raise ValueError("state vector must be 1-d with power-of-two length")
-    if abs(np.linalg.norm(psi) - 1.0) > atol:
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
         raise ValueError("state vector is not normalized")
     return psi
 
@@ -83,17 +83,16 @@ def check_hermitian(H: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return H
 
 
-def is_density(rho: np.ndarray, eig_tol: float = EIGENVALUE_CLIP,
-               trace_tol: float = 1e-10) -> bool:
-    """True if ``rho`` is Hermitian, PSD up to ``-eig_tol``, and unit trace."""
+def is_density(rho: np.ndarray) -> bool:
+    """True if ``rho`` is Hermitian, PSD to ``-EIGENVALUE_CLIP`` and unit trace."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         return False
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
         return False
-    return bool(np.linalg.eigvalsh(rho).min() >= -eig_tol)
+    return bool(np.linalg.eigvalsh(rho).min() >= -EIGENVALUE_CLIP)
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:

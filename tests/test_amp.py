@@ -497,6 +497,8 @@ class TestRunAmp:
         assert exc.value.trace is not None
         assert len(exc.value.trace) <= 200
         assert exc.value.trace.diverged
+        # the steps completed, the field MiFGD's failures fill too
+        assert exc.value.iterations == len(exc.value.trace)
 
     def test_trace_lengths_and_tau_relation(self):
         rho, smap, y = make_problem(n=2, seed=7, shots=256)

@@ -26,7 +26,7 @@ REMOVED = ["PauliString", "build_pauli", "pauli_expectation", "observables_of_se
            "apply_readout", "_pauli_batch", "check_setting", "pauli_index_from_word",
            "pauli_word_from_index", "covered_word", "covered_words",
            "estimate_from_setting", "_parse_mask", "estimate_onsager", "hermitian_probe",
-           "build_sensing_map", "outcome_distribution"]
+           "build_sensing_map", "outcome_distribution", "prepare_state", "_noise_for"]
 
 
 @pytest.mark.parametrize("name", MODULES)

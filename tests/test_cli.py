@@ -13,6 +13,7 @@ from ampqst.cli import (
     _experiment_from,
     _suffixed,
     build_parser,
+    build_target_state,
     cmd_noise_study,
     cmd_reconstruct,
     cmd_settings_table,
@@ -22,6 +23,9 @@ from ampqst.cli import (
     parse_shots,
     run_trial,
 )
+from ampqst.amp import AmpConfig
+from ampqst.measure import NoiseModel
+from ampqst.mifgd import MifgdConfig
 from ampqst.pauli import MAX_QUBITS
 from ampqst.states import read_density
 
@@ -44,9 +48,14 @@ class TestConfigParsing:
         nm = parse_noise("depolarizing=0.01,readout=0.02")
         assert nm.depolarizing_eps == 0.01
         assert nm.readout_q == 0.02
-        assert parse_noise(None) is None
         with pytest.raises(ValueError):
             parse_noise("fancy=1")
+
+    def test_no_noise_is_the_empty_model(self):
+        # one spelling of "no noise", the default of the setting and its parser
+        assert ExperimentConfig().noise == NoiseModel()
+        assert parse_noise("") == NoiseModel()
+        assert parse_noise("  ") == NoiseModel()
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -120,6 +129,18 @@ def experiment(argv, file_values=None):
 class TestOneDeclaration:
     def test_every_setting_has_a_sample(self):
         assert set(SETTING_TEXT) == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("algorithm, kind, knobs", [
+        ("amp", AmpConfig, dict(alpha=1.5, damping=1.0, denoiser="svt", normalize=False)),
+        ("mifgd", MifgdConfig, dict(eta=0.01, mu=0.0, rank_budget=2, rel_tol=1e-3))])
+    def test_solver_knobs_are_settings(self, algorithm, kind, knobs):
+        # each solver knob is the setting of its name, with the solver's default
+        assert set(knobs) == {f.name for f in fields(kind)} - {"max_iter", "seed"}
+        defaults = ExperimentConfig(algorithm=algorithm)
+        assert defaults.solver_max_iter() == kind.max_iter
+        assert defaults.solver_config(seed=7) == kind(seed=7)
+        tuned = ExperimentConfig(algorithm=algorithm, max_iter=9, **knobs)
+        assert tuned.solver_config(seed=7) == kind(max_iter=9, seed=7, **knobs)
 
     @pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
     def test_flag_and_file_line_agree(self, field, tmp_path):
@@ -326,10 +347,22 @@ class TestNoiseStudy:
             assert r["fidelity_true"] > 1.0 - 1e-9
         assert np.mean(ests) < 1.0 - 0.05 / 2
 
-    def test_rejects_observable_plans_for_readout(self):
-        cfg = fast_cfg(observables=16)
-        with pytest.raises(ValueError):
-            cmd_noise_study(cfg, "readout", [0.01])
+    def test_rejects_observable_plans_for_readout(self, capsys):
+        # every level is validated before the first trial runs: level 0 is
+        # noise-free and valid, 0.01 is readout on an observables plan
+        with pytest.raises(ValueError, match="settings-mode plan"):
+            cmd_noise_study(fast_cfg(qubits=3, observables=30), "readout", [0.0, 0.01])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("channel", ["depolarizing", "readout", "coherent"])
+    def test_level_zero_is_the_noise_free_trial(self, channel):
+        cfg = fast_cfg(qubits=2, observables=None, fraction=1.0, shots=512,
+                       max_iter=60, trials=2, seed=6)
+        rows = cmd_noise_study(cfg, channel, [0.0])
+        for row in rows:
+            free = run_trial(cfg, row["trial"])
+            assert row["fidelity_estimate"] == free.fidelity_target
+            assert row["fidelity_true"] == free.fidelity_prep
 
     def test_gnuplot_script(self, tmp_path):
         cfg = fast_cfg(qubits=2, observables=None, fraction=1.0, shots=512,
@@ -372,10 +405,28 @@ class TestDumpState:
         rho = read_density(out)
         assert abs(np.trace(rho).real - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("state, rank", [("random", 3), ("w", 1)])
+    def test_dump_is_the_target_of_trial_0(self, tmp_path, state, rank):
+        # dump-state --seed s writes the state reconstruct --seed s targets first
+        out = tmp_path / "s.dmat"
+        assert main(["dump-state", "--state", state, "--qubits", "3", "--rank",
+                     str(rank), "--seed", "11", "--out", str(out)]) == 0
+        cfg = ExperimentConfig(state=state, qubits=3, rank=rank, seed=11)
+        assert np.array_equal(read_density(out), build_target_state(cfg, 0))
+
     def test_cli_error_exit_code(self, tmp_path, capsys):
         rc = main(["reconstruct", "--qubits", "2", "--observables", "999"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_measurement_noise_on_an_observables_plan_is_refused(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    rc = main(["reconstruct", "--observables", "30", "--noise", "readout=0.02",
+               "--out", str(out)])
+    assert rc == 2
+    assert "needs a settings-mode plan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ampqst import measure, pauli
 from ampqst.measure import (
+    CHANNELS,
     NoiseModel,
     PhotonicNoise,
     ShotRecord,
@@ -421,15 +423,14 @@ class TestSettingsSynthesis:
 
     @pytest.mark.parametrize("mode", ["observables", "settings"])
     def test_no_per_word_calls(self, function_calls, mode):
-        # plans hold codes, so measurement parses and decodes no word: an
-        # observables plan builds its map once to simulate and once to
-        # estimate; settings synthesis takes all 4^n expectations from the
-        # codes, and only the estimates build a map
+        # plans hold codes, so measurement parses and decodes no word; both
+        # modes simulate from all 4^n expectations of the codes, and only the
+        # estimate builds a map
         rho = make_random_state(5, 2, 3)
         if mode == "observables":
-            codes, maps = pauli.sample_observables(5, 400, 1), 2
+            codes = pauli.sample_observables(5, 400, 1)
         else:
-            codes, maps = sample_settings_until(5, 400, 1), 1
+            codes = sample_settings_until(5, 400, 1)
         plan = MeasurementPlan(5, mode, codes)
         for owner, name in itertools.product(
                 (pauli, measure),
@@ -438,7 +439,7 @@ class TestSettingsSynthesis:
         function_calls.watch(pauli, "pauli_words_from_indices")
         smap, y = build_measurements(rho, plan, shots=1024, seed=0)
         assert smap.M >= 400
-        assert function_calls == ["sensing_map_from_indices"] * maps
+        assert function_calls == ["sensing_map_from_indices"]
 
 
 class TestReadout:
@@ -664,7 +665,7 @@ class TestBuildMeasurements:
         rho = make_random_state(3, 2, 1)
         plan = plan_of(3, "observables", ("XYZ", "ZZI", "IXI", "YYY"))
         smap, y = build_measurements(rho, plan, shots=None, seed=0)
-        assert np.allclose(y, apply_sensing(smap, rho), atol=1e-12)
+        assert np.array_equal(y, apply_sensing(smap, rho))
 
     def test_modes_agree_at_infinite_shots(self):
         rho = make_random_state(2, 2, 2)
@@ -705,6 +706,19 @@ class TestBuildMeasurements:
     def test_noise_model_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError):
             NoiseModel(**kwargs)
+
+    def test_channels_name_every_noise_field(self):
+        assert sorted(CHANNELS.values()) == sorted(
+            f.name for f in dataclasses.fields(NoiseModel))
+
+    def test_prepare_applies_the_state_side_channels(self):
+        rho = make_random_state(2, 2, 8)
+        # readout acts at measurement only: the target itself is prepared
+        assert NoiseModel().prepare(rho) is rho
+        assert NoiseModel(readout_q=0.1).prepare(rho) is rho
+        noise = NoiseModel(depolarizing_eps=0.05, coherent_theta=0.2)
+        overrotated = apply_coherent(rho, overrotation_unitary(2, 0.2))
+        assert np.array_equal(noise.prepare(rho), apply_depolarizing(overrotated, 0.05))
 
     def test_settings_mode_shared_shots_reproducible(self):
         rho = make_random_state(2, 2, 6)
@@ -832,7 +846,7 @@ class TestShotsReader:
         rho = make_random_state(n, min(2, 1 << n), rng)
         if mode == "observables":
             codes = pauli.sample_observables(n, min(4 ** n, 10), rng)
-            noise = None
+            noise = NoiseModel()
         else:
             codes = sample_settings_until(n, min(4 ** n, 6 * n), rng)
             noise = NoiseModel(readout_q=0.03)
