@@ -28,6 +28,7 @@ from .pauli import (
     sensing_map_from_indices,
 )
 from .states import (
+    factor_density,
     make_named_state,
     make_random_state,
     nmse,

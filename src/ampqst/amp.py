@@ -41,8 +41,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .pauli import SensingMap, _adjoint, _check_data, _sense
-from .states import (as_rng, factor_density, gram_fidelities, is_density,
-                     project_to_density)
+from .states import DensityFactor, as_density, as_rng, gram_fidelities
 
 __all__ = [
     "AmpConfig",
@@ -284,7 +283,7 @@ def initial_state(smap: SensingMap) -> AmpState:
 
 
 def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
-            ground_truth: np.ndarray | None = None):
+            ground_truth: DensityFactor | None = None):
     """Run the AMP solver and return ``(rho_hat, trace)``.
 
     ``smap`` is the raw map and ``y`` holds raw sample means. With
@@ -293,17 +292,17 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
     DivergenceError (carrying the trace so far, its length as
     ``iterations``, and the last finite iterate) on blow-up.
 
-    With ``ground_truth`` = B B^dagger the trace holds NMSE and fidelity; a
-    fidelity waits as the r x r gram B^dagger rho_t B for one stacked eigvalsh.
+    With ``ground_truth``, the ``factor_density`` of rho = B B^dagger, the
+    trace holds NMSE and fidelity; a fidelity waits as the r x r gram
+    B^dagger rho_t B for one stacked eigvalsh.
     """
     y = _check_data(smap, y)
     rng = as_rng(config.seed)
     steps, errors, fidelities, grams = [], [], [], []
     if ground_truth is not None:
-        truth = np.asarray(ground_truth, dtype=np.complex128)
+        truth, B = ground_truth.rho, ground_truth.factor
         if truth.shape != (smap.d, smap.d):
             raise ValueError("dimension mismatch between map and ground truth")
-        B = factor_density(truth).factor
         Bh, truth_sq = B.conj().T, np.linalg.norm(truth) ** 2
 
     def flush():
@@ -327,8 +326,7 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
                 # states.nmse without its per-call checks
                 errors.append(np.linalg.norm(state.rho - truth) ** 2 / truth_sq)
                 # PSVT iterates are density matrices by construction
-                rho = state.rho if config.denoiser == "psvt" or is_density(state.rho) \
-                    else project_to_density(state.rho)
+                rho = state.rho if config.denoiser == "psvt" else as_density(state.rho)
                 grams.append(Bh @ rho @ B)
                 if len(grams) * B.shape[1] ** 2 >= _PENDING_GRAM_ENTRIES:
                     flush()

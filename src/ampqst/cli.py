@@ -30,6 +30,7 @@ from .mifgd import MifgdConfig, run_mifgd
 from .pauli import (MeasurementPlan, _check_qubits, sample_observables,
                     sample_settings_until)
 from .states import (
+    as_density,
     ascii_lines,
     factor_density,
     make_named_state,
@@ -37,7 +38,6 @@ from .states import (
     nmse,
     project_to_density,
     pure_density,
-    state_fidelity,
     write_density,
 )
 
@@ -116,7 +116,6 @@ class ExperimentConfig:
     observables: int | None = _setting(None, int, "sample M Pauli observables")
     fraction: float | None = _setting(None, _finite_float,
                                       "settings: cover this share of d^2")
-    settings_target: int | None = _setting(None, int, "settings: cover M observables")
     shots: int | None = _setting(1024, parse_shots, "shots per circuit, or inf")
     algorithm: str = _setting("amp", _one_of(ALGORITHMS), "solver")
     alpha: float = _setting(AmpConfig.alpha, _finite_float, "AMP threshold multiplier")
@@ -139,42 +138,34 @@ class ExperimentConfig:
     workers: int = _setting(1, int, "worker processes")
     timing: bool = _setting(False, _parse_bool, "record wall time (not byte-identical)")
 
-    def validate(self) -> None:
+    def check_target(self) -> None:
+        """The checks of the target state alone, which dump-state runs too."""
         _check_qubits(self.qubits)
-        d2 = 4 ** self.qubits
         if self.state not in STATES:
             raise ValueError(f"unknown state {self.state!r}")
         if self.state != "random" and self.rank != 1:
             raise ValueError("rank applies only to random states")
-        modes = [self.observables is not None, self.fraction is not None,
-                 self.settings_target is not None]
-        if sum(modes) != 1:
-            raise ValueError("choose exactly one of --observables, --fraction, "
-                             "--settings-target")
+
+    def validate(self) -> None:
+        self.check_target()
+        d2 = 4 ** self.qubits
+        if (self.observables is None) == (self.fraction is None):
+            raise ValueError("choose exactly one of --observables, --fraction")
         if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
         if self.observables is not None and not 1 <= self.observables <= d2:
             raise ValueError(f"observables must lie in [1, {d2}]")
         if self.observables is not None and self.noise.measurement_side:
             raise ValueError("coherent/readout noise needs a settings-mode plan "
-                             "(--fraction or --settings-target)")
-        if self.settings_target is not None and not 1 <= self.settings_target <= d2:
-            raise ValueError(f"settings target must lie in [1, {d2}]")
+                             "(--fraction)")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.trace is not None and self.algorithm != "amp":
+            raise ValueError("--trace applies only to --algorithm amp")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-
-    @property
-    def plan_mode(self) -> str:
-        return "observables" if self.observables is not None else "settings"
-
-    def settings_budget(self) -> int:
-        if self.settings_target is not None:
-            return self.settings_target
-        return max(1, round(self.fraction * 4 ** self.qubits))
 
     def solver_max_iter(self) -> int:
         if self.max_iter is not None:
@@ -219,33 +210,38 @@ def build_target_state(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     return pure_density(make_named_state(cfg.state, cfg.qubits))
 
 
+def settings_budget(n: int, fraction: float) -> int:
+    """The observables a settings plan covers: round(fraction 4^n), at least 1."""
+    return max(1, round(fraction * 4 ** n))
+
+
 def build_plan(cfg: ExperimentConfig, trial: int) -> tuple[MeasurementPlan, int]:
     """Per-trial measurement plan and the circuit count T."""
     n = cfg.qubits
     rng = _rng_for(cfg, trial, _ROLE_PLAN)
-    if cfg.plan_mode == "observables":
-        codes = sample_observables(n, cfg.observables, rng)
+    if cfg.observables is not None:
+        mode, codes = "observables", sample_observables(n, cfg.observables, rng)
     else:
-        codes = sample_settings_until(n, cfg.settings_budget(), rng)
-    return MeasurementPlan(n, cfg.plan_mode, codes), len(codes)
+        mode = "settings"
+        codes = sample_settings_until(n, settings_budget(n, cfg.fraction), rng)
+    return MeasurementPlan(n, mode, codes), len(codes)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int,
               want_trace: bool = False) -> TrialResult:
     start = time.perf_counter()
-    target = build_target_state(cfg, trial)
-    target_factor = factor_density(target)
-    rho_star = cfg.noise.prepare(target)
-    truth = target_factor if rho_star is target else factor_density(rho_star)
+    target = factor_density(build_target_state(cfg, trial))
+    rho_star = cfg.noise.prepare(target.rho)
+    truth = target if rho_star is target.rho else factor_density(rho_star)
     plan, T = build_plan(cfg, trial)
-    smap, y = build_measurements(rho_star, plan, cfg.shots, cfg.noise,
+    smap, y = build_measurements(truth.rho, plan, cfg.shots, cfg.noise,
                                  seed=(cfg.seed, trial, _ROLE_MEAS))
     solver = cfg.solver_config(_seed_int(cfg, trial, _ROLE_ALGO))
     trace = None
     try:
         if cfg.algorithm == "amp":
             rho_hat, trace = run_amp(smap, y, solver,
-                                     ground_truth=rho_star if want_trace else None)
+                                     ground_truth=truth if want_trace else None)
             iters = len(trace)
         else:
             rho_hat, iters = run_mifgd(smap, y, solver)
@@ -253,13 +249,13 @@ def run_trial(cfg: ExperimentConfig, trial: int,
         rho_hat, trace, iters = err.iterate, err.trace, err.iterations
         # failed recovery reports a state infidelity of 1.0
         fid_truth = fid_target = 0.0
-        err_nmse = nmse(rho_star, project_to_density(rho_hat)) \
+        err_nmse = nmse(truth.rho, project_to_density(rho_hat)) \
             if rho_hat is not None and np.isfinite(rho_hat).all() else float("inf")
     else:
-        fid_truth = state_fidelity(truth, rho_hat)
-        fid_target = state_fidelity(target_factor, rho_hat)
-        err_nmse = nmse(rho_star, rho_hat)
-    fid_prep = state_fidelity(target_factor, rho_star)
+        estimate = as_density(rho_hat)
+        fid_truth, fid_target = truth.fidelity(estimate), target.fidelity(estimate)
+        err_nmse = nmse(truth.rho, rho_hat)
+    fid_prep = target.fidelity(truth.rho)
     seconds = time.perf_counter() - start
     return TrialResult(trial=trial, M=smap.M, T=T, nmse=err_nmse,
                        fidelity_truth=fid_truth, fidelity_target=fid_target,
@@ -284,18 +280,22 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_results_csv(path, cfg: ExperimentConfig,
-                      results: list[TrialResult]) -> None:
+def _write_csv(path, header: list, rows) -> None:
+    """An ASCII CSV file: the header row, then ``rows``."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in results:
-            writer.writerow([
-                r.trial, cfg.state, cfg.qubits, r.M, r.T,
-                "inf" if cfg.shots is None else cfg.shots, cfg.algorithm,
-                _fmt(r.nmse), _fmt(r.fidelity_truth), _fmt(r.fidelity_target),
-                r.iters, f"{r.seconds:.3f}" if cfg.timing else "",
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_results_csv(path, cfg: ExperimentConfig,
+                      results: list[TrialResult]) -> None:
+    _write_csv(path, RESULT_COLUMNS, ([
+        r.trial, cfg.state, cfg.qubits, r.M, r.T,
+        "inf" if cfg.shots is None else cfg.shots, cfg.algorithm,
+        _fmt(r.nmse), _fmt(r.fidelity_truth), _fmt(r.fidelity_target),
+        r.iters, f"{r.seconds:.3f}" if cfg.timing else "",
+    ] for r in results))
 
 
 def _summary(results: list[TrialResult]) -> str:
@@ -313,8 +313,6 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[TrialResult]:
         write_results_csv(cfg.out, cfg, results)
     if cfg.trace:
         for r in results:
-            if r.trace is None:
-                continue
             path = cfg.trace if cfg.trials == 1 \
                 else _suffixed(cfg.trace, f".trial{r.trial}")
             r.trace.to_csv(path)
@@ -339,9 +337,8 @@ def cmd_settings_table(n_values, fractions, trials: int, seed: int,
     rows = []
     for n in n_values:
         _check_qubits(n)
-        d2 = 4 ** n
         for fi, frac in enumerate(fractions):
-            target = max(1, round(frac * d2))
+            target = settings_budget(n, frac)
             counts = []
             for t in range(trials):
                 rng = np.random.default_rng(np.random.SeedSequence((seed, n, fi, t)))
@@ -351,12 +348,9 @@ def cmd_settings_table(n_values, fractions, trials: int, seed: int,
                          "mean_T": mean_T,
                          "t_over_m_pct": 100.0 * mean_T / target})
     if out:
-        with open(out, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "fraction", "M", "mean_T", "t_over_m_pct"])
-            for r in rows:
-                writer.writerow([r["n"], _fmt(r["fraction"]), r["M"],
-                                 _fmt(r["mean_T"]), _fmt(r["t_over_m_pct"])])
+        _write_csv(out, ["n", "fraction", "M", "mean_T", "t_over_m_pct"],
+                   ([r["n"], _fmt(r["fraction"]), r["M"], _fmt(r["mean_T"]),
+                     _fmt(r["t_over_m_pct"])] for r in rows))
     print(f"{'n':>3} {'M':>8} {'mean T':>10} {'T/M %':>8}")
     for r in rows:
         print(f"{r['n']:>3} {r['M']:>8} {r['mean_T']:>10.2f} "
@@ -400,14 +394,11 @@ def cmd_noise_study(cfg: ExperimentConfig, channel: str, levels,
         print(f"{channel} level={level:g}: estimate mean={est.mean():.6f} "
               f"[{est.min():.6f}, {est.max():.6f}]  true={true.mean():.6f}")
     if out:
-        with open(out, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["channel", "level", "trial",
-                             "fidelity_estimate", "fidelity_true"])
-            for r in rows:
-                writer.writerow([r["channel"], _fmt(r["level"]), r["trial"],
-                                 _fmt(r["fidelity_estimate"]),
-                                 _fmt(r["fidelity_true"])])
+        _write_csv(out, ["channel", "level", "trial", "fidelity_estimate",
+                         "fidelity_true"],
+                   ([r["channel"], _fmt(r["level"]), r["trial"],
+                     _fmt(r["fidelity_estimate"]), _fmt(r["fidelity_true"])]
+                    for r in rows))
         if gnuplot:
             _write_gnuplot(gnuplot, out, channel)
     return rows
@@ -544,9 +535,9 @@ def main(argv=None) -> int:
                                args.trials, args.seed, args.out)
             return 0
         if args.command == "dump-state":
-            _check_qubits(args.qubits)
             cfg = ExperimentConfig(state=args.state, qubits=args.qubits,
                                    rank=args.rank, seed=args.seed)
+            cfg.check_target()
             write_density(args.out, build_target_state(cfg, 0))
             return 0
         file_values = load_config_file(args.config) if args.config else {}

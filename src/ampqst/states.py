@@ -36,6 +36,7 @@ __all__ = [
     "pure_density",
     "make_random_state",
     "project_to_density",
+    "as_density",
     "factor_density",
     "numerical_rank",
     "nmse",
@@ -201,14 +202,26 @@ def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     return float(np.linalg.norm(estimate - truth) ** 2 / denom)
 
 
+def as_density(H: np.ndarray) -> np.ndarray:
+    """``H`` itself if it is a density matrix, else ``project_to_density(H)``:
+    the one rule that makes a Hermitian estimate physical before it is judged."""
+    H = np.asarray(H, dtype=np.complex128)
+    return H if is_density(H) else project_to_density(H)
+
+
 @dataclass(frozen=True)
 class DensityFactor:
-    """Read-only d x r ``factor`` B of a validated rho = B B^dagger.
+    """A validated density matrix ``rho`` and its d x r ``factor`` B with
+    rho = B B^dagger, both read-only. Built only by ``factor_density``."""
 
-    Built only by ``factor_density``.
-    """
-
+    rho: np.ndarray
     factor: np.ndarray
+
+    def fidelity(self, sigma: np.ndarray) -> float:
+        """F(rho, sigma) for a ``sigma`` already known to be a density matrix
+        of the same dimension, unchecked: the r x r tail of ``state_fidelity``."""
+        B = self.factor
+        return gram_fidelities(B.conj().T @ sigma @ B, B.shape[0])[0]
 
 
 def _round_off_floor(vals: np.ndarray, d: int) -> np.ndarray:
@@ -217,17 +230,17 @@ def _round_off_floor(vals: np.ndarray, d: int) -> np.ndarray:
 
 
 def factor_density(rho: np.ndarray) -> DensityFactor:
-    """Validate a density matrix and factor it as rho = B B^dagger.
+    """Validate a density matrix, keep it read-only, factor it as B B^dagger.
 
     One ``eigh``; B = V_r sqrt(lam_r) keeps the eigenvalues above the
     round-off floor ``d eps max(lam_max, 1)``.
     """
-    rho = check_density(rho)
+    rho = check_density(np.array(rho, dtype=np.complex128))
     vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     keep = vals > _round_off_floor(vals, vals.size)
     B = vecs[:, keep] * np.sqrt(vals[keep])
-    B.flags.writeable = False
-    return DensityFactor(B)
+    rho.flags.writeable = B.flags.writeable = False
+    return DensityFactor(rho, B)
 
 
 def state_fidelity(rho, sigma: np.ndarray) -> float:
@@ -236,17 +249,14 @@ def state_fidelity(rho, sigma: np.ndarray) -> float:
     ``rho`` is a valid density matrix or its ``factor_density``; a matrix is
     factored here. With rho = B B^dagger, F = (sum_i sqrt(mu_i))^2 over the
     eigenvalues mu of the r x r matrix B^dagger sigma B, the nonzero ones of
-    sqrt(rho) sigma sqrt(rho). ``sigma`` may be any Hermitian matrix; one that
-    is not PSD with unit trace is first projected onto the density-matrix set.
-    When both arguments are unphysical only the second is projected.
+    sqrt(rho) sigma sqrt(rho). ``sigma`` may be any Hermitian matrix, made
+    physical by ``as_density`` first; an unphysical ``rho`` is refused.
     """
-    B = (rho if isinstance(rho, DensityFactor) else factor_density(rho)).factor
+    truth = rho if isinstance(rho, DensityFactor) else factor_density(rho)
     sigma = np.asarray(sigma, dtype=np.complex128)
-    if sigma.shape != (B.shape[0], B.shape[0]):
+    if sigma.shape != truth.rho.shape:
         raise ValueError("dimension mismatch between rho and sigma")
-    if not is_density(sigma):
-        sigma = project_to_density(sigma)
-    return gram_fidelities(B.conj().T @ sigma @ B, B.shape[0])[0]
+    return truth.fidelity(as_density(sigma))
 
 
 def gram_fidelities(grams: np.ndarray, d: int) -> list:

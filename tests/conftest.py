@@ -65,8 +65,9 @@ def function_calls(monkeypatch):
 
 @pytest.fixture
 def eigensolver_calls(function_calls):
-    """``(name, size)`` of every numpy.linalg.eigh/eigvalsh call in the test."""
+    """``(name, shape)`` of every numpy.linalg.eigh/eigvalsh call in the
+    test; a stacked call shows its stack in the shape."""
     for name in ("eigh", "eigvalsh"):
         function_calls.watch(np.linalg, name,
-                             lambda a, *args, _name=name, **kwargs: (_name, np.shape(a)[-1]))
+                             lambda a, *args, _name=name, **kwargs: (_name, np.shape(a)))
     return function_calls

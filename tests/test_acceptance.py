@@ -36,6 +36,7 @@ from ampqst.pauli import (
     sensing_map_from_indices,
 )
 from ampqst.states import (
+    factor_density,
     is_density,
     make_named_state,
     make_random_state,
@@ -93,19 +94,20 @@ def test_criterion_1_flagship_ordering(flagship_problem):
         checks.append(("a diverges", True, f"at iter {len(err.trace)}"))
 
     # (b) normalized SVT-AMP converges with final fidelity > 0.9
+    truth = factor_density(rho)
     _, tr_svt = run_amp(smap, y, AmpConfig(seed=17, denoiser="svt",
                                            damping=1.0),
-                        ground_truth=rho)
+                        ground_truth=truth)
     checks.append(("b svt fid>0.9", tr_svt.fidelity[-1] > 0.9,
                    f"fid={tr_svt.fidelity[-1]:.4f}"))
 
     # (c)+(d) PSVT with and without damping
     _, tr_un = run_amp(smap, y, AmpConfig(seed=17, denoiser="psvt",
                                           damping=1.0),
-                       ground_truth=rho)
+                       ground_truth=truth)
     _, tr_da = run_amp(smap, y, AmpConfig(seed=17, denoiser="psvt",
                                           damping=0.01),
-                       ground_truth=rho)
+                       ground_truth=truth)
     ratio = tr_un.nmse[-1] / tr_da.nmse[-1]
     checks.append(("c undamped>=2x damped", ratio >= 2.0, f"ratio={ratio:.2f}"))
     checks.append(("d damped fid>0.95", tr_da.fidelity[-1] > 0.95,

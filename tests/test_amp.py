@@ -26,6 +26,7 @@ from ampqst.pauli import (
 )
 from ampqst.states import (
     as_rng,
+    factor_density,
     is_density,
     make_named_state,
     make_random_state,
@@ -503,7 +504,7 @@ class TestRunAmp:
     def test_trace_lengths_and_tau_relation(self):
         rho, smap, y = make_problem(n=2, seed=7, shots=256)
         cfg = AmpConfig(seed=3, max_iter=40)
-        rho_hat, trace = run_amp(smap, y, cfg, ground_truth=rho)
+        rho_hat, trace = run_amp(smap, y, cfg, ground_truth=factor_density(rho))
         assert len(trace) == 40
         assert len(trace.nmse) == 40 and len(trace.fidelity) == 40
         for col in (trace.sigma, trace.tau, trace.onsager, trace.residual_norm,
@@ -521,7 +522,7 @@ class TestRunAmp:
         # and run_amp's NMSE, computed without states.nmse, gives its bits
         rho, smap, y = make_problem(n=n, M=M, seed=12, shots=512, rank=rank)
         cfg = AmpConfig(seed=7, max_iter=iters, denoiser=denoiser)
-        _, trace = run_amp(smap, y, cfg, ground_truth=rho)
+        _, trace = run_amp(smap, y, cfg, ground_truth=factor_density(rho))
         state, rng = initial_state(smap), np.random.default_rng(cfg.seed)
         for t in range(cfg.max_iter):
             state = amp_step(state, smap, y, cfg, rng)
@@ -532,7 +533,7 @@ class TestRunAmp:
         rho, smap, y = make_problem(n=3, M=40, seed=14, shots=512, rank=2)
         cfg = AmpConfig(seed=9, max_iter=60)
         plain, bare = run_amp(smap, y, cfg)
-        judged, full = run_amp(smap, y, cfg, ground_truth=rho)
+        judged, full = run_amp(smap, y, cfg, ground_truth=factor_density(rho))
         assert np.array_equal(plain, judged)
         for col in ("sigma", "tau", "onsager", "residual_norm"):
             assert np.array_equal(getattr(bare, col), getattr(full, col))
@@ -540,23 +541,23 @@ class TestRunAmp:
 
     def test_truth_is_factored_once_per_run(self, eigensolver_calls):
         # per iteration: the denoiser's one d x d eigh and nothing else;
-        # once per run: check_density's eigvalsh and the factor's eigh, and
-        # one stacked r x r eigvalsh for every iterate's fidelity
+        # once per run: one stacked r x r eigvalsh for every iterate's
+        # fidelity. The caller factors the truth; run_amp does not.
         rho, smap, y = make_problem(n=3, M=40, seed=13, shots=512, rank=2)
+        truth = factor_density(rho)
         calls = eigensolver_calls
         calls.clear()
         iters = 30
-        run_amp(smap, y, AmpConfig(seed=8, max_iter=iters), ground_truth=rho)
-        assert calls.count(("eigh", 8)) == iters + 1
-        assert calls.count(("eigvalsh", 8)) == 1
-        assert calls.count(("eigvalsh", 2)) == 1
-        assert len(calls) == iters + 3
+        run_amp(smap, y, AmpConfig(seed=8, max_iter=iters), ground_truth=truth)
+        assert calls.count(("eigh", (8, 8))) == iters
+        assert calls.count(("eigvalsh", (iters, 2, 2))) == 1
+        assert len(calls) == iters + 1
 
     def test_diverging_trace_columns_agree(self):
         rho, smap, y = make_problem(n=3, M=32, seed=6, shots=512)
         cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=False)
         with pytest.raises(DivergenceError) as exc:
-            run_amp(smap, y, cfg, ground_truth=rho)
+            run_amp(smap, y, cfg, ground_truth=factor_density(rho))
         trace = exc.value.trace
         assert trace.diverged and len(trace) > 0
         for col in (trace.tau, trace.onsager, trace.residual_norm,
@@ -568,7 +569,8 @@ class TestRunAmp:
         # after ten iterations raises, with ten fidelities still pending
         rho, smap, y = make_problem(n=3, M=40, seed=16, shots=512, rank=2)
         cfg = AmpConfig(seed=4, max_iter=30)
-        _, ref = run_amp(smap, y, AmpConfig(seed=4, max_iter=10), ground_truth=rho)
+        _, ref = run_amp(smap, y, AmpConfig(seed=4, max_iter=10),
+                         ground_truth=factor_density(rho))
         step = amp_module.amp_step
 
         def failing_step(state, *args):
@@ -577,7 +579,7 @@ class TestRunAmp:
             return step(state, *args)
         monkeypatch.setattr(amp_module, "amp_step", failing_step)
         with pytest.raises(DivergenceError) as exc:
-            run_amp(smap, y, cfg, ground_truth=rho)
+            run_amp(smap, y, cfg, ground_truth=factor_density(rho))
         trace = exc.value.trace
         assert trace.diverged and len(trace) == 10
         assert np.array_equal(trace.fidelity, ref.fidelity)
@@ -623,12 +625,12 @@ class TestRunAmp:
         # a caller that keeps every trial's trace keeps six float64 columns
         rho, smap, y = make_problem(n=2, seed=15, shots=256)
         cfg = AmpConfig(seed=3, max_iter=2000)
-        run_amp(smap, y, AmpConfig(seed=3, max_iter=5), ground_truth=rho)
+        run_amp(smap, y, AmpConfig(seed=3, max_iter=5), ground_truth=factor_density(rho))
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _, trace = run_amp(smap, y, cfg, ground_truth=rho)
+            _, trace = run_amp(smap, y, cfg, ground_truth=factor_density(rho))
             gc.collect()   # also empties the interpreter's free lists
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -639,7 +641,7 @@ class TestRunAmp:
     def test_trace_csv_export(self, tmp_path):
         rho, smap, y = make_problem(n=2, seed=8, shots=128)
         _, trace = run_amp(smap, y, AmpConfig(seed=4, max_iter=10),
-                           ground_truth=rho)
+                           ground_truth=factor_density(rho))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().splitlines()

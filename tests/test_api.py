@@ -15,6 +15,7 @@ from ampqst.amp import AmpConfig
 from ampqst.cli import ExperimentConfig, build_parser
 from ampqst.measure import NoiseModel, ShotRecord, build_measurements
 from ampqst.pauli import MeasurementPlan, SensingMap
+from ampqst.states import DensityFactor
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ampqst.__path__))
 
@@ -64,6 +65,10 @@ def test_measurement_plan_holds_codes_only():
     # words are spelt on read by a property, not stored
     fields = [f.name for f in dataclasses.fields(MeasurementPlan)]
     assert fields == ["n", "mode", "codes"]
+
+
+def test_density_factor_holds_the_checked_matrix_and_its_factor():
+    assert [f.name for f in dataclasses.fields(DensityFactor)] == ["rho", "factor"]
 
 
 def test_one_measurement_data_path():

@@ -1,7 +1,7 @@
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from ampqst.cli import (
     parse_noise,
     parse_shots,
     run_trial,
+    settings_budget,
 )
 from ampqst.amp import AmpConfig
 from ampqst.measure import NoiseModel
@@ -80,6 +81,20 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="bad.cfg:1"):
             load_config_file(path)
 
+    def test_fraction_reaches_every_whole_budget(self):
+        # M / 4^n is exact, so --fraction names any budget M in [1, 4^n]
+        for n in range(1, 6):
+            for M in range(1, 4 ** n + 1):
+                fraction = float(repr(M / 4 ** n))
+                assert settings_budget(n, fraction) == M, (n, M)
+
+    def test_settings_target_is_an_unknown_key(self, tmp_path):
+        # --fraction sets the settings budget M = round(f 4^n) for every M
+        path = tmp_path / "old.cfg"
+        path.write_text("qubits=3\nsettings_target=30\n")
+        with pytest.raises(ValueError, match="old.cfg:2: unknown key 'settings_target'"):
+            load_config_file(path)
+
     def test_config_file_non_ascii_byte_names_the_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"qubits=3\nstate=w\xe9\n")
@@ -113,7 +128,7 @@ class TestConfigParsing:
 # one value per setting, unlike its default, as a file value or flag text
 SETTING_TEXT = {
     "state": "W", "qubits": "4", "rank": "2", "seed": "7", "observables": "20",
-    "fraction": "0.5", "settings_target": "30", "shots": "inf",
+    "fraction": "0.5", "shots": "inf",
     "algorithm": "MiFGD", "alpha": "1.5", "damping": "1", "max_iter": "50",
     "denoiser": "SVT", "normalize": "false", "eta": "0.01", "mu": "0",
     "rank_budget": "2", "rel_tol": "1e-3", "noise": "readout=0.02,depolarizing=0.01",
@@ -282,6 +297,32 @@ class TestReconstruct:
         assert results[0].fidelity_truth == 0.0
         assert results[0].fidelity_target == 0.0
 
+    def test_trace_is_refused_without_amp(self, tmp_path, capsys):
+        # MiFGD keeps no trace, so --trace is refused before any trial runs
+        out, trace = tmp_path / "r.csv", tmp_path / "t.csv"
+        rc = main(["reconstruct", "--algorithm", "mifgd", "--qubits", "3",
+                   "--observables", "30", "--trace", str(trace), "--out", str(out)])
+        assert rc == 2
+        assert "--trace applies only to --algorithm amp" in capsys.readouterr().err
+        assert not out.exists() and not trace.exists()
+
+    def test_eigensolver_counts(self, eigensolver_calls):
+        # 2-D 32 x 32 eigensolver calls of one trial: the target is factored
+        # once, the prepared state only when depolarized (full rank, so its
+        # final fidelity takes a 32 x 32 gram), AMP's denoiser takes one eigh
+        # per iteration, and the estimate is checked once
+        cfg = ExperimentConfig(state="random", qubits=5, rank=3, observables=384,
+                               max_iter=10)
+        for kw, want_trace, eigh, eigvalsh in [
+                ({}, False, 11, 2), ({}, True, 11, 2),
+                (dict(noise=NoiseModel(depolarizing_eps=0.01)), True, 12, 4),
+                (dict(algorithm="mifgd"), False, 2, 1)]:
+            eigensolver_calls.clear()
+            run_trial(replace(cfg, **kw), 0, want_trace)
+            counts = [eigensolver_calls.count((name, (32, 32)))
+                      for name in ("eigh", "eigvalsh")]
+            assert counts == [eigh, eigvalsh], kw
+
     def test_mifgd_divergence_reports_its_iteration(self):
         cfg = fast_cfg(qubits=3, observables=32, algorithm="mifgd", eta=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -364,6 +405,15 @@ class TestNoiseStudy:
             assert row["fidelity_estimate"] == free.fidelity_target
             assert row["fidelity_true"] == free.fidelity_prep
 
+    def test_worker_pool_matches_sequential(self, tmp_path):
+        outs = [tmp_path / "seq.csv", tmp_path / "par.csv"]
+        for out, workers in zip(outs, (1, 2)):
+            assert main(["noise-study", "--channel", "readout", "--levels", "0,0.03",
+                         "--state", "ghz", "--qubits", "3", "--fraction", "0.75",
+                         "--trials", "2", "--max-iter", "60", "--workers",
+                         str(workers), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_gnuplot_script(self, tmp_path):
         cfg = fast_cfg(qubits=2, observables=None, fraction=1.0, shots=512,
                        max_iter=100, trials=1, seed=5)
@@ -413,6 +463,18 @@ class TestDumpState:
                      str(rank), "--seed", "11", "--out", str(out)]) == 0
         cfg = ExperimentConfig(state=state, qubits=3, rank=rank, seed=11)
         assert np.array_equal(read_density(out), build_target_state(cfg, 0))
+
+    def test_rank_on_a_named_state_is_refused(self, tmp_path, capsys):
+        # the check reconstruct runs on its target, with the same message
+        out = tmp_path / "ghz.dmat"
+        assert main(["dump-state", "--state", "ghz", "--qubits", "3", "--rank", "3",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "rank applies only to random states" in err
+        assert not out.exists()
+        assert main(["reconstruct", "--state", "ghz", "--qubits", "3", "--rank", "3",
+                     "--observables", "30"]) == 2
+        assert capsys.readouterr().err == err
 
     def test_cli_error_exit_code(self, tmp_path, capsys):
         rc = main(["reconstruct", "--qubits", "2", "--observables", "999"])

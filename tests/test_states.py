@@ -383,7 +383,7 @@ class TestFactoredFidelity:
         sigma = make_random_state(5, 4, rng)
         eigensolver_calls.clear()
         state_fidelity(truth, sigma)
-        assert sorted(eigensolver_calls) == [("eigvalsh", 3), ("eigvalsh", 32)]
+        assert sorted(eigensolver_calls) == [("eigvalsh", (3, 3)), ("eigvalsh", (32, 32))]
 
 
 class TestMetrics:
