@@ -33,7 +33,6 @@ independent runs (trials, seeds) parallelize freely.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -211,7 +210,7 @@ class AmpState:
 
 @dataclass
 class AmpTrace:
-    """Per-iteration diagnostics as float64 columns, exportable as CSV."""
+    """Per-iteration diagnostics as float64 columns."""
 
     sigma: np.ndarray
     tau: np.ndarray
@@ -223,16 +222,6 @@ class AmpTrace:
 
     def __len__(self):
         return len(self.sigma)
-
-    def to_csv(self, path) -> None:
-        names = ["sigma", "tau", "onsager", "residual_norm"]
-        if self.nmse is not None:
-            names += ["nmse", "fidelity"]
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + names)
-            for t, row in enumerate(zip(*(getattr(self, k) for k in names))):
-                writer.writerow([t] + [f"{x:.17g}" for x in row])
 
 
 def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,

@@ -18,7 +18,6 @@ import csv
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -151,8 +150,8 @@ class ExperimentConfig:
         d2 = 4 ** self.qubits
         if (self.observables is None) == (self.fraction is None):
             raise ValueError("choose exactly one of --observables, --fraction")
-        if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
+        if self.fraction is not None:
+            settings_budget(self.qubits, self.fraction)
         if self.observables is not None and not 1 <= self.observables <= d2:
             raise ValueError(f"observables must lie in [1, {d2}]")
         if self.observables is not None and self.noise.measurement_side:
@@ -211,7 +210,10 @@ def build_target_state(cfg: ExperimentConfig, trial: int) -> np.ndarray:
 
 
 def settings_budget(n: int, fraction: float) -> int:
-    """The observables a settings plan covers: round(fraction 4^n), at least 1."""
+    """The observables a settings plan covers: round(fraction 4^n), at least 1,
+    for a ``fraction`` in (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must lie in (0, 1]")
     return max(1, round(fraction * 4 ** n))
 
 
@@ -266,6 +268,8 @@ def run_trial(cfg: ExperimentConfig, trial: int,
 def _run_trials(cfg: ExperimentConfig, want_trace: bool) -> list[TrialResult]:
     if cfg.workers == 1:
         return [run_trial(cfg, t, want_trace) for t in range(cfg.trials)]
+    # imported here: the pool loads multiprocessing, which one worker never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         futures = [pool.submit(run_trial, cfg, t, want_trace)
                    for t in range(cfg.trials)]
@@ -276,16 +280,14 @@ def _run_trials(cfg: ExperimentConfig, want_trace: bool) -> list[TrialResult]:
 # Output
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path, header: list, rows) -> None:
-    """An ASCII CSV file: the header row, then ``rows``."""
+    """An ASCII CSV file: the header row, then ``rows``, each float written
+    with 17 significant digits (it reads back to the same bits)."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row]
+                         for row in rows)
 
 
 def write_results_csv(path, cfg: ExperimentConfig,
@@ -293,9 +295,18 @@ def write_results_csv(path, cfg: ExperimentConfig,
     _write_csv(path, RESULT_COLUMNS, ([
         r.trial, cfg.state, cfg.qubits, r.M, r.T,
         "inf" if cfg.shots is None else cfg.shots, cfg.algorithm,
-        _fmt(r.nmse), _fmt(r.fidelity_truth), _fmt(r.fidelity_target),
+        r.nmse, r.fidelity_truth, r.fidelity_target,
         r.iters, f"{r.seconds:.3f}" if cfg.timing else "",
     ] for r in results))
+
+
+def write_trace_csv(path, trace: AmpTrace) -> None:
+    """One row per AMP iteration; ``nmse`` and ``fidelity`` with a truth."""
+    names = ["sigma", "tau", "onsager", "residual_norm"]
+    if trace.nmse is not None:
+        names += ["nmse", "fidelity"]
+    columns = zip(*(getattr(trace, k) for k in names))
+    _write_csv(path, ["t"] + names, ([t, *row] for t, row in enumerate(columns)))
 
 
 def _summary(results: list[TrialResult]) -> str:
@@ -315,7 +326,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[TrialResult]:
         for r in results:
             path = cfg.trace if cfg.trials == 1 \
                 else _suffixed(cfg.trace, f".trial{r.trial}")
-            r.trace.to_csv(path)
+            write_trace_csv(path, r.trace)
     print(_summary(results))
     return results
 
@@ -334,11 +345,14 @@ def cmd_settings_table(n_values, fractions, trials: int, seed: int,
     """Mean number of settings needed per (n, fraction of d^2) cell."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rows = []
     for n in n_values:
         _check_qubits(n)
+    budgets = {(n, frac): settings_budget(n, frac)
+               for n in n_values for frac in fractions}
+    rows = []
+    for n in n_values:
         for fi, frac in enumerate(fractions):
-            target = settings_budget(n, frac)
+            target = budgets[n, frac]
             counts = []
             for t in range(trials):
                 rng = np.random.default_rng(np.random.SeedSequence((seed, n, fi, t)))
@@ -348,9 +362,8 @@ def cmd_settings_table(n_values, fractions, trials: int, seed: int,
                          "mean_T": mean_T,
                          "t_over_m_pct": 100.0 * mean_T / target})
     if out:
-        _write_csv(out, ["n", "fraction", "M", "mean_T", "t_over_m_pct"],
-                   ([r["n"], _fmt(r["fraction"]), r["M"], _fmt(r["mean_T"]),
-                     _fmt(r["t_over_m_pct"])] for r in rows))
+        header = ["n", "fraction", "M", "mean_T", "t_over_m_pct"]
+        _write_csv(out, header, ([r[k] for k in header] for r in rows))
     print(f"{'n':>3} {'M':>8} {'mean T':>10} {'T/M %':>8}")
     for r in rows:
         print(f"{r['n']:>3} {r['M']:>8} {r['mean_T']:>10.2f} "
@@ -394,11 +407,8 @@ def cmd_noise_study(cfg: ExperimentConfig, channel: str, levels,
         print(f"{channel} level={level:g}: estimate mean={est.mean():.6f} "
               f"[{est.min():.6f}, {est.max():.6f}]  true={true.mean():.6f}")
     if out:
-        _write_csv(out, ["channel", "level", "trial", "fidelity_estimate",
-                         "fidelity_true"],
-                   ([r["channel"], _fmt(r["level"]), r["trial"],
-                     _fmt(r["fidelity_estimate"]), _fmt(r["fidelity_true"])]
-                    for r in rows))
+        header = ["channel", "level", "trial", "fidelity_estimate", "fidelity_true"]
+        _write_csv(out, header, ([r[k] for k in header] for r in rows))
         if gnuplot:
             _write_gnuplot(gnuplot, out, channel)
     return rows
@@ -461,19 +471,26 @@ def _flag_type(parse):
     return convert
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    """``--config`` plus one flag per setting. A flag not given is left out
-    of the namespace (not set to None, which means ``--shots inf``)."""
-    p.add_argument("--config", help="flat key=value configuration file")
-    for f in fields(ExperimentConfig):
-        parse, flag = f.metadata["parse"], "--" + f.name.replace("_", "-")
+def _add_setting_flags(p: argparse.ArgumentParser, names=tuple(_SETTINGS),
+                       required=()) -> None:
+    """One flag per setting in ``names``. A flag not given is left out of
+    the namespace (not set to None, which means ``--shots inf``)."""
+    for name in names:
+        f = _SETTINGS[name]
+        parse, flag = f.metadata["parse"], "--" + name.replace("_", "-")
         if parse is _parse_bool:
             flag = flag.replace("--", "--no-") if f.default else flag
             how = dict(action="store_const", const=not f.default)
         else:
             how = dict(type=_flag_type(parse), choices=getattr(parse, "choices", None))
-        p.add_argument(flag, dest=f.name, default=argparse.SUPPRESS,
-                       help=f.metadata["help"], **how)
+        p.add_argument(flag, dest=name, default=argparse.SUPPRESS,
+                       required=name in required, help=f.metadata["help"], **how)
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per setting."""
+    p.add_argument("--config", help="flat key=value configuration file")
+    _add_setting_flags(p)
 
 
 def _parse_int_list(text: str) -> list:
@@ -518,11 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--gnuplot", help="also write a gnuplot script")
 
     p_dump = sub.add_parser("dump-state", help="write a state as DMAT v1")
-    p_dump.add_argument("--state", required=True, type=str.lower, choices=STATES)
-    p_dump.add_argument("--qubits", type=int, required=True)
-    p_dump.add_argument("--rank", type=int, default=1)
-    p_dump.add_argument("--seed", type=int, default=0)
-    p_dump.add_argument("--out", required=True)
+    _add_setting_flags(p_dump, ("state", "qubits", "rank", "seed"),
+                       required=("state", "qubits"))
+    p_dump.add_argument("--out", required=True, help="DMAT v1 file path")
     return parser
 
 
@@ -533,24 +548,20 @@ def main(argv=None) -> int:
             cmd_settings_table(_parse_int_list(args.qubits),
                                _parse_float_list(args.fractions),
                                args.trials, args.seed, args.out)
-            return 0
-        if args.command == "dump-state":
-            cfg = ExperimentConfig(state=args.state, qubits=args.qubits,
-                                   rank=args.rank, seed=args.seed)
+        elif args.command == "dump-state":
+            cfg = _experiment_from(args, {})
             cfg.check_target()
             write_density(args.out, build_target_state(cfg, 0))
-            return 0
-        file_values = load_config_file(args.config) if args.config else {}
-        cfg = _experiment_from(args, file_values)
-        if args.command == "reconstruct":
-            cmd_reconstruct(cfg)
-            return 0
-        if args.command == "noise-study":
-            levels = _parse_float_list(args.levels) if args.levels \
-                else list(_DEFAULT_LEVELS[args.channel])
-            cmd_noise_study(cfg, args.channel, levels, out=cfg.out,
-                            gnuplot=args.gnuplot)
-            return 0
+        else:
+            file_values = load_config_file(args.config) if args.config else {}
+            cfg = _experiment_from(args, file_values)
+            if args.command == "reconstruct":
+                cmd_reconstruct(cfg)
+            else:
+                levels = _parse_float_list(args.levels) if args.levels \
+                    else list(_DEFAULT_LEVELS[args.channel])
+                cmd_noise_study(cfg, args.channel, levels, out=cfg.out,
+                                gnuplot=args.gnuplot)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ __all__ = [
     "check_hermitian",
     "check_state_vector",
     "is_density",
-    "check_density",
     "make_named_state",
     "pure_density",
     "make_random_state",
@@ -84,23 +83,18 @@ def check_hermitian(H: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return H
 
 
+def _hermitian_unit_trace(rho: np.ndarray) -> bool:
+    """The checks of a density matrix short of its spectrum."""
+    return (rho.ndim == 2 and rho.shape[0] == rho.shape[1]
+            and not np.max(np.abs(rho - rho.conj().T)) > 1e-8
+            and not abs(np.trace(rho).real - 1.0) > 1e-10)
+
+
 def is_density(rho: np.ndarray) -> bool:
     """True if ``rho`` is Hermitian, PSD to ``-EIGENVALUE_CLIP`` and unit trace."""
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
-        return False
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        return False
-    return bool(np.linalg.eigvalsh(rho).min() >= -EIGENVALUE_CLIP)
-
-
-def check_density(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
-    if not is_density(rho):
-        raise ValueError("matrix is not a valid density matrix")
-    return rho
+    return _hermitian_unit_trace(rho) and \
+        bool(np.linalg.eigvalsh(rho).min() >= -EIGENVALUE_CLIP)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +226,19 @@ def _round_off_floor(vals: np.ndarray, d: int) -> np.ndarray:
 def factor_density(rho: np.ndarray) -> DensityFactor:
     """Validate a density matrix, keep it read-only, factor it as B B^dagger.
 
-    One ``eigh``; B = V_r sqrt(lam_r) keeps the eigenvalues above the
-    round-off floor ``d eps max(lam_max, 1)``.
+    One ``eigh``, which also holds the PSD check of ``is_density``;
+    B = V_r sqrt(lam_r) keeps the eigenvalues above the round-off floor
+    ``d eps max(lam_max, 1)``.
     """
-    rho = check_density(np.array(rho, dtype=np.complex128))
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    keep = vals > _round_off_floor(vals, vals.size)
-    B = vecs[:, keep] * np.sqrt(vals[keep])
-    rho.flags.writeable = B.flags.writeable = False
-    return DensityFactor(rho, B)
+    rho = np.array(rho, dtype=np.complex128)
+    if _hermitian_unit_trace(rho):
+        vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+        if vals[0] >= -EIGENVALUE_CLIP:
+            keep = vals > _round_off_floor(vals, vals.size)
+            B = vecs[:, keep] * np.sqrt(vals[keep])
+            rho.flags.writeable = B.flags.writeable = False
+            return DensityFactor(rho, B)
+    raise ValueError("matrix is not a valid density matrix")
 
 
 def state_fidelity(rho, sigma: np.ndarray) -> float:

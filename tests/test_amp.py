@@ -638,16 +638,6 @@ class TestRunAmp:
         assert len(trace) == 2000
         assert held <= 120_000
 
-    def test_trace_csv_export(self, tmp_path):
-        rho, smap, y = make_problem(n=2, seed=8, shots=128)
-        _, trace = run_amp(smap, y, AmpConfig(seed=4, max_iter=10),
-                           ground_truth=factor_density(rho))
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,sigma,tau,onsager,residual_norm,nmse,fidelity"
-        assert len(lines) == 11
-
     def test_deterministic_per_seed(self):
         rho, smap, y = make_problem(n=2, seed=9, shots=128)
         a, _ = run_amp(smap, y, AmpConfig(seed=5, max_iter=30))

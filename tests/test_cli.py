@@ -23,6 +23,7 @@ from ampqst.cli import (
     parse_shots,
     run_trial,
     settings_budget,
+    write_trace_csv,
 )
 from ampqst.amp import AmpConfig
 from ampqst.measure import NoiseModel
@@ -241,6 +242,14 @@ class TestReconstruct:
             assert float(parts[7]) >= 0.0
             assert parts[11] == ""  # timing off by default
 
+    def test_trace_csv_export(self, tmp_path):
+        trace = run_trial(fast_cfg(shots=128, max_iter=10), 0, want_trace=True).trace
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,sigma,tau,onsager,residual_norm,nmse,fidelity"
+        assert len(lines) == 11
+
     @pytest.mark.parametrize("plan", PLANS)
     def test_byte_identical_reruns(self, tmp_path, plan):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -308,15 +317,16 @@ class TestReconstruct:
 
     def test_eigensolver_counts(self, eigensolver_calls):
         # 2-D 32 x 32 eigensolver calls of one trial: the target is factored
-        # once, the prepared state only when depolarized (full rank, so its
-        # final fidelity takes a 32 x 32 gram), AMP's denoiser takes one eigh
-        # per iteration, and the estimate is checked once
+        # (and checked) by one eigh, the prepared state only when depolarized
+        # (full rank, so its final fidelity takes a 32 x 32 gram), AMP's
+        # denoiser takes one eigh per iteration, and the estimate is checked
+        # once by eigvalsh
         cfg = ExperimentConfig(state="random", qubits=5, rank=3, observables=384,
                                max_iter=10)
         for kw, want_trace, eigh, eigvalsh in [
-                ({}, False, 11, 2), ({}, True, 11, 2),
-                (dict(noise=NoiseModel(depolarizing_eps=0.01)), True, 12, 4),
-                (dict(algorithm="mifgd"), False, 2, 1)]:
+                ({}, False, 11, 1), ({}, True, 11, 1),
+                (dict(noise=NoiseModel(depolarizing_eps=0.01)), True, 12, 2),
+                (dict(algorithm="mifgd"), False, 2, 0)]:
             eigensolver_calls.clear()
             run_trial(replace(cfg, **kw), 0, want_trace)
             counts = [eigensolver_calls.count((name, (32, 32)))
@@ -367,6 +377,20 @@ class TestSettingsTable:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,fraction,M,mean_T,t_over_m_pct"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5"])
+    def test_fraction_bounded_as_reconstruct_bounds_it(self, fraction, tmp_path,
+                                                       capsys):
+        # the one budget rule: no row of M=1, and no sampler error, for a
+        # fraction outside (0, 1]
+        out = tmp_path / "table.csv"
+        assert main(["settings-table", "--qubits", "3", f"--fractions={fraction}",
+                     "--trials", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "fraction must lie in (0, 1]" in err
+        assert not out.exists()
+        assert main(["reconstruct", "--qubits", "3", f"--fraction={fraction}"]) == 2
+        assert capsys.readouterr().err == err
 
 
 class TestNoiseStudy:
@@ -438,6 +462,21 @@ class TestNoiseStudy:
 
 
 class TestDumpState:
+    def test_state_parsed_as_reconstruct_parses_it(self, tmp_path, capsys):
+        out = tmp_path / "ghz.dmat"
+        assert main(["dump-state", "--state", " GHZ ", "--qubits", "2",
+                     "--out", str(out)]) == 0
+        assert np.array_equal(read_density(out),
+                              build_target_state(ExperimentConfig(qubits=2), 0))
+        assert experiment(["--state", " GHZ "]).state == "ghz"
+        errors = []
+        for command in ("dump-state", "reconstruct"):
+            with pytest.raises(SystemExit):
+                main([command, "--state", "foo", "--qubits", "2", "--out", "x"])
+            errors.append(capsys.readouterr().err.splitlines()[-1].partition("error: ")[2])
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("argument --state: bad value 'foo'")
+
     def test_dump_and_read(self, tmp_path):
         out = tmp_path / "ghz.dmat"
         rc = main(["dump-state", "--state", "ghz", "--qubits", "2",
@@ -516,10 +555,12 @@ def test_qubits_beyond_the_bound_rejected_before_allocating(argv, tmp_path,
 
 
 def test_cli_import_loads_no_scipy():
-    # the library uses numpy only; scipy would add to every CLI start-up
+    # the library uses numpy only; scipy would add to every CLI start-up, and
+    # multiprocessing to every run with one worker
     src = str(Path(ampqst.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import ampqst.cli; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
+            "('scipy', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

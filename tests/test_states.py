@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ampqst.states import (
     DensityFactor,
-    check_density,
     check_hermitian,
     factor_density,
     gram_fidelities,
@@ -518,8 +517,8 @@ class TestDmatFormat:
 
 
 def test_check_density_rejects_non_psd():
-    with pytest.raises(ValueError):
-        check_density(np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="not a valid density matrix"):
+        factor_density(np.diag([1.5, -0.5]))
 
 
 def test_numerical_rank_threshold():
