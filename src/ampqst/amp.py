@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .pauli import SensingMap, _adjoint, _check_data, _sense
-from .states import DensityFactor, as_density, as_rng, gram_fidelities
+from .states import DensityFactor, as_density, as_rng, check_hermitian, gram_fidelities
 
 __all__ = [
     "AmpConfig",
@@ -102,13 +102,12 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
     ``s = sign(lam) (|lam| - tau)_+``; ``svt`` keeps ``w = s``, ``psvt`` keeps
     the positive ``s`` divided by their sum, or returns I/d when none is
     positive, as ``project_to_density`` does. Raises ValueError on a
-    negative or non-finite threshold and on a non-finite matrix.
+    negative or non-finite threshold and on a non-finite matrix; ``svt`` and
+    ``psvt`` check Hermiticity, ``amp_step``'s v is Hermitian by construction.
     """
     if not 0.0 <= tau < np.inf:
         raise ValueError("threshold must be nonnegative and finite")
-    H = np.asarray(H, dtype=np.complex128)
-    if not np.isfinite(H).all():
-        raise ValueError("matrix must be finite")
+    H = _finite(H)
     lam, vecs = np.linalg.eigh(H)
     d = lam.size
     # The eigenvalues ascend, so K is two tails, each on one linear piece of
@@ -140,22 +139,31 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
     return 0.5 * (out + out.conj().T), derivative
 
 
+def _finite(H: np.ndarray) -> np.ndarray:
+    H = np.asarray(H, dtype=np.complex128)
+    if not np.isfinite(H).all():
+        raise ValueError("matrix must be finite")
+    return H
+
+
 def svt(H: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding of a Hermitian matrix.
 
     The singular values of a Hermitian H are |lambda_k| with singular vector
     pairs sign(lambda_k) |psi_k><psi_k|, so one eigendecomposition gives
-    sum_k sign(lambda_k) (|lambda_k| - tau)_+ |psi_k><psi_k| exactly.
+    sum_k sign(lambda_k) (|lambda_k| - tau)_+ |psi_k><psi_k| exactly. Refuses
+    a matrix that is not finite, or not Hermitian within 1e-8.
     """
-    return spectral_denoise(H, tau, project=False)[0]
+    return spectral_denoise(check_hermitian(_finite(H), 1e-8), tau, project=False)[0]
 
 
 def psvt(H: np.ndarray, tau: float) -> np.ndarray:
     """Projected SVT: threshold, then project onto the density-matrix set.
 
-    Equals ``project_to_density(svt(H, tau))`` from a single decomposition.
+    Equals ``project_to_density(svt(H, tau))`` from a single decomposition,
+    and refuses the matrices that ``project_to_density`` refuses.
     """
-    return spectral_denoise(H, tau, project=True)[0]
+    return spectral_denoise(check_hermitian(_finite(H), 1e-8), tau, project=True)[0]
 
 
 @dataclass

@@ -43,11 +43,11 @@ from .states import (
 RESULT_COLUMNS = ["trial", "state", "n", "M", "T", "N", "algorithm", "nmse",
                   "fidelity_truth", "fidelity_target", "iters", "seconds"]
 
-# role tags for deriving independent per-trial RNG streams
+# role tags of the per-trial stream keys (seed, trial, role), each seeding states.as_rng
 _ROLE_STATE, _ROLE_PLAN, _ROLE_MEAS, _ROLE_ALGO = 0, 1, 2, 3
 
 STATES = ("ghz", "hadamard", "w", "random")
-ALGORITHMS = ("amp", "mifgd")
+ALGORITHMS = {"amp": AmpConfig, "mifgd": MifgdConfig}   # solver -> its config class
 
 
 def _one_of(names: tuple):
@@ -116,7 +116,7 @@ class ExperimentConfig:
     fraction: float | None = _setting(None, _finite_float,
                                       "settings: cover this share of d^2")
     shots: int | None = _setting(1024, parse_shots, "shots per circuit, or inf")
-    algorithm: str = _setting("amp", _one_of(ALGORITHMS), "solver")
+    algorithm: str = _setting("amp", _one_of(tuple(ALGORITHMS)), "solver")
     alpha: float = _setting(AmpConfig.alpha, _finite_float, "AMP threshold multiplier")
     damping: float = _setting(AmpConfig.damping, _finite_float,
                               "AMP damping in (0, 1]; 1 is undamped")
@@ -169,12 +169,12 @@ class ExperimentConfig:
     def solver_max_iter(self) -> int:
         if self.max_iter is not None:
             return self.max_iter
-        return (AmpConfig if self.algorithm == "amp" else MifgdConfig).max_iter
+        return ALGORITHMS[self.algorithm].max_iter
 
     def solver_config(self, seed: int) -> AmpConfig | MifgdConfig:
         """The solver's configuration: each of its knobs is the setting of
         the same name."""
-        kind = AmpConfig if self.algorithm == "amp" else MifgdConfig
+        kind = ALGORITHMS[self.algorithm]
         knobs = {f.name: getattr(self, f.name) for f in fields(kind)
                  if f.name not in ("max_iter", "seed")}
         return kind(**knobs, max_iter=self.solver_max_iter(), seed=seed)
@@ -194,18 +194,13 @@ class TrialResult:
     trace: AmpTrace | None = None
 
 
-def _rng_for(cfg: ExperimentConfig, trial: int, role: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((cfg.seed, trial, role)))
-
-
 def _seed_int(cfg: ExperimentConfig, trial: int, role: int) -> int:
     return int(np.random.SeedSequence((cfg.seed, trial, role)).generate_state(1)[0])
 
 
 def build_target_state(cfg: ExperimentConfig, trial: int) -> np.ndarray:
     if cfg.state == "random":
-        return make_random_state(cfg.qubits, cfg.rank,
-                                 _rng_for(cfg, trial, _ROLE_STATE))
+        return make_random_state(cfg.qubits, cfg.rank, (cfg.seed, trial, _ROLE_STATE))
     return pure_density(make_named_state(cfg.state, cfg.qubits))
 
 
@@ -220,12 +215,12 @@ def settings_budget(n: int, fraction: float) -> int:
 def build_plan(cfg: ExperimentConfig, trial: int) -> tuple[MeasurementPlan, int]:
     """Per-trial measurement plan and the circuit count T."""
     n = cfg.qubits
-    rng = _rng_for(cfg, trial, _ROLE_PLAN)
+    keys = (cfg.seed, trial, _ROLE_PLAN)
     if cfg.observables is not None:
-        mode, codes = "observables", sample_observables(n, cfg.observables, rng)
+        mode, codes = "observables", sample_observables(n, cfg.observables, keys)
     else:
         mode = "settings"
-        codes = sample_settings_until(n, settings_budget(n, cfg.fraction), rng)
+        codes = sample_settings_until(n, settings_budget(n, cfg.fraction), keys)
     return MeasurementPlan(n, mode, codes), len(codes)
 
 
@@ -353,10 +348,8 @@ def cmd_settings_table(n_values, fractions, trials: int, seed: int,
     for n in n_values:
         for fi, frac in enumerate(fractions):
             target = budgets[n, frac]
-            counts = []
-            for t in range(trials):
-                rng = np.random.default_rng(np.random.SeedSequence((seed, n, fi, t)))
-                counts.append(len(sample_settings_until(n, target, rng)))
+            counts = [len(sample_settings_until(n, target, (seed, n, fi, t)))
+                      for t in range(trials)]
             mean_T = float(np.mean(counts))
             rows.append({"n": n, "fraction": frac, "M": target,
                          "mean_T": mean_T,

@@ -5,11 +5,13 @@ also outcome distributions, parity marginalization and noise channels.
 Outcome bitstrings index the distribution vector with the leftmost qubit as
 the most significant bit, matching the Kronecker ordering used everywhere
 else. Qubit indices passed to the channel operations are 1-based (qubit 1 is
-the leftmost letter).
+the leftmost letter). The per-qubit channels are exact Pauli conjugations by
+one kernel, ``apply_pauli_flip``: loss is the one-qubit Pauli twirl.
 
 All operations are pure functions over immutable inputs. Per-setting draws in
-``simulate`` come from independent RNG streams keyed by (seed, setting index),
-so settings can be simulated in parallel without changing the results.
+``simulate`` come from independent streams ``as_rng(seed keys + (k,))`` for
+setting k, so settings can be simulated in parallel without changing the
+results.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .pauli import (
     pauli_indices_from_words,
     sensing_map_from_indices,
 )
-from .states import ascii_lines
+from .states import as_rng, ascii_lines
 
 __all__ = [
     "ShotRecord",
@@ -146,46 +148,30 @@ def overrotation_unitary(n: int, theta: float) -> np.ndarray:
     return U
 
 
-def _check_qubit(i: int, n: int) -> int:
+def apply_pauli_flip(rho: np.ndarray, i: int, kind: str) -> np.ndarray:
+    """Bit flip (X_i rho X_i) or phase flip (Z_i rho Z_i) on qubit i (1-based),
+    exact: with b the bit of qubit i, X_i permutes rows and columns by
+    ``j -> j ^ b`` and Z_i signs them by ``(-1)**(j & b)``."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    n = rho.shape[0].bit_length() - 1
     if not 1 <= i <= n:
         raise ValueError(f"qubit index must satisfy 1 <= i <= {n}, got {i}")
-    return i
-
-
-def apply_pauli_flip(rho: np.ndarray, i: int, kind: str) -> np.ndarray:
-    """Bit flip (X_i rho X_i) or phase flip (Z_i rho Z_i) on qubit i (1-based)."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    d = rho.shape[0]
-    n = d.bit_length() - 1
-    i = _check_qubit(i, n)
+    j, b = np.arange(1 << n), 1 << (n - i)
     if kind == "bit":
-        t = rho.reshape((2,) * (2 * n))
-        t = np.flip(np.flip(t, axis=i - 1), axis=n + i - 1)
-        return np.ascontiguousarray(t.reshape(d, d))
+        return rho[np.ix_(j ^ b, j ^ b)]
     if kind == "phase":
-        sign = 1.0 - 2.0 * ((np.arange(d) >> (n - i)) & 1)
+        sign = np.where(j & b, -1.0, 1.0)
         return rho * np.outer(sign, sign)
     raise ValueError(f"flip kind must be 'bit' or 'phase', got {kind!r}")
 
 
 def apply_loss(rho: np.ndarray, i: int) -> np.ndarray:
-    """Photon loss on qubit i: trace out the qubit and replace it with I/2."""
+    """Photon loss on qubit i, the qubit traced out and replaced with I/2: the
+    twirl (rho + X rho X + Y rho Y + Z rho Z) / 4 = (s + X s X) / 4 with
+    s = rho + Z rho Z, from ``apply_pauli_flip``."""
     rho = np.asarray(rho, dtype=np.complex128)
-    d = rho.shape[0]
-    n = d.bit_length() - 1
-    i = _check_qubit(i, n)
-    t = rho.reshape((2,) * (2 * n))
-    # bring qubit i's row and column axes to the front
-    perm = [i - 1] + [ax for ax in range(n) if ax != i - 1] \
-        + [n + i - 1] + [ax for ax in range(n, 2 * n) if ax != n + i - 1]
-    blocks = t.transpose(perm).reshape(2, d // 2, 2, d // 2)
-    ptrace = blocks[0, :, 0, :] + blocks[1, :, 1, :]
-    out = np.zeros_like(blocks)
-    out[0, :, 0, :] = 0.5 * ptrace
-    out[1, :, 1, :] = 0.5 * ptrace
-    inv = np.argsort(perm)
-    return np.ascontiguousarray(
-        out.reshape((2,) * (2 * n)).transpose(inv).reshape(d, d))
+    s = rho + apply_pauli_flip(rho, i, "phase")
+    return 0.25 * (s + apply_pauli_flip(s, i, "bit"))
 
 
 @dataclass(frozen=True)
@@ -275,11 +261,8 @@ class NoiseModel:
 # ---------------------------------------------------------------------------
 
 def _setting_seed(seed, index: int) -> np.random.Generator:
-    if isinstance(seed, (tuple, list)):
-        entropy = tuple(int(s) for s in seed) + (index,)
-    else:
-        entropy = (int(seed), index)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    """Setting ``index``'s stream: the keys of ``seed``, an int or a tuple, then it."""
+    return as_rng(tuple(int(k) for k in np.atleast_1d(seed)) + (index,))
 
 
 def simulate(rho: np.ndarray, plan: MeasurementPlan, shots: int | None,

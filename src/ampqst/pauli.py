@@ -176,10 +176,10 @@ def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
 
 def _all_expectations(X: np.ndarray, n: int) -> np.ndarray:
     """``Tr[P X]`` of all 4^n words P in code order, checked as by
-    ``apply_sensing``: the map of every code, with no word decoded."""
-    gather, take, weight, H = _index_form(np.arange(4 ** n), n)
-    G = _hermitian_input(X, 1 << n).reshape(-1)[gather].view(np.float64)
-    return (H @ G.reshape(1 << n, 2 << n)).reshape(-1)[take] * weight
+    ``apply_sensing``: ``_sense`` on the map of every code, whose codes are
+    distinct and in range by construction, so none is checked or decoded."""
+    X, codes = _hermitian_input(X, 1 << n), np.arange(4 ** n)
+    return _sense(SensingMap(codes, n, 1 << n, codes.size, *_index_form(codes, n)), X)
 
 
 def _hermitian_input(X: np.ndarray, d: int) -> np.ndarray:

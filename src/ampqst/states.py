@@ -53,7 +53,9 @@ EIGENVALUE_CLIP = 1e-10
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Return ``seed`` itself if it is already a Generator, else seed a new one."""
+    """``seed`` itself if it is a Generator, else the stream of an int or a key
+    tuple of ints: ``default_rng(keys)``, the stream of ``SeedSequence(keys)``.
+    Every Generator of the package comes from here."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -91,10 +93,11 @@ def _hermitian_unit_trace(rho: np.ndarray) -> bool:
 
 
 def is_density(rho: np.ndarray) -> bool:
-    """True if ``rho`` is Hermitian, PSD to ``-EIGENVALUE_CLIP`` and unit trace."""
+    """True if ``rho`` is Hermitian, unit trace and PSD to ``-EIGENVALUE_CLIP``
+    (the spectrum of ``0.5 (rho + rho^dagger)``, as ``factor_density`` takes it)."""
     rho = np.asarray(rho, dtype=np.complex128)
-    return _hermitian_unit_trace(rho) and \
-        bool(np.linalg.eigvalsh(rho).min() >= -EIGENVALUE_CLIP)
+    return _hermitian_unit_trace(rho) and bool(
+        np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= -EIGENVALUE_CLIP)
 
 
 # ---------------------------------------------------------------------------

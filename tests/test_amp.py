@@ -209,6 +209,18 @@ class TestPsvt:
         assert np.allclose(out, np.eye(2) / 2)
 
 
+@pytest.mark.parametrize("denoise", [svt, psvt])
+def test_public_denoisers_refuse_what_the_projection_refuses(denoise):
+    # unchecked, psvt returned I/2 for this matrix
+    H = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for refuse in (project_to_density, lambda H: denoise(H, 0.0)):
+        with pytest.raises(ValueError, match="not Hermitian within 1e-08"):
+            refuse(H)
+    near = np.diag([1.0, 0.0]).astype(complex)
+    near[0, 1] = 5e-9                           # within the tolerance
+    assert np.allclose(denoise(near, 0.0), np.diag([1.0, 0.0]), atol=1e-8)
+
+
 class TestOnsagerEstimator:
     def test_zero_denoiser_exactly_zero(self):
         rng = np.random.default_rng(4)
@@ -356,6 +368,7 @@ class TestSpectralDenoise:
             if k == 0:
                 assert exact == 0.0
 
+    @pytest.mark.filterwarnings("error")    # finiteness is checked before inf - inf
     @pytest.mark.parametrize("project", [False, True])
     @pytest.mark.parametrize("bad", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1),
                                      (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)])

@@ -55,6 +55,30 @@ def test_package_imports_resolve():
     assert not [n for n in REMOVED if hasattr(ampqst, n)]
 
 
+def mentions(name):
+    """Where the package's source names ``name`` (a call, an attribute, an
+    import): ``module.function``, nested functions joined by dots."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope += "." + node.name
+        elif name in (getattr(node, key, None) for key in ("id", "attr", "name")):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(Path(ampqst.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_one_stream_rule():
+    # every Generator comes from as_rng; the solvers' int seeds from _seed_int
+    assert mentions("default_rng") == ["states.as_rng"]
+    assert mentions("SeedSequence") == ["cli._seed_int"]
+
+
 def test_sensing_map_holds_codes_and_index_form_only():
     fields = [f.name for f in dataclasses.fields(SensingMap)]
     assert "paulis" not in fields

@@ -25,11 +25,13 @@ from ampqst.cli import (
     settings_budget,
     write_trace_csv,
 )
+from ampqst import measure
 from ampqst.amp import AmpConfig
-from ampqst.measure import NoiseModel
+from ampqst.measure import NoiseModel, outcome_probabilities
 from ampqst.mifgd import MifgdConfig
-from ampqst.pauli import MAX_QUBITS
-from ampqst.states import read_density
+from ampqst.pauli import (MAX_QUBITS, apply_sensing, sample_observables,
+                          sample_settings_until, sensing_map_from_indices)
+from ampqst.states import make_random_state, read_density
 
 
 def fast_cfg(**kw):
@@ -339,6 +341,65 @@ class TestReconstruct:
             result = run_trial(cfg, 0)
         assert result.fidelity_truth == 0.0
         assert 0 < result.iters < cfg.solver_max_iter()
+
+
+class TestStreamKeys:
+    """Each stream is ``np.random.default_rng`` of its key tuple: (seed, trial,
+    role) with role 0 for the state and 1 for the plan, (seed, trial, 2, k)
+    for setting k's draw, and (seed, n, fraction index, t) for settings-table
+    trial t. Reruns and worker pools cannot see a self-consistent change of
+    keys; these pins can."""
+
+    SEED, TRIAL = 7, 4
+
+    def keyed(self, *keys):
+        return np.random.default_rng((self.SEED, *keys))
+
+    def records(self, cfg, monkeypatch):
+        """The ShotRecords that trial TRIAL of ``cfg`` simulates."""
+        out, original = [], measure.simulate
+
+        def simulate(*args, **kwargs):
+            out.append(original(*args, **kwargs))
+            return out[-1]
+        monkeypatch.setattr(measure, "simulate", simulate)
+        run_trial(cfg, self.TRIAL)
+        return out
+
+    def test_random_target(self):
+        cfg = fast_cfg(state="random", qubits=3, rank=2, seed=self.SEED)
+        assert np.array_equal(build_target_state(cfg, self.TRIAL), make_random_state(
+            3, 2, self.keyed(self.TRIAL, 0)))
+
+    def test_observables_plan_and_binomial(self, monkeypatch):
+        cfg = fast_cfg(qubits=3, observables=20, shots=100, max_iter=1, seed=self.SEED)
+        (record,) = self.records(cfg, monkeypatch)
+        codes = sample_observables(3, 20, self.keyed(self.TRIAL, 1))
+        assert np.array_equal(record.plan.codes, codes)
+        means = apply_sensing(sensing_map_from_indices(codes, 3),
+                              build_target_state(cfg, self.TRIAL))
+        p = np.clip((means + 1.0) / 2.0, 0.0, 1.0)
+        draws = self.keyed(self.TRIAL, 2, 0).binomial(100, p)
+        assert np.array_equal(record.data, 2.0 * draws / 100 - 1.0)
+
+    def test_settings_plan_and_multinomials(self, monkeypatch):
+        cfg = fast_cfg(qubits=3, observables=None, fraction=0.5, shots=100,
+                       noise=parse_noise("readout=0.03"), max_iter=1, seed=self.SEED)
+        (record,) = self.records(cfg, monkeypatch)
+        codes = sample_settings_until(3, settings_budget(3, 0.5),
+                                      self.keyed(self.TRIAL, 1))
+        assert np.array_equal(record.plan.codes, codes)
+        probs = outcome_probabilities(build_target_state(cfg, self.TRIAL), codes,
+                                      q=0.03)
+        for k, p in enumerate(probs):
+            draws = self.keyed(self.TRIAL, 2, k).multinomial(100, p / p.sum())
+            assert np.array_equal(record.data[k], draws), k
+
+    def test_settings_table_row(self):
+        rows = cmd_settings_table([3], [0.25, 0.5], trials=3, seed=self.SEED)
+        counts = [len(sample_settings_until(3, settings_budget(3, 0.5),
+                                            self.keyed(3, 1, t))) for t in range(3)]
+        assert rows[1]["mean_T"] == np.mean(counts)
 
 
 class TestSettingsTable:

@@ -424,8 +424,9 @@ class TestSettingsSynthesis:
     @pytest.mark.parametrize("mode", ["observables", "settings"])
     def test_no_per_word_calls(self, function_calls, mode):
         # plans hold codes, so measurement parses and decodes no word; both
-        # modes simulate from all 4^n expectations of the codes, and only the
-        # estimate builds a map
+        # modes simulate from all 4^n expectations of the codes (the all-codes
+        # map, which needs no checked constructor), and only the estimate
+        # builds a map of the plan
         rho = make_random_state(5, 2, 3)
         if mode == "observables":
             codes = pauli.sample_observables(5, 400, 1)
@@ -514,11 +515,16 @@ class TestChannels:
                 assert np.max(np.abs(twice - rho)) < 1e-12
 
     def test_flip_matches_pauli_conjugation(self):
-        rho = make_random_state(2, 2, 6)
-        X1 = kron_word("XI")
-        assert np.allclose(apply_pauli_flip(rho, 1, "bit"), X1 @ rho @ X1)
-        Z2 = kron_word("IZ")
-        assert np.allclose(apply_pauli_flip(rho, 2, "phase"), Z2 @ rho @ Z2)
+        # a permutation and a sign flip are exact, so the bits are the kron's
+        for n in (1, 2, 3, 4):
+            rho = make_random_state(n, 2, 6 + n)
+            for qubit in range(1, n + 1):
+                X_i, Z_i = (kron_word("I" * (qubit - 1) + P + "I" * (n - qubit))
+                            for P in "XZ")
+                assert np.array_equal(apply_pauli_flip(rho, qubit, "bit"),
+                                      X_i @ rho @ X_i)
+                assert np.array_equal(apply_pauli_flip(rho, qubit, "phase"),
+                                      Z_i @ rho @ Z_i)
 
     def test_qubit_index_validation(self):
         with pytest.raises(ValueError):
@@ -580,6 +586,16 @@ class TestLossChannel:
                 assert np.allclose(apply_loss(rho, qubit),
                                    partial_trace_oracle(rho, qubit, n),
                                    atol=1e-12), (n, qubit)
+
+    def test_is_the_one_qubit_pauli_twirl(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 4):
+            rho = make_random_state(n, 3 if n > 1 else 2, rng)
+            for qubit in range(1, n + 1):
+                twirl = sum(P @ rho @ P for P in (
+                    kron_word("I" * (qubit - 1) + L + "I" * (n - qubit))
+                    for L in "IXYZ")) / 4
+                assert np.max(np.abs(apply_loss(rho, qubit) - twirl)) <= 1e-15
 
     def test_ghz_two_qubits(self):
         out = apply_loss(pure_density(make_named_state("GHZ", 2)), 1)

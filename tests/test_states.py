@@ -365,8 +365,13 @@ class TestFactoredFidelity:
         np.eye(2),                                # trace 2
         np.array([[0.5, 0.1], [0.0, 0.5]]),       # not Hermitian
         np.ones((2, 3)) / 2,                      # not square
+        np.array([[0.5, 0.5 + 5e-9], [0.5, 0.5]]),  # Hermitian part not PSD
     ])
     def test_factor_rejects_non_density(self, bad):
+        # is_density agrees; on the last, Hermitian within 1e-8, both take the
+        # spectrum of the Hermitian part (-2.5e-9), not of the lower triangle
+        # (0 and 1)
+        assert not is_density(bad)
         with pytest.raises(ValueError):
             factor_density(bad)
 
