@@ -25,7 +25,7 @@ with the projection onto the density-matrix set, so every damped iterate is
 a valid state. Both are spectral functions evaluated from one ``eigh`` of
 the pseudo-data, the only O(d^3) step of an iteration; a probe of their
 derivative costs O(k d^2) for k kept eigenvalues. The loop applies the map
-unchecked to Hermitian iterates; ``run_amp`` takes fidelities from r x r grams.
+unchecked to Hermitian iterates; ``AmpTrace`` takes fidelities from r x r grams.
 
 Each run owns its mutable state; the shared SensingMap is read-only, so
 independent runs (trials, seeds) parallelize freely.
@@ -107,7 +107,9 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
     """
     if not 0.0 <= tau < np.inf:
         raise ValueError("threshold must be nonnegative and finite")
-    H = _finite(H)
+    H = np.asarray(H, dtype=np.complex128)
+    if not np.isfinite(H).all():
+        raise ValueError("matrix must be finite")
     lam, vecs = np.linalg.eigh(H)
     d = lam.size
     # The eigenvalues ascend, so K is two tails, each on one linear piece of
@@ -139,13 +141,6 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
     return 0.5 * (out + out.conj().T), derivative
 
 
-def _finite(H: np.ndarray) -> np.ndarray:
-    H = np.asarray(H, dtype=np.complex128)
-    if not np.isfinite(H).all():
-        raise ValueError("matrix must be finite")
-    return H
-
-
 def svt(H: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding of a Hermitian matrix.
 
@@ -154,7 +149,7 @@ def svt(H: np.ndarray, tau: float) -> np.ndarray:
     sum_k sign(lambda_k) (|lambda_k| - tau)_+ |psi_k><psi_k| exactly. Refuses
     a matrix that is not finite, or not Hermitian within 1e-8.
     """
-    return spectral_denoise(check_hermitian(_finite(H), 1e-8), tau, project=False)[0]
+    return spectral_denoise(check_hermitian(H, 1e-8), tau, project=False)[0]
 
 
 def psvt(H: np.ndarray, tau: float) -> np.ndarray:
@@ -163,7 +158,7 @@ def psvt(H: np.ndarray, tau: float) -> np.ndarray:
     Equals ``project_to_density(svt(H, tau))`` from a single decomposition,
     and refuses the matrices that ``project_to_density`` refuses.
     """
-    return spectral_denoise(check_hermitian(_finite(H), 1e-8), tau, project=True)[0]
+    return spectral_denoise(check_hermitian(H, 1e-8), tau, project=True)[0]
 
 
 @dataclass
@@ -216,20 +211,49 @@ class AmpState:
     derivative: SpectralDerivative | None = None
 
 
-@dataclass
 class AmpTrace:
-    """Per-iteration diagnostics as float64 columns."""
+    """Per-iteration diagnostics of one ``run_amp`` call as float64 columns.
 
-    sigma: np.ndarray
-    tau: np.ndarray
-    onsager: np.ndarray
-    residual_norm: np.ndarray
-    nmse: np.ndarray | None = None
-    fidelity: np.ndarray | None = None
-    diverged: bool = False
+    Built by the caller from the truth's ``factor_density`` rho = B B^dagger,
+    for the ``nmse`` and ``fidelity`` columns, or without one. ``run_amp``
+    records each state, whose fidelity waits as the r x r gram B^dagger rho_t B
+    for one stacked eigvalsh, and closes it to its columns and ``diverged``.
+    """
+
+    def __init__(self, truth: DensityFactor | None = None):
+        self.nmse = self.fidelity = None
+        self._steps, self._grams, self._nmse, self._fids = [], [], [], []
+        self._truth = None if truth is None else (
+            truth.rho, truth.factor.conj().T, truth.factor, np.linalg.norm(truth.rho) ** 2)
 
     def __len__(self):
         return len(self.sigma)
+
+    def record(self, state: AmpState, physical: bool) -> None:
+        """Append a state; ``physical`` says its iterate is a density matrix."""
+        self._steps.extend((state.sigma, state.tau, state.onsager))
+        if self._truth is not None:
+            truth, Bh, B, truth_sq = self._truth
+            # states.nmse without its per-call checks
+            self._nmse.append(np.linalg.norm(state.rho - truth) ** 2 / truth_sq)
+            self._grams.append(Bh @ (state.rho if physical else as_density(state.rho)) @ B)
+            if len(self._grams) * len(Bh) ** 2 >= _PENDING_GRAM_ENTRIES:
+                self._flush()
+
+    def _flush(self) -> None:
+        if self._grams:
+            self._fids.extend(gram_fidelities(np.stack(self._grams), len(self._truth[0])))
+            self._grams.clear()
+
+    def close(self, M: int, diverged: bool) -> None:
+        """Build the columns for a map of ``M`` observables; drop the rest."""
+        self._flush()
+        self.sigma, self.tau, self.onsager = np.array(self._steps).reshape(-1, 3).T.copy()
+        self.residual_norm, self.diverged = self.sigma * np.sqrt(M), diverged
+        if self._truth is not None:
+            self.nmse, self.fidelity = np.array(self._nmse), np.array(self._fids)
+        for name in [k for k in vars(self) if k.startswith("_")]:
+            delattr(self, name)
 
 
 def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
@@ -262,12 +286,12 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
         rho_next, derivative = spectral_denoise(v, tau, config.denoiser == "psvt")
     except ValueError as err:
         raise DivergenceError(f"non-finite values at iteration {state.t}",
-                              iterate=state.rho) from err
+                              iterate=state.rho, iterations=state.t) from err
     rho_next *= config.damping
     rho_next += (1.0 - config.damping) * state.rho
     if not np.isfinite(rho_next).all():
         raise DivergenceError(f"non-finite iterate at iteration {state.t}",
-                              iterate=state.rho)
+                              iterate=state.rho, iterations=state.t)
     return AmpState(rho=rho_next, residual=r, onsager=c_hat, sigma=sigma,
                     tau=tau, t=state.t + 1, derivative=derivative)
 
@@ -280,61 +304,34 @@ def initial_state(smap: SensingMap) -> AmpState:
 
 
 def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
-            ground_truth: DensityFactor | None = None):
-    """Run the AMP solver and return ``(rho_hat, trace)``.
+            trace: AmpTrace | None = None):
+    """Run the AMP solver and return ``(rho_hat, iterations)``.
 
     ``smap`` is the raw map and ``y`` holds raw sample means. With
     ``config.normalize`` (the default) each step rescales both by sqrt(d/M);
     with it disabled they are used as given (the divergent baseline). Raises
-    DivergenceError (carrying the trace so far, its length as
-    ``iterations``, and the last finite iterate) on blow-up.
-
-    With ``ground_truth``, the ``factor_density`` of rho = B B^dagger, the
-    trace holds NMSE and fidelity; a fidelity waits as the r x r gram
-    B^dagger rho_t B for one stacked eigvalsh.
+    DivergenceError (carrying the last finite iterate and the steps
+    completed) on blow-up. A ``trace`` records each state and is closed,
+    ``diverged`` on a blow-up.
     """
     y = _check_data(smap, y)
     rng = as_rng(config.seed)
-    steps, errors, fidelities, grams = [], [], [], []
-    if ground_truth is not None:
-        truth, B = ground_truth.rho, ground_truth.factor
-        if truth.shape != (smap.d, smap.d):
-            raise ValueError("dimension mismatch between map and ground truth")
-        Bh, truth_sq = B.conj().T, np.linalg.norm(truth) ** 2
-
-    def flush():
-        if grams:
-            fidelities.extend(gram_fidelities(np.stack(grams), smap.d))
-            grams.clear()
-
-    def finish(diverged: bool) -> AmpTrace:
-        flush()
-        sigma, tau, onsager = np.array(steps).reshape(-1, 3).T.copy()
-        metrics = (None, None) if ground_truth is None \
-            else (np.array(errors), np.array(fidelities))
-        return AmpTrace(sigma, tau, onsager, sigma * np.sqrt(smap.M), *metrics, diverged)
-
     state = initial_state(smap)
     try:
         for _ in range(config.max_iter):
             state = amp_step(state, smap, y, config, rng)
-            steps.extend((state.sigma, state.tau, state.onsager))
-            if ground_truth is not None:
-                # states.nmse without its per-call checks
-                errors.append(np.linalg.norm(state.rho - truth) ** 2 / truth_sq)
-                # PSVT iterates are density matrices by construction
-                rho = state.rho if config.denoiser == "psvt" else as_density(state.rho)
-                grams.append(Bh @ rho @ B)
-                if len(grams) * B.shape[1] ** 2 >= _PENDING_GRAM_ENTRIES:
-                    flush()
-            sigma0 = steps[0]
+            if trace is not None:
+                trace.record(state, config.denoiser == "psvt")   # PSVT's are states
+            sigma0 = state.sigma if state.t == 1 else sigma0
             if sigma0 > 0 and state.sigma > _SIGMA_BLOWUP * sigma0:
                 raise DivergenceError(
                     f"residual blow-up at iteration {state.t}: "
                     f"sigma={state.sigma:.3g} vs sigma_0={sigma0:.3g}",
-                    iterate=state.rho)
-    except DivergenceError as err:
-        err.trace = finish(True)
-        err.iterations = len(err.trace)
+                    iterate=state.rho, iterations=state.t)
+    except DivergenceError:
+        if trace is not None:
+            trace.close(smap.M, diverged=True)
         raise
-    return state.rho, finish(False)
+    if trace is not None:
+        trace.close(smap.M, diverged=False)
+    return state.rho, state.t

@@ -234,20 +234,17 @@ def run_trial(cfg: ExperimentConfig, trial: int,
     smap, y = build_measurements(truth.rho, plan, cfg.shots, cfg.noise,
                                  seed=(cfg.seed, trial, _ROLE_MEAS))
     solver = cfg.solver_config(_seed_int(cfg, trial, _ROLE_ALGO))
-    trace = None
+    trace = AmpTrace(truth) if want_trace and cfg.algorithm == "amp" else None
     try:
         if cfg.algorithm == "amp":
-            rho_hat, trace = run_amp(smap, y, solver,
-                                     ground_truth=truth if want_trace else None)
-            iters = len(trace)
+            rho_hat, iters = run_amp(smap, y, solver, trace)
         else:
             rho_hat, iters = run_mifgd(smap, y, solver)
     except DivergenceError as err:
-        rho_hat, trace, iters = err.iterate, err.trace, err.iterations
+        rho_hat, iters = err.iterate, err.iterations
         # failed recovery reports a state infidelity of 1.0
         fid_truth = fid_target = 0.0
-        err_nmse = nmse(truth.rho, project_to_density(rho_hat)) \
-            if rho_hat is not None and np.isfinite(rho_hat).all() else float("inf")
+        err_nmse = nmse(truth.rho, project_to_density(rho_hat))
     else:
         estimate = as_density(rho_hat)
         fid_truth, fid_target = truth.fidelity(estimate), target.fidelity(estimate)
@@ -257,7 +254,7 @@ def run_trial(cfg: ExperimentConfig, trial: int,
     return TrialResult(trial=trial, M=smap.M, T=T, nmse=err_nmse,
                        fidelity_truth=fid_truth, fidelity_target=fid_target,
                        fidelity_prep=fid_prep, iters=iters, seconds=seconds,
-                       trace=trace if want_trace else None)
+                       trace=trace)
 
 
 def _run_trials(cfg: ExperimentConfig, want_trace: bool) -> list[TrialResult]:

@@ -63,7 +63,8 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
     """Run the factored iteration; returns ``(rho_hat, iterations)``.
 
     ``rho_hat = U U^dagger`` is PSD with rank at most the budget but is not
-    trace-normalized. Raises DivergenceError if the factor goes non-finite.
+    trace-normalized. Raises DivergenceError, carrying the previous iterate,
+    if the iterate goes non-finite.
     """
     y = _check_data(smap, y)
     d = smap.d
@@ -79,12 +80,13 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
         resid = _sense(smap, Z @ Z.conj().T) - y
         grad = _adjoint(smap, resid)
         U_next = Z - config.eta * (grad @ Z)
-        if not np.isfinite(U_next).all():
-            raise DivergenceError(f"non-finite factor at iteration {iterations}",
+        rho_next = U_next @ U_next.conj().T
+        if not np.isfinite(rho_next).all():     # also catches a non-finite factor
+            raise DivergenceError(f"non-finite iterate at iteration {iterations}",
                                   iterate=rho, iterations=iterations)
         Z = U_next + config.mu * (U_next - U)
         U = U_next
-        rho_prev, rho = rho, U @ U.conj().T
+        rho_prev, rho = rho, rho_next
         den = np.linalg.norm(rho)
         if den > 0 and np.linalg.norm(rho - rho_prev) / den < config.rel_tol:
             break

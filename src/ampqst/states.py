@@ -78,6 +78,8 @@ def check_state_vector(psi: np.ndarray) -> np.ndarray:
 
 def check_hermitian(H: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     H = np.asarray(H, dtype=np.complex128)
+    if not np.isfinite(H).all():    # first: a NaN passes every > comparison
+        raise ValueError("matrix must be finite")
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix")
     if np.max(np.abs(H - H.conj().T)) > atol:
@@ -86,8 +88,8 @@ def check_hermitian(H: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
 
 
 def _hermitian_unit_trace(rho: np.ndarray) -> bool:
-    """The checks of a density matrix short of its spectrum."""
-    return (rho.ndim == 2 and rho.shape[0] == rho.shape[1]
+    """The checks of a density matrix short of its spectrum, finiteness first."""
+    return (bool(np.isfinite(rho).all()) and rho.ndim == 2 and rho.shape[0] == rho.shape[1]
             and not np.max(np.abs(rho - rho.conj().T)) > 1e-8
             and not abs(np.trace(rho).real - 1.0) > 1e-10)
 
@@ -306,7 +308,7 @@ def write_density(path, rho: np.ndarray) -> None:
 
 
 def read_density(path) -> np.ndarray:
-    """Read a DMAT v1 file, verifying Hermiticity; a malformed line is named."""
+    """Read a DMAT v1 file, verifying Hermiticity; a bad line is named."""
     lines = ascii_lines(path, lambda k: f"DMAT v1: non-ASCII byte at line {k}")
     header = re.fullmatch(r"DMAT v1 n=([1-9][0-9]*)",
                           " ".join(lines[0].split()) if lines else "")
@@ -321,6 +323,9 @@ def read_density(path) -> np.ndarray:
             flat[k] = float(re_part) + 1j * float(im_part)
         except ValueError:
             raise ValueError(f"DMAT v1: malformed entry at line {k + 2}") from None
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ValueError(f"DMAT v1: non-finite entry at line {bad[0] + 2}")
     if flat.size < d * d:
         raise ValueError(f"DMAT v1: malformed entry at line {len(lines) + 1}")
     for k, line in enumerate(lines[d * d + 1:], start=d * d + 2):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ampqst.amp import AmpConfig, psvt, run_amp, svt
+from ampqst.amp import AmpConfig, AmpTrace, psvt, run_amp, svt
 from ampqst.cli import ExperimentConfig, cmd_noise_study
 from ampqst.errors import DivergenceError
 from ampqst.measure import (
@@ -91,23 +91,19 @@ def test_criterion_1_flagship_ordering(flagship_problem):
                                    damping=1.0, normalize=False))
         checks.append(("a diverges", False, "no divergence"))
     except DivergenceError as err:
-        checks.append(("a diverges", True, f"at iter {len(err.trace)}"))
+        checks.append(("a diverges", True, f"at iter {err.iterations}"))
 
     # (b) normalized SVT-AMP converges with final fidelity > 0.9
     truth = factor_density(rho)
-    _, tr_svt = run_amp(smap, y, AmpConfig(seed=17, denoiser="svt",
-                                           damping=1.0),
-                        ground_truth=truth)
+    tr_svt = AmpTrace(truth)
+    run_amp(smap, y, AmpConfig(seed=17, denoiser="svt", damping=1.0), tr_svt)
     checks.append(("b svt fid>0.9", tr_svt.fidelity[-1] > 0.9,
                    f"fid={tr_svt.fidelity[-1]:.4f}"))
 
     # (c)+(d) PSVT with and without damping
-    _, tr_un = run_amp(smap, y, AmpConfig(seed=17, denoiser="psvt",
-                                          damping=1.0),
-                       ground_truth=truth)
-    _, tr_da = run_amp(smap, y, AmpConfig(seed=17, denoiser="psvt",
-                                          damping=0.01),
-                       ground_truth=truth)
+    tr_un, tr_da = AmpTrace(truth), AmpTrace(truth)
+    run_amp(smap, y, AmpConfig(seed=17, denoiser="psvt", damping=1.0), tr_un)
+    run_amp(smap, y, AmpConfig(seed=17, denoiser="psvt", damping=0.01), tr_da)
     ratio = tr_un.nmse[-1] / tr_da.nmse[-1]
     checks.append(("c undamped>=2x damped", ratio >= 2.0, f"ratio={ratio:.2f}"))
     checks.append(("d damped fid>0.95", tr_da.fidelity[-1] > 0.95,

@@ -9,6 +9,7 @@ from ampqst import amp as amp_module
 from ampqst.amp import (
     AmpConfig,
     AmpState,
+    AmpTrace,
     initial_state,
     amp_step,
     psvt,
@@ -474,7 +475,7 @@ class TestAmpStep:
         assert np.linalg.norm(state.rho - reassembled) == 0.0
 
     def test_psvt_iterates_are_densities(self):
-        # run_amp's truth fidelity of a PSVT iterate relies on this, over a
+        # AmpTrace's truth fidelity of a PSVT iterate relies on this, over a
         # run as long as the flagship's, without checking it
         rho, smap, y = make_problem(seed=4, shots=512)
         rng = np.random.default_rng(3)
@@ -488,7 +489,7 @@ class TestAmpStep:
 class TestRunAmp:
     def test_noiseless_full_basis_recovery(self):
         rho, smap, y = make_problem(n=3, seed=5)
-        rho_hat, trace = run_amp(smap, y, AmpConfig(seed=1))
+        rho_hat, _ = run_amp(smap, y, AmpConfig(seed=1))
         oracle = sum(y[k] * kron_word(w) for k, w in enumerate(words_of(smap))) / smap.d
         assert nmse(oracle, rho_hat) < 1e-6
         assert nmse(rho, rho_hat) < 1e-6
@@ -506,18 +507,19 @@ class TestRunAmp:
         rho, smap, y = make_problem(n=3, M=32, seed=6, shots=512)
         cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0,
                         normalize=False)
+        trace = AmpTrace()
         with pytest.raises(DivergenceError) as exc:
-            run_amp(smap, y, cfg)
-        assert exc.value.trace is not None
-        assert len(exc.value.trace) <= 200
-        assert exc.value.trace.diverged
+            run_amp(smap, y, cfg, trace)
+        assert len(trace) <= 200
+        assert trace.diverged
         # the steps completed, the field MiFGD's failures fill too
-        assert exc.value.iterations == len(exc.value.trace)
+        assert exc.value.iterations == len(trace)
 
     def test_trace_lengths_and_tau_relation(self):
         rho, smap, y = make_problem(n=2, seed=7, shots=256)
         cfg = AmpConfig(seed=3, max_iter=40)
-        rho_hat, trace = run_amp(smap, y, cfg, ground_truth=factor_density(rho))
+        trace = AmpTrace(factor_density(rho))
+        rho_hat, _ = run_amp(smap, y, cfg, trace)
         assert len(trace) == 40
         assert len(trace.nmse) == 40 and len(trace.fidelity) == 40
         for col in (trace.sigma, trace.tau, trace.onsager, trace.residual_norm,
@@ -532,10 +534,11 @@ class TestRunAmp:
     def test_trace_fidelity_matches_dense_recomputation(self, denoiser, n, M, rank, iters):
         # replay the iterates and judge each against the dense truth array:
         # the stacked PSVT path and the checked SVT path give the same bits,
-        # and run_amp's NMSE, computed without states.nmse, gives its bits
+        # and AmpTrace's NMSE, computed without states.nmse, gives its bits
         rho, smap, y = make_problem(n=n, M=M, seed=12, shots=512, rank=rank)
         cfg = AmpConfig(seed=7, max_iter=iters, denoiser=denoiser)
-        _, trace = run_amp(smap, y, cfg, ground_truth=factor_density(rho))
+        trace = AmpTrace(factor_density(rho))
+        run_amp(smap, y, cfg, trace)
         state, rng = initial_state(smap), np.random.default_rng(cfg.seed)
         for t in range(cfg.max_iter):
             state = amp_step(state, smap, y, cfg, rng)
@@ -545,8 +548,9 @@ class TestRunAmp:
     def test_truth_metrics_leave_the_run_unchanged(self):
         rho, smap, y = make_problem(n=3, M=40, seed=14, shots=512, rank=2)
         cfg = AmpConfig(seed=9, max_iter=60)
-        plain, bare = run_amp(smap, y, cfg)
-        judged, full = run_amp(smap, y, cfg, ground_truth=factor_density(rho))
+        bare, full = AmpTrace(), AmpTrace(factor_density(rho))
+        plain, _ = run_amp(smap, y, cfg, bare)
+        judged, _ = run_amp(smap, y, cfg, full)
         assert np.array_equal(plain, judged)
         for col in ("sigma", "tau", "onsager", "residual_norm"):
             assert np.array_equal(getattr(bare, col), getattr(full, col))
@@ -555,13 +559,13 @@ class TestRunAmp:
     def test_truth_is_factored_once_per_run(self, eigensolver_calls):
         # per iteration: the denoiser's one d x d eigh and nothing else;
         # once per run: one stacked r x r eigvalsh for every iterate's
-        # fidelity. The caller factors the truth; run_amp does not.
+        # fidelity. The caller factors the truth; the trace does not.
         rho, smap, y = make_problem(n=3, M=40, seed=13, shots=512, rank=2)
         truth = factor_density(rho)
         calls = eigensolver_calls
         calls.clear()
         iters = 30
-        run_amp(smap, y, AmpConfig(seed=8, max_iter=iters), ground_truth=truth)
+        run_amp(smap, y, AmpConfig(seed=8, max_iter=iters), AmpTrace(truth))
         assert calls.count(("eigh", (8, 8))) == iters
         assert calls.count(("eigvalsh", (iters, 2, 2))) == 1
         assert len(calls) == iters + 1
@@ -569,9 +573,9 @@ class TestRunAmp:
     def test_diverging_trace_columns_agree(self):
         rho, smap, y = make_problem(n=3, M=32, seed=6, shots=512)
         cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=False)
-        with pytest.raises(DivergenceError) as exc:
-            run_amp(smap, y, cfg, ground_truth=factor_density(rho))
-        trace = exc.value.trace
+        trace = AmpTrace(factor_density(rho))
+        with pytest.raises(DivergenceError):
+            run_amp(smap, y, cfg, trace)
         assert trace.diverged and len(trace) > 0
         for col in (trace.tau, trace.onsager, trace.residual_norm,
                     trace.nmse, trace.fidelity):
@@ -582,18 +586,18 @@ class TestRunAmp:
         # after ten iterations raises, with ten fidelities still pending
         rho, smap, y = make_problem(n=3, M=40, seed=16, shots=512, rank=2)
         cfg = AmpConfig(seed=4, max_iter=30)
-        _, ref = run_amp(smap, y, AmpConfig(seed=4, max_iter=10),
-                         ground_truth=factor_density(rho))
+        ref = AmpTrace(factor_density(rho))
+        run_amp(smap, y, AmpConfig(seed=4, max_iter=10), ref)
         step = amp_module.amp_step
 
         def failing_step(state, *args):
             if state.t == 10:
-                raise DivergenceError("injected", iterate=state.rho)
+                raise DivergenceError("injected", iterate=state.rho, iterations=state.t)
             return step(state, *args)
         monkeypatch.setattr(amp_module, "amp_step", failing_step)
-        with pytest.raises(DivergenceError) as exc:
-            run_amp(smap, y, cfg, ground_truth=factor_density(rho))
-        trace = exc.value.trace
+        trace = AmpTrace(factor_density(rho))
+        with pytest.raises(DivergenceError):
+            run_amp(smap, y, cfg, trace)
         assert trace.diverged and len(trace) == 10
         assert np.array_equal(trace.fidelity, ref.fidelity)
         assert np.array_equal(trace.nmse, ref.nmse)
@@ -606,7 +610,8 @@ class TestRunAmp:
         rho = pure_density(make_named_state("ghz", n)) if rank is None else None
         _, smap, y = make_problem(n=n, M=M, seed=seed, shots=1024, rank=rank, rho=rho)
         cfg = AmpConfig(seed=6, max_iter=300)
-        _, fast = run_amp(smap, y, cfg)
+        fast = AmpTrace()
+        run_amp(smap, y, cfg, fast)
         kept = []
 
         def dense(H, tau, project):
@@ -614,7 +619,8 @@ class TestRunAmp:
             kept.append(bool(derivative.gamma.any() or derivative.jac.any()))
             return out, derivative
         monkeypatch.setattr(amp_module, "spectral_denoise", dense)
-        _, slow = run_amp(smap, y, cfg)
+        slow = AmpTrace()
+        run_amp(smap, y, cfg, slow)
         if rank is not None:
             assert not all(kept) and any(kept[kept.index(False) + 1:])
         for col in ("sigma", "tau", "onsager", "residual_norm"):
@@ -627,23 +633,59 @@ class TestRunAmp:
         # 2 d^2 (t - 1) draws. At alpha = 50 nothing is kept.
         rho, smap, y = make_problem(n=3, M=40, seed=17, shots=512, rank=2)
         rng, iters, d = np.random.default_rng(21), 30, smap.d
-        _, trace = run_amp(smap, y, AmpConfig(seed=rng, max_iter=iters, alpha=alpha))
+        trace = AmpTrace()
+        run_amp(smap, y, AmpConfig(seed=rng, max_iter=iters, alpha=alpha), trace)
         assert len(trace) == iters
         assert (trace.onsager[1:] != 0.0).any() == (alpha == 2.0)
         fresh = np.random.default_rng(21)
         fresh.standard_normal(2 * d * d * (iters - 1))
         assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
 
+    def test_untraced_run_returns_iterations(self):
+        rho, smap, y = make_problem(n=3, M=40, seed=14, shots=512, rank=2)
+        cfg = AmpConfig(seed=9, max_iter=25, denoiser="svt")
+        plain, iters = run_amp(smap, y, cfg)
+        judged, judged_iters = run_amp(smap, y, cfg, AmpTrace(factor_density(rho)))
+        assert iters == judged_iters == cfg.max_iter
+        assert plain.tobytes() == judged.tobytes()
+
+    @pytest.mark.parametrize("truth", [False, True], ids=["bare", "judged"])
+    @pytest.mark.parametrize("diverge", [False, True], ids=["ran", "diverged"])
+    def test_closed_trace_holds_only_its_columns(self, truth, diverge):
+        rho, smap, y = make_problem(n=3, M=32, seed=6, shots=512)
+        cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=not diverge,
+                        max_iter=300)
+        trace = AmpTrace(factor_density(rho) if truth else None)
+        try:
+            run_amp(smap, y, cfg, trace)
+        except DivergenceError:
+            pass
+        held = vars(trace)
+        assert held.pop("diverged") is diverge
+        columns = ["sigma", "tau", "onsager", "residual_norm"]
+        columns += ["nmse", "fidelity"] if truth else []
+        assert sorted(k for k, v in held.items() if v is not None) == sorted(columns)
+        for name in columns:
+            assert held[name].dtype == np.float64 and held[name].shape == (len(trace),)
+        assert (len(trace) < cfg.max_iter) == diverge
+
+    def test_truth_of_another_dimension_is_refused(self):
+        rho, smap, y = make_problem(n=3, M=40, seed=14, shots=512, rank=2)
+        with pytest.raises(ValueError):
+            run_amp(smap, y, AmpConfig(seed=9, max_iter=5),
+                    AmpTrace(factor_density(make_random_state(2, 1, 0))))
+
     def test_retained_trace_is_compact(self):
         # a caller that keeps every trial's trace keeps six float64 columns
         rho, smap, y = make_problem(n=2, seed=15, shots=256)
         cfg = AmpConfig(seed=3, max_iter=2000)
-        run_amp(smap, y, AmpConfig(seed=3, max_iter=5), ground_truth=factor_density(rho))
+        run_amp(smap, y, AmpConfig(seed=3, max_iter=5), AmpTrace(factor_density(rho)))
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _, trace = run_amp(smap, y, cfg, ground_truth=factor_density(rho))
+            trace = AmpTrace(factor_density(rho))
+            run_amp(smap, y, cfg, trace)
             gc.collect()   # also empties the interpreter's free lists
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -661,7 +703,8 @@ class TestRunAmp:
         # the Monte Carlo Onsager coefficient jitters the plateau, so the
         # stagnation check is on the windowed trend, not per-step order
         rho, smap, y = make_problem(n=3, M=48, seed=11, shots=1024)
-        _, trace = run_amp(smap, y, AmpConfig(seed=9, max_iter=600))
+        trace = AmpTrace()
+        run_amp(smap, y, AmpConfig(seed=9, max_iter=600), trace)
         s = np.array(trace.sigma)
         assert s[-1] < s[0]
         assert np.mean(s[-50:]) <= 1.05 * np.mean(s[-100:-50])

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import ampqst
-from ampqst.amp import AmpConfig
+from ampqst.amp import AmpConfig, run_amp
 from ampqst.cli import ExperimentConfig, build_parser
+from ampqst.errors import DivergenceError
 from ampqst.measure import NoiseModel, ShotRecord, build_measurements
 from ampqst.pauli import MeasurementPlan, SensingMap
 from ampqst.states import DensityFactor
@@ -77,6 +78,20 @@ def test_one_stream_rule():
     # every Generator comes from as_rng; the solvers' int seeds from _seed_int
     assert mentions("default_rng") == ["states.as_rng"]
     assert mentions("SeedSequence") == ["cli._seed_int"]
+
+
+def test_amp_loop_does_only_amp():
+    # judging an iterate against a truth belongs to AmpTrace, not the loop
+    loop = ("amp.amp_step", "amp.run_amp", "amp.spectral_denoise")
+    for name in ("gram_fidelities", "as_density", "nmse", "factor_density",
+                 "DensityFactor"):
+        assert not [s for s in mentions(name) if s.startswith(loop)], name
+
+
+def test_solvers_report_iterations_not_traces():
+    assert "ground_truth" not in inspect.signature(run_amp).parameters
+    assert list(inspect.signature(DivergenceError).parameters) \
+        == ["message", "iterate", "iterations"]
 
 
 def test_sensing_map_holds_codes_and_index_form_only():

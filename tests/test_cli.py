@@ -308,6 +308,21 @@ class TestReconstruct:
         assert results[0].fidelity_truth == 0.0
         assert results[0].fidelity_target == 0.0
 
+    def test_only_a_traced_amp_trial_keeps_a_trace(self):
+        cfg = fast_cfg(qubits=3, observables=32, max_iter=10)
+        for kw, want_trace in [({}, False), (dict(algorithm="mifgd"), False),
+                               (dict(algorithm="mifgd"), True)]:
+            assert run_trial(replace(cfg, **kw), 0, want_trace).trace is None
+        assert len(run_trial(cfg, 0, want_trace=True).trace) == 10
+
+    def test_diverging_traced_trial_counts_its_trace(self):
+        cfg = fast_cfg(qubits=3, observables=32, shots=256, normalize=False,
+                       denoiser="svt", damping=1.0, max_iter=300)
+        result = run_trial(cfg, 0, want_trace=True)
+        assert result.fidelity_truth == 0.0
+        assert result.trace.diverged
+        assert 0 < result.iters == len(result.trace) < cfg.max_iter
+
     def test_trace_is_refused_without_amp(self, tmp_path, capsys):
         # MiFGD keeps no trace, so --trace is refused before any trial runs
         out, trace = tmp_path / "r.csv", tmp_path / "t.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ampqst.errors import DivergenceError
 from ampqst.mifgd import MifgdConfig, run_mifgd
 from ampqst.measure import build_measurements
 from ampqst.pauli import MeasurementPlan, apply_sensing
@@ -103,6 +104,17 @@ class TestRunMifgd:
         a, _ = run_mifgd(smap, y, cfg)
         b, _ = run_mifgd(smap, y, cfg)
         assert np.array_equal(a, b)
+
+    def test_divergence_carries_a_finite_iterate(self):
+        # rho = U U^dagger overflows an iteration before U itself does
+        rho = make_random_state(3, 2, np.random.default_rng((4, 1)))
+        plan = MeasurementPlan(3, "observables", np.arange(0, 64, 2))
+        smap, y = build_measurements(rho, plan, shots=1024, seed=(4, 2))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as exc:
+            run_mifgd(smap, y, MifgdConfig(eta=5.0, seed=1))
+        assert np.isfinite(exc.value.iterate).all()
+        assert 0 < exc.value.iterations < 1000
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected_at_the_boundary(self, bad):

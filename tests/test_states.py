@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ampqst.states import (
     DensityFactor,
+    as_density,
     check_hermitian,
     factor_density,
     gram_fidelities,
@@ -519,6 +520,39 @@ class TestDmatFormat:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+
+class TestNonFinite:
+    """A NaN fails every ``>`` comparison, so each check tests finiteness
+    before it compares anything."""
+
+    NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_is_density_refuses_nan(self):
+        assert is_density(self.NAN) is False
+
+    def test_as_density_refuses_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            as_density(self.NAN)
+
+    def test_state_fidelity_refuses_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            state_fidelity(np.diag([0.0, 1.0]), self.NAN)
+
+    def test_factor_density_refuses_nan(self):
+        with pytest.raises(ValueError, match="not a valid density matrix"):
+            factor_density(self.NAN)
+
+    def test_project_to_density_refuses_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            project_to_density(self.NAN)
+
+    @pytest.mark.parametrize("entry", ["nan 0", "0 inf", "-inf 0"])
+    def test_read_density_names_the_non_finite_line(self, tmp_path, entry):
+        path = tmp_path / "nan.dmat"
+        path.write_text(f"DMAT v1 n=1\n0.5 0\n0 0\n{entry}\n0.5 0\n")
+        with pytest.raises(ValueError, match="DMAT v1: non-finite entry at line 4"):
+            read_density(path)
 
 
 def test_check_density_rejects_non_psd():
