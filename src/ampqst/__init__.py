@@ -2,7 +2,7 @@
 message passing, with measurement planning, shot/noise simulation, and a
 momentum-inspired factored gradient descent baseline."""
 
-from .amp import AmpConfig, AmpState, AmpTrace, psvt, run_amp, svt
+from .amp import AmpConfig, AmpState, AmpTrace, run_amp
 from .errors import DivergenceError
 from .measure import (
     NoiseModel,
@@ -33,8 +33,10 @@ from .states import (
     make_random_state,
     nmse,
     project_to_density,
+    psvt,
     pure_density,
     state_fidelity,
+    svt,
 )
 
 __version__ = "0.1.0"

@@ -12,19 +12,17 @@ with threshold tau_t = alpha * sigma_t * sqrt(d), sigma_t = ||r_t||_2 / sqrt(M),
 starting from rho_0 = I/d and r_{-1} = 0. The Onsager coefficient c_t is the
 normalized divergence of the denoiser at the previous pseudo-data, estimated
 by Monte Carlo: the exact derivative Re <h, Df(v)[h]> along one random
-Hermitian probe h per iteration (see ``SpectralDerivative``). ``A~ = s A`` and
-``y~ = s y`` are the raw Pauli map and data rescaled by s = sqrt(d/M), so that
-the Gram operator is an identity on average. The rescaling belongs to AMP:
+Hermitian probe h per iteration (see ``states.SpectralDerivative``).
+``A~ = s A`` and ``y~ = s y`` are the raw Pauli map and data rescaled by
+s = sqrt(d/M), so that the Gram operator is an identity on average. The rescaling belongs to AMP:
 ``amp_step`` applies s as a scalar to the raw SensingMap and data, which
 stay unscaled everywhere else. Without it (``normalize=False``, s = 1) the
 iteration blows up, which run_amp reports as a DivergenceError.
 
-Denoisers: ``svt`` soft-shrinks the eigenvalue magnitudes (singular value
-thresholding specialized to Hermitian matrices), and ``psvt`` composes it
-with the projection onto the density-matrix set, so every damped iterate is
-a valid state. Both are spectral functions evaluated from one ``eigh`` of
-the pseudo-data, the only O(d^3) step of an iteration; a probe of their
-derivative costs O(k d^2) for k kept eigenvalues. The loop applies the map
+This module holds the iteration only: config, state, trace, step and loop.
+The denoiser, ``svt`` or ``psvt`` with its derivative, is one ``eigh`` of the
+pseudo-data in ``states.spectral_denoise``, the only O(d^3) step; a probe of
+the derivative costs O(k d^2) for k kept eigenvalues. The map is applied
 unchecked to Hermitian iterates; ``AmpTrace`` takes fidelities from r x r grams.
 
 Each run owns its mutable state; the shared SensingMap is read-only, so
@@ -40,16 +38,13 @@ import numpy as np
 
 from .errors import DivergenceError
 from .pauli import SensingMap, _adjoint, _check_data, _sense
-from .states import DensityFactor, as_density, as_rng, check_hermitian, gram_fidelities
+from .states import (DensityFactor, SpectralDerivative, as_density, as_rng,
+                     gram_fidelities, spectral_denoise)
 
 __all__ = [
     "AmpConfig",
     "AmpState",
     "AmpTrace",
-    "SpectralDerivative",
-    "spectral_denoise",
-    "svt",
-    "psvt",
     "DENOISERS",
     "amp_step",
     "run_amp",
@@ -58,107 +53,6 @@ __all__ = [
 _SIGMA_BLOWUP = 1e6   # sigma_t above this multiple of sigma_0 counts as divergence
 _PENDING_GRAM_ENTRIES = 2 ** 16   # bounds the r x r grams awaiting one eigvalsh
 DENOISERS = ("svt", "psvt")
-
-
-@dataclass(frozen=True)
-class SpectralDerivative:
-    """Derivative of a spectral denoiser ``f(H) = V diag(w(lam)) V^dagger``.
-
-    By the Daleckii-Krein / Lewis formula, along a Hermitian h with
-    ``h~ = V^dagger h V`` and ``a = Re diag(h~)``, Re <h, Df(H)[h]>_F =
-    sum_{i != j} gamma_ij |h~_ij|^2 + a^T J a, where
-    gamma_ij = (w_i - w_j) / (lam_i - lam_j) and J = dw/dlam. Both vanish
-    off K = {i : w_i != 0}, so ``gamma`` keeps only rows K, zero on the
-    diagonal and doubled at (i in K, j not in K) for (j, i); on K,
-    J = slope (I - c 1^T) with ``coupling`` c = w (psvt) or 0 (svt).
-    ``vkh`` is V_K^dagger, the kept eigenvectors as contiguous rows.
-    """
-
-    vecs: np.ndarray
-    vkh: np.ndarray
-    gamma: np.ndarray
-    slope: float
-    coupling: np.ndarray
-
-    def probe(self, z: np.ndarray) -> float:
-        """Exact ``Re <h, Df(H)[h]>_F`` in O(k d^2), from the standard normals
-        ``z = (re, im)`` of shape (2, d, d) that give the Hermitian direction
-        ``h = ((re + re^T) + i (im - im^T)) / 2``."""
-        h2 = np.empty(z.shape[1:], dtype=np.complex128)      # 2h
-        np.add(z[0], z[0].T, out=h2.real)
-        np.subtract(z[1], z[1].T, out=h2.imag)
-        left = self.vkh @ h2                                  # rows K of 2 V^dagger h
-        rows = left @ self.vecs                               # rows K of 2 h~
-        # Re of the K x K diagonal of 2 h~: row sums of left * conj(V_K^dagger)
-        a = (left.view(np.float64) * self.vkh.view(np.float64)).sum(axis=1)
-        value = np.vdot(rows, self.gamma * rows).real
-        return 0.25 * float(value + self.slope * (a @ (a - self.coupling @ a)))
-
-
-def spectral_denoise(H: np.ndarray, tau: float, project: bool):
-    """``(f(H), SpectralDerivative)`` for ``svt`` or, with ``project``, ``psvt``.
-
-    One eigendecomposition: soft-threshold the eigenvalues to
-    ``s = sign(lam) (|lam| - tau)_+``; ``svt`` keeps ``w = s``, ``psvt`` keeps
-    the positive ``s`` divided by their sum, or returns I/d when none is
-    positive, as ``project_to_density`` does. Raises ValueError on a
-    negative or non-finite threshold and on a non-finite matrix; ``svt`` and
-    ``psvt`` check Hermiticity, ``amp_step``'s v is Hermitian by construction.
-    """
-    if not 0.0 <= tau < np.inf:
-        raise ValueError("threshold must be nonnegative and finite")
-    H = np.asarray(H, dtype=np.complex128)
-    if not np.isfinite(H).all():
-        raise ValueError("matrix must be finite")
-    lam, vecs = np.linalg.eigh(H)
-    d = lam.size
-    # The eigenvalues ascend, so K is two tails, each on one linear piece of
-    # the threshold: lam[:lo] < -tau (svt only) and lam[hi:] > tau.
-    hi = int(lam.searchsorted(tau, "right"))
-    lo = 0 if project else int(lam.searchsorted(-tau))
-    kept = np.r_[:lo, hi:d] if lo else slice(hi, d)
-    lk, vk = lam[kept], vecs[:, kept]
-    wk = lk - np.copysign(tau, lk)
-    k, slope = wk.size, 1.0
-    if project and k:
-        total = wk.sum()
-        wk, slope = wk / total, 1.0 / total
-    # Within one piece the divided difference is the slope; across pieces
-    # the eigenvalues differ, so the quotients are safe from ties.
-    gamma = np.full((k, d), slope)
-    gamma[:, lo:hi] = 2.0 * wk[:, None] / (lk[:, None] - lam[lo:hi])  # for (j, i) too
-    if lo:
-        gamma[:lo, hi:] = (wk[:lo, None] - wk[lo:]) / (lk[:lo, None] - lk[lo:])
-        gamma[lo:, :lo] = gamma[:lo, hi:].T
-    np.fill_diagonal(gamma[:lo, :lo], 0.0)     # entries (i, kept[i]) are J's
-    np.fill_diagonal(gamma[lo:, hi:], 0.0)
-    vkh = np.conjugate(vk.T, order="C")
-    derivative = SpectralDerivative(vecs, vkh, gamma, slope,
-                                    wk if project else np.zeros(k))
-    if project and not k:
-        return np.eye(d, dtype=np.complex128) / d, derivative
-    out = (vk * wk) @ vkh
-    return 0.5 * (out + out.conj().T), derivative
-
-
-def svt(H: np.ndarray, tau: float) -> np.ndarray:
-    """Singular value thresholding of a Hermitian matrix.
-
-    The singular values of a Hermitian H are |lambda_k| with singular vector
-    pairs sign(lambda_k) |psi_k><psi_k|, so one eigendecomposition gives
-    sum_k sign(lambda_k) (|lambda_k| - tau)_+ |psi_k><psi_k| exactly. Refuses
-    a matrix that is not finite, or not Hermitian within 1e-8.
-    """
-    return spectral_denoise(check_hermitian(H, 1e-8), tau, project=False)[0]
-
-
-def psvt(H: np.ndarray, tau: float) -> np.ndarray:
-    """Projected SVT: threshold, then project onto the density-matrix set.
-
-    Equals ``project_to_density(svt(H, tau))`` from a single decomposition,
-    and refuses the matrices that ``project_to_density`` refuses.
-    """
-    return spectral_denoise(check_hermitian(H, 1e-8), tau, project=True)[0]
 
 
 @dataclass

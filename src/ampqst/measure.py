@@ -31,7 +31,7 @@ from .pauli import (
     pauli_indices_from_words,
     sensing_map_from_indices,
 )
-from .states import as_rng, ascii_lines
+from .states import _qubit_count, as_rng, ascii_lines
 
 __all__ = [
     "ShotRecord",
@@ -153,7 +153,7 @@ def apply_pauli_flip(rho: np.ndarray, i: int, kind: str) -> np.ndarray:
     exact: with b the bit of qubit i, X_i permutes rows and columns by
     ``j -> j ^ b`` and Z_i signs them by ``(-1)**(j & b)``."""
     rho = np.asarray(rho, dtype=np.complex128)
-    n = rho.shape[0].bit_length() - 1
+    n = _qubit_count(rho)
     if not 1 <= i <= n:
         raise ValueError(f"qubit index must satisfy 1 <= i <= {n}, got {i}")
     j, b = np.arange(1 << n), 1 << (n - i)
@@ -200,8 +200,7 @@ class PhotonicNoise:
 def apply_composite(rho: np.ndarray, model: PhotonicNoise) -> np.ndarray:
     """p0 rho + sum_i (p_i bitflip_i + q_i phaseflip_i + r_i loss_i)."""
     rho = np.asarray(rho, dtype=np.complex128)
-    n = rho.shape[0].bit_length() - 1
-    if model.n != n:
+    if model.n != _qubit_count(rho):
         raise ValueError("noise model qubit count does not match the state")
     out = model.p0 * rho
     for i, (p, q, r) in enumerate(model.triples, start=1):

@@ -59,6 +59,7 @@ class MifgdConfig:
             raise ValueError("relative tolerance must be positive and finite")
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the finiteness check reports a blow-up
 def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
     """Run the factored iteration; returns ``(rho_hat, iterations)``.
 

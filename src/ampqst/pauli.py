@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import as_rng
+from .states import as_rng, check_hermitian
 
 __all__ = [
     "LETTERS",
@@ -54,8 +54,6 @@ LETTERS = "IXYZ"
 # Largest n anything reads or builds: a sensing map holds O(d^2) entries,
 # about 0.8 GB at n=12.
 MAX_QUBITS = 12
-
-_IMAG_RESIDUE_ATOL = 1e-10
 
 
 def pauli_indices_from_words(words, n: int, alphabet: str = LETTERS,
@@ -167,7 +165,7 @@ def _index_form(codes: np.ndarray, n: int) -> tuple:
 def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
     """Apply the map: component k is ``Tr[P_k X]``.
 
-    Rejects a non-finite input, and one whose anti-Hermitian part reaches
+    Rejects a non-finite input, and one whose anti-Hermitian part exceeds
     1e-10 times ``max(1, max|X|)``: round-off grows with the entries, which
     on a diverging run reach 1e6 and more.
     """
@@ -186,12 +184,8 @@ def _hermitian_input(X: np.ndarray, d: int) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.shape != (d, d):
         raise ValueError("dimension mismatch between map and matrix")
-    if not np.isfinite(X).all():
-        raise ValueError("input holds non-finite values")
-    bound = _IMAG_RESIDUE_ATOL * max(1.0, float(np.max(np.abs(X))))
-    if np.max(np.abs(X - X.conj().T)) >= bound:
-        raise ValueError("input is not Hermitian")
-    return X
+    # a NaN leaves the bound at 1e-10; check_hermitian refuses it first
+    return check_hermitian(X, 1e-10 * max(1.0, float(np.max(np.abs(X)))))
 
 
 def _sense(smap: SensingMap, X: np.ndarray) -> np.ndarray:

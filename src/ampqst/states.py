@@ -1,5 +1,7 @@
-"""Benchmark states, projection onto density matrices, fidelity metrics, and
-the DMAT v1 text format.
+"""Benchmark states, the spectral rules on density matrices, fidelity
+metrics, and the DMAT v1 text format. The spectral rules hold every
+eigendecomposition of the package: the SVT/PSVT denoisers with their exact
+derivative, the projection (PSVT at threshold 0) and the factorization.
 
 Conventions used throughout the package:
 
@@ -34,6 +36,10 @@ __all__ = [
     "make_named_state",
     "pure_density",
     "make_random_state",
+    "SpectralDerivative",
+    "spectral_denoise",
+    "svt",
+    "psvt",
     "project_to_density",
     "as_density",
     "factor_density",
@@ -79,7 +85,7 @@ def check_state_vector(psi: np.ndarray) -> np.ndarray:
 def check_hermitian(H: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     H = np.asarray(H, dtype=np.complex128)
     if not np.isfinite(H).all():    # first: a NaN passes every > comparison
-        raise ValueError("matrix must be finite")
+        raise ValueError("matrix holds non-finite values")
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix")
     if np.max(np.abs(H - H.conj().T)) > atol:
@@ -88,10 +94,20 @@ def check_hermitian(H: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
 
 
 def _hermitian_unit_trace(rho: np.ndarray) -> bool:
-    """The checks of a density matrix short of its spectrum, finiteness first."""
-    return (bool(np.isfinite(rho).all()) and rho.ndim == 2 and rho.shape[0] == rho.shape[1]
-            and not np.max(np.abs(rho - rho.conj().T)) > 1e-8
-            and not abs(np.trace(rho).real - 1.0) > 1e-10)
+    """The checks of a density matrix short of its spectrum."""
+    try:
+        rho = check_hermitian(rho, 1e-8)
+    except ValueError:
+        return False
+    return not abs(np.trace(rho).real - 1.0) > 1e-10
+
+
+def _qubit_count(rho: np.ndarray) -> int:
+    """n of a 2^n x 2^n matrix, n >= 1; any other shape is refused by name."""
+    d = rho.shape[0] if rho.ndim == 2 else 0
+    if rho.shape != (d, d) or d < 2 or d & (d - 1):
+        raise ValueError(f"expected a 2^n x 2^n matrix, n >= 1, got shape {rho.shape}")
+    return d.bit_length() - 1
 
 
 def is_density(rho: np.ndarray) -> bool:
@@ -159,25 +175,121 @@ def make_random_state(n: int, r: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Projection
+# Spectral rules: the denoisers, their derivative, and the projection
 # ---------------------------------------------------------------------------
 
-def project_to_density(H: np.ndarray) -> np.ndarray:
-    """Project a Hermitian matrix onto the density-matrix set.
+@dataclass(frozen=True)
+class SpectralDerivative:
+    """Derivative of a spectral denoiser ``f(H) = V diag(w(lam)) V^dagger``.
 
-    Keeps the eigenvectors, drops nonpositive eigenvalues, and renormalizes
-    the positive ones by their sum. If no eigenvalue is positive, returns the
-    maximally mixed state I/d so that downstream solvers stay total. The
-    eigenvalue order cannot change the result, so no tie-break sort is done.
+    By the Daleckii-Krein / Lewis formula, along a Hermitian h with
+    ``h~ = V^dagger h V`` and ``a = Re diag(h~)``, Re <h, Df(H)[h]>_F =
+    sum_{i != j} gamma_ij |h~_ij|^2 + a^T J a, where
+    gamma_ij = (w_i - w_j) / (lam_i - lam_j) and J = dw/dlam. Both vanish
+    off K = {i : w_i != 0}, so ``gamma`` keeps only rows K, zero on the
+    diagonal and doubled at (i in K, j not in K) for (j, i); on K,
+    J = slope (I - c 1^T) with ``coupling`` c = w (psvt) or 0 (svt).
+    ``vkh`` is V_K^dagger, the kept eigenvectors as contiguous rows.
     """
-    H = check_hermitian(H, 1e-8)
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    pos = vals > 0.0
-    if not pos.any():
-        return np.eye(vals.size, dtype=np.complex128) / vals.size
-    V = vecs[:, pos]
-    out = (V * (vals[pos] / vals[pos].sum())) @ V.conj().T
-    return 0.5 * (out + out.conj().T)
+
+    vecs: np.ndarray
+    vkh: np.ndarray
+    gamma: np.ndarray
+    slope: float
+    coupling: np.ndarray
+
+    def probe(self, z: np.ndarray) -> float:
+        """Exact ``Re <h, Df(H)[h]>_F`` in O(k d^2), from the standard normals
+        ``z = (re, im)`` of shape (2, d, d) that give the Hermitian direction
+        ``h = ((re + re^T) + i (im - im^T)) / 2``."""
+        h2 = np.empty(z.shape[1:], dtype=np.complex128)      # 2h
+        np.add(z[0], z[0].T, out=h2.real)
+        np.subtract(z[1], z[1].T, out=h2.imag)
+        left = self.vkh @ h2                                  # rows K of 2 V^dagger h
+        rows = left @ self.vecs                               # rows K of 2 h~
+        # Re of the K x K diagonal of 2 h~: row sums of left * conj(V_K^dagger)
+        a = (left.view(np.float64) * self.vkh.view(np.float64)).sum(axis=1)
+        value = np.vdot(rows, self.gamma * rows).real
+        return 0.25 * float(value + self.slope * (a @ (a - self.coupling @ a)))
+
+
+def spectral_denoise(H: np.ndarray, tau: float, project: bool):
+    """``(f(H), SpectralDerivative)`` for ``svt`` or, with ``project``, ``psvt``.
+
+    One eigendecomposition: soft-threshold the eigenvalues to
+    ``s = sign(lam) (|lam| - tau)_+``; ``svt`` keeps ``w = s``, ``psvt`` keeps
+    the positive ``s`` divided by their sum, or returns I/d when none is
+    positive. Raises ValueError on a negative or non-finite threshold and on
+    a non-finite matrix; ``H`` is taken as Hermitian: ``svt`` and ``psvt``
+    pass a checked one, ``amp_step``'s v is Hermitian by construction.
+    """
+    if not 0.0 <= tau < np.inf:
+        raise ValueError("threshold must be nonnegative and finite")
+    H = np.asarray(H, dtype=np.complex128)
+    if not np.isfinite(H).all():
+        raise ValueError("matrix holds non-finite values")
+    lam, vecs = np.linalg.eigh(H)
+    d = lam.size
+    # The eigenvalues ascend, so K is two tails, each on one linear piece of
+    # the threshold: lam[:lo] < -tau (svt only) and lam[hi:] > tau.
+    hi = int(lam.searchsorted(tau, "right"))
+    lo = 0 if project else int(lam.searchsorted(-tau))
+    kept = np.r_[:lo, hi:d] if lo else slice(hi, d)
+    lk, vk = lam[kept], vecs[:, kept]
+    wk = lk - np.copysign(tau, lk)
+    k, slope = wk.size, 1.0
+    if project and k:
+        total = wk.sum()
+        wk, slope = wk / total, 1.0 / total
+    # Within one piece the divided difference is the slope; across pieces
+    # the eigenvalues differ, so the quotients are safe from ties.
+    gamma = np.full((k, d), slope)
+    gamma[:, lo:hi] = 2.0 * wk[:, None] / (lk[:, None] - lam[lo:hi])  # for (j, i) too
+    if lo:
+        gamma[:lo, hi:] = (wk[:lo, None] - wk[lo:]) / (lk[:lo, None] - lk[lo:])
+        gamma[lo:, :lo] = gamma[:lo, hi:].T
+    np.fill_diagonal(gamma[:lo, :lo], 0.0)     # entries (i, kept[i]) are J's
+    np.fill_diagonal(gamma[lo:, hi:], 0.0)
+    vkh = np.conjugate(vk.T, order="C")
+    derivative = SpectralDerivative(vecs, vkh, gamma, slope,
+                                    wk if project else np.zeros(k))
+    if project and not k:
+        return np.eye(d, dtype=np.complex128) / d, derivative
+    out = (vk * wk) @ vkh
+    return 0.5 * (out + out.conj().T), derivative
+
+
+def svt(H: np.ndarray, tau: float) -> np.ndarray:
+    """Singular value thresholding of a Hermitian matrix.
+
+    The singular values of a Hermitian H are |lambda_k| with singular vector
+    pairs sign(lambda_k) |psi_k><psi_k|, so one eigendecomposition gives
+    sum_k sign(lambda_k) (|lambda_k| - tau)_+ |psi_k><psi_k| exactly. Refuses
+    a matrix that is not finite, or not Hermitian within 1e-8, and
+    thresholds the Hermitian part ``0.5 (H + H^dagger)`` of the rest.
+    """
+    return spectral_denoise(_hermitian_part(H), tau, project=False)[0]
+
+
+def psvt(H: np.ndarray, tau: float) -> np.ndarray:
+    """Projected SVT: threshold, then project onto the density-matrix set.
+
+    Equals ``project_to_density(svt(H, tau))`` from a single decomposition,
+    and checks its input as ``svt`` does; at ``tau = 0`` it is the projection.
+    """
+    return spectral_denoise(_hermitian_part(H), tau, project=True)[0]
+
+
+def _hermitian_part(H: np.ndarray) -> np.ndarray:
+    H = check_hermitian(H, 1e-8)    # the tolerance of every public denoiser
+    return 0.5 * (H + H.conj().T)
+
+
+def project_to_density(H: np.ndarray) -> np.ndarray:
+    """Project a Hermitian matrix onto the density-matrix set, ``psvt(H, 0)``:
+    the positive eigenvalues divided by their sum, or I/d when none is
+    positive, so that downstream solvers stay total."""
+    return psvt(H, 0.0)
 
 
 def numerical_rank(H: np.ndarray, tol: float = 1e-9) -> int:
@@ -296,11 +408,7 @@ def write_density(path, rho: np.ndarray) -> None:
     Line 1 is ``DMAT v1 n=<n>`` followed by d^2 lines ``<re> <im>`` in
     row-major order, 17 significant digits (exact float64 round trip).
     """
-    rho = check_hermitian(rho)
-    d = rho.shape[0]
-    n = d.bit_length() - 1
-    if 1 << n != d:
-        raise ValueError("matrix dimension is not a power of two")
+    n = _qubit_count(check_hermitian(rho))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"DMAT v1 n={n}\n")
         for v in rho.reshape(-1):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ampqst.amp import AmpConfig, AmpTrace, psvt, run_amp, svt
+from ampqst.amp import AmpConfig, AmpTrace, run_amp
 from ampqst.cli import ExperimentConfig, cmd_noise_study
 from ampqst.errors import DivergenceError
 from ampqst.measure import (
@@ -43,8 +43,10 @@ from ampqst.states import (
     nmse,
     numerical_rank,
     project_to_density,
+    psvt,
     pure_density,
     state_fidelity,
+    svt,
 )
 from conftest import codes_of
 from test_amp import estimate_onsager

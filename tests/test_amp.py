@@ -12,10 +12,7 @@ from ampqst.amp import (
     AmpTrace,
     initial_state,
     amp_step,
-    psvt,
     run_amp,
-    spectral_denoise,
-    svt,
 )
 from ampqst.errors import DivergenceError
 from ampqst.measure import build_measurements
@@ -33,8 +30,11 @@ from ampqst.states import (
     make_random_state,
     nmse,
     project_to_density,
+    psvt,
     pure_density,
+    spectral_denoise,
     state_fidelity,
+    svt,
 )
 from conftest import words_of
 
@@ -220,6 +220,20 @@ def test_public_denoisers_refuse_what_the_projection_refuses(denoise):
     near = np.diag([1.0, 0.0]).astype(complex)
     near[0, 1] = 5e-9                           # within the tolerance
     assert np.allclose(denoise(near, 0.0), np.diag([1.0, 0.0]), atol=1e-8)
+
+
+@pytest.mark.parametrize("denoise", [svt, psvt])
+def test_public_denoisers_take_the_hermitian_part(denoise):
+    # eigh reads one triangle; the Hermitian part reads both, as the
+    # projection does
+    rng = np.random.default_rng(24)
+    H = random_hermitian(rng, 8)
+    skew = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    near = H + 1e-10 * (skew - skew.conj().T)
+    part = 0.5 * (near + near.conj().T)
+    assert not np.array_equal(near, part)
+    for tau in (0.0, 0.3):
+        assert np.array_equal(denoise(near, tau), denoise(part, tau))
 
 
 class TestOnsagerEstimator:

@@ -80,9 +80,16 @@ def test_one_stream_rule():
     assert mentions("SeedSequence") == ["cli._seed_int"]
 
 
+@pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+def test_one_home_for_eigensolvers(solver):
+    # every eigendecomposition of the package is a spectral rule of states
+    assert mentions(solver)
+    assert all(scope.startswith("states.") for scope in mentions(solver))
+
+
 def test_amp_loop_does_only_amp():
     # judging an iterate against a truth belongs to AmpTrace, not the loop
-    loop = ("amp.amp_step", "amp.run_amp", "amp.spectral_denoise")
+    loop = ("amp.amp_step", "amp.run_amp", "states.spectral_denoise")
     for name in ("gram_fidelities", "as_density", "nmse", "factor_density",
                  "DensityFactor"):
         assert not [s for s in mentions(name) if s.startswith(loop)], name

@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 import tracemalloc
@@ -349,6 +350,18 @@ class TestReconstruct:
             counts = [eigensolver_calls.count((name, (32, 32)))
                       for name in ("eigh", "eigvalsh")]
             assert counts == [eigh, eigvalsh], kw
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mifgd_divergence_prints_no_warnings(self, tmp_path):
+        # the finiteness check reports the blow-up; numpy's overflow warnings
+        # on the way there would only repeat it on stderr
+        out = tmp_path / "r.csv"
+        assert main(["reconstruct", "--state", "random", "--qubits", "3", "--rank", "2",
+                     "--observables", "32", "--algorithm", "mifgd", "--eta", "5",
+                     "--trials", "2", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [r["nmse"] for r in rows] == ["1.9590341022980964", "1.8513103992153022"]
+        assert [r["iters"] for r in rows] == ["5", "5"]
 
     def test_mifgd_divergence_reports_its_iteration(self):
         cfg = fast_cfg(qubits=3, observables=32, algorithm="mifgd", eta=1.0)

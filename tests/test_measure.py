@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -531,6 +532,22 @@ class TestChannels:
             apply_pauli_flip(np.eye(2) / 2, 2, "bit")
         with pytest.raises(ValueError):
             apply_loss(np.eye(2) / 2, 0)
+
+    @pytest.mark.parametrize("rho", [np.eye(3) / 3, np.eye(6) / 6, np.ones((4, 2)),
+                                     np.ones(4), np.ones((1, 1))],
+                             ids=["3x3", "6x6", "4x2", "1-d", "1x1"])
+    @pytest.mark.parametrize("channel", [
+        lambda rho: apply_pauli_flip(rho, 1, "bit"),
+        lambda rho: apply_pauli_flip(rho, 1, "phase"),
+        lambda rho: apply_loss(rho, 1),
+        lambda rho: apply_composite(rho, PhotonicNoise(0.7, ((0.1, 0.1, 0.1),))),
+    ], ids=["bit", "phase", "loss", "composite"])
+    def test_only_2n_square_matrices_accepted(self, channel, rho):
+        # n read off bit_length alone would turn a 3 x 3 input into a 2 x 2
+        # bit flip, and fail loss in numpy broadcasting
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected a 2^n x 2^n matrix, n >= 1, got shape {rho.shape}")):
+            channel(rho)
 
     def test_every_channel_output_is_density(self):
         rng = np.random.default_rng(20)

@@ -18,6 +18,7 @@ from ampqst.states import (
     nmse,
     numerical_rank,
     project_to_density,
+    psvt,
     pure_density,
     read_density,
     state_fidelity,
@@ -174,6 +175,19 @@ class TestProjection:
             twice = project_to_density(once)
             assert np.max(np.abs(twice - once)) < 1e-10
             assert is_density(once)
+
+    def test_is_psvt_at_zero_threshold(self):
+        # one spectral rule: bit for bit, also on a matrix that is Hermitian
+        # only within the 1e-8 bound, and on a low-rank U U^dagger - c I
+        rng = np.random.default_rng(23)
+        for d in (2, 8, 32):
+            A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            U = A[:, :2] / np.sqrt(d)
+            inputs = [0.5 * (A + A.conj().T), -np.eye(d),
+                      U @ U.conj().T - 0.5 * np.eye(d) / d,
+                      0.5 * (A + A.conj().T) + 1e-10 * (A - A.conj().T)]
+            for H in inputs:
+                assert np.array_equal(project_to_density(H), psvt(H, 0.0))
 
 
 def _lex_key(v):
@@ -464,6 +478,14 @@ class TestDmatFormat:
         write_density(path, np.eye(2) / 2)
         first = path.read_text().splitlines()[0]
         assert first == "DMAT v1 n=1"
+
+    @pytest.mark.parametrize("rho", [np.ones((1, 1)), np.eye(3) / 3])
+    def test_writer_refuses_what_the_reader_refuses(self, rho, tmp_path):
+        # a 1 x 1 matrix would be written as n=0, a header no reader accepts
+        path = tmp_path / "state.dmat"
+        with pytest.raises(ValueError, match="2\\^n x 2\\^n matrix, n >= 1"):
+            write_density(path, rho)
+        assert not path.exists()
 
     def test_reader_verifies_hermiticity(self, tmp_path):
         path = tmp_path / "bad.dmat"
