@@ -3,7 +3,6 @@ message passing, with measurement planning, shot/noise simulation, and a
 momentum-inspired factored gradient descent baseline."""
 
 from .amp import AmpConfig, AmpState, AmpTrace, run_amp
-from .errors import DivergenceError
 from .measure import (
     NoiseModel,
     PhotonicNoise,

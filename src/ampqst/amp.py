@@ -17,7 +17,7 @@ Hermitian probe h per iteration (see ``states.SpectralDerivative``).
 s = sqrt(d/M), so that the Gram operator is an identity on average. The rescaling belongs to AMP:
 ``amp_step`` applies s as a scalar to the raw SensingMap and data, which
 stay unscaled everywhere else. Without it (``normalize=False``, s = 1) the
-iteration blows up, which run_amp reports as a DivergenceError.
+iteration blows up, which run_amp returns as a result with ``diverged`` True.
 
 This module holds the iteration only: config, state, trace, step and loop.
 The denoiser, ``svt`` or ``psvt`` with its derivative, is one ``eigh`` of the
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
 from .pauli import SensingMap, _adjoint, _check_data, _sense
 from .states import (DensityFactor, SpectralDerivative, as_density, as_rng,
                      gram_fidelities, spectral_denoise)
@@ -155,7 +154,7 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
     """Advance the AMP iteration by one step.
 
     ``smap`` is the raw map and ``y`` the raw data; with ``config.normalize``
-    both are rescaled here by s = sqrt(d/M). Raises DivergenceError on
+    both are rescaled here by s = sqrt(d/M). Raises FloatingPointError on
     non-finite values.
     """
     d, M = smap.d, smap.M
@@ -179,13 +178,11 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
     try:    # the denoiser rejects a non-finite v or tau (r enters both)
         rho_next, derivative = spectral_denoise(v, tau, config.denoiser == "psvt")
     except ValueError as err:
-        raise DivergenceError(f"non-finite values at iteration {state.t}",
-                              iterate=state.rho, iterations=state.t) from err
+        raise FloatingPointError(f"non-finite values at iteration {state.t}") from err
     rho_next *= config.damping
     rho_next += (1.0 - config.damping) * state.rho
     if not np.isfinite(rho_next).all():
-        raise DivergenceError(f"non-finite iterate at iteration {state.t}",
-                              iterate=state.rho, iterations=state.t)
+        raise FloatingPointError(f"non-finite iterate at iteration {state.t}")
     return AmpState(rho=rho_next, residual=r, onsager=c_hat, sigma=sigma,
                     tau=tau, t=state.t + 1, derivative=derivative)
 
@@ -199,33 +196,32 @@ def initial_state(smap: SensingMap) -> AmpState:
 
 def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
             trace: AmpTrace | None = None):
-    """Run the AMP solver and return ``(rho_hat, iterations)``.
+    """Run the AMP solver; returns ``(rho_hat, iterations, diverged)``.
 
     ``smap`` is the raw map and ``y`` holds raw sample means. With
     ``config.normalize`` (the default) each step rescales both by sqrt(d/M);
-    with it disabled they are used as given (the divergent baseline). Raises
-    DivergenceError (carrying the last finite iterate and the steps
-    completed) on blow-up. A ``trace`` records each state and is closed,
-    ``diverged`` on a blow-up.
+    with it disabled they are used as given (the divergent baseline). The run
+    stops after ``config.max_iter`` updates or when it blows up: a non-finite
+    step, or sigma_t far above sigma_0. ``rho_hat`` is the last finite
+    iterate and ``iterations`` the updates completed. A ``trace`` records
+    each state and is closed once, with ``diverged``.
     """
     y = _check_data(smap, y)
     rng = as_rng(config.seed)
     state = initial_state(smap)
-    try:
-        for _ in range(config.max_iter):
+    diverged = False
+    for _ in range(config.max_iter):
+        try:
             state = amp_step(state, smap, y, config, rng)
-            if trace is not None:
-                trace.record(state, config.denoiser == "psvt")   # PSVT's are states
-            sigma0 = state.sigma if state.t == 1 else sigma0
-            if sigma0 > 0 and state.sigma > _SIGMA_BLOWUP * sigma0:
-                raise DivergenceError(
-                    f"residual blow-up at iteration {state.t}: "
-                    f"sigma={state.sigma:.3g} vs sigma_0={sigma0:.3g}",
-                    iterate=state.rho, iterations=state.t)
-    except DivergenceError:
+        except FloatingPointError:
+            diverged = True
+            break
         if trace is not None:
-            trace.close(smap.M, diverged=True)
-        raise
+            trace.record(state, config.denoiser == "psvt")   # PSVT's are states
+        sigma0 = state.sigma if state.t == 1 else sigma0
+        diverged = sigma0 > 0 and state.sigma > _SIGMA_BLOWUP * sigma0
+        if diverged:
+            break
     if trace is not None:
-        trace.close(smap.M, diverged=False)
-    return state.rho, state.t
+        trace.close(smap.M, diverged)
+    return state.rho, state.t, diverged

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .amp import DENOISERS, AmpConfig, AmpTrace, run_amp
-from .errors import DivergenceError
 from .measure import CHANNELS, NoiseModel, build_measurements
 from .mifgd import MifgdConfig, run_mifgd
 from .pauli import (MeasurementPlan, _check_qubits, sample_observables,
@@ -165,6 +164,7 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        self.solver_config(0)   # the solver's config checks its own knobs
 
     def solver_max_iter(self) -> int:
         if self.max_iter is not None:
@@ -235,13 +235,11 @@ def run_trial(cfg: ExperimentConfig, trial: int,
                                  seed=(cfg.seed, trial, _ROLE_MEAS))
     solver = cfg.solver_config(_seed_int(cfg, trial, _ROLE_ALGO))
     trace = AmpTrace(truth) if want_trace and cfg.algorithm == "amp" else None
-    try:
-        if cfg.algorithm == "amp":
-            rho_hat, iters = run_amp(smap, y, solver, trace)
-        else:
-            rho_hat, iters = run_mifgd(smap, y, solver)
-    except DivergenceError as err:
-        rho_hat, iters = err.iterate, err.iterations
+    if cfg.algorithm == "amp":
+        rho_hat, iters, diverged = run_amp(smap, y, solver, trace)
+    else:
+        rho_hat, iters, diverged = run_mifgd(smap, y, solver)
+    if diverged:
         # failed recovery reports a state infidelity of 1.0
         fid_truth = fid_target = 0.0
         err_nmse = nmse(truth.rho, project_to_density(rho_hat))
@@ -483,20 +481,28 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     _add_setting_flags(p)
 
 
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise ValueError(f"{text!r} lists no value")
+    return values
+
+
 def _parse_int_list(text: str) -> list:
     out = []
     for part in text.split(","):
         part = part.strip()
         if "-" in part and not part.startswith("-"):
-            lo, _, hi = part.partition("-")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"range {part!r} runs backwards")
+            out.extend(range(lo, hi + 1))
         elif part:
             out.append(int(part))
-    return out
+    return _nonempty(out, text)
 
 
 def _parse_float_list(text: str) -> list:
-    return [_finite_float(p) for p in text.split(",") if p.strip()]
+    return _nonempty([_finite_float(p) for p in text.split(",") if p.strip()], text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,8 +554,8 @@ def main(argv=None) -> int:
             if args.command == "reconstruct":
                 cmd_reconstruct(cfg)
             else:
-                levels = _parse_float_list(args.levels) if args.levels \
-                    else list(_DEFAULT_LEVELS[args.channel])
+                levels = list(_DEFAULT_LEVELS[args.channel]) if args.levels is None \
+                    else _parse_float_list(args.levels)
                 cmd_noise_study(cfg, args.channel, levels, out=cfg.out,
                                 gnuplot=args.gnuplot)
     except (ValueError, OSError) as err:

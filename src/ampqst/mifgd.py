@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
 from .pauli import SensingMap, _adjoint, _check_data, _sense
 from .states import as_rng, complex_normal
 
@@ -61,11 +60,11 @@ class MifgdConfig:
 
 @np.errstate(over="ignore", invalid="ignore")   # the finiteness check reports a blow-up
 def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
-    """Run the factored iteration; returns ``(rho_hat, iterations)``.
+    """Run the factored iteration; returns ``(rho_hat, iterations, diverged)``.
 
     ``rho_hat = U U^dagger`` is PSD with rank at most the budget but is not
-    trace-normalized. Raises DivergenceError, carrying the previous iterate,
-    if the iterate goes non-finite.
+    trace-normalized; ``iterations`` counts the updates completed. A run whose
+    update goes non-finite stops with the previous iterate and ``diverged``.
     """
     y = _check_data(smap, y)
     d = smap.d
@@ -83,12 +82,11 @@ def run_mifgd(smap: SensingMap, y: np.ndarray, config: MifgdConfig):
         U_next = Z - config.eta * (grad @ Z)
         rho_next = U_next @ U_next.conj().T
         if not np.isfinite(rho_next).all():     # also catches a non-finite factor
-            raise DivergenceError(f"non-finite iterate at iteration {iterations}",
-                                  iterate=rho, iterations=iterations)
+            return rho, iterations - 1, True
         Z = U_next + config.mu * (U_next - U)
         U = U_next
         rho_prev, rho = rho, rho_next
         den = np.linalg.norm(rho)
         if den > 0 and np.linalg.norm(rho - rho_prev) / den < config.rel_tol:
             break
-    return rho, iterations
+    return rho, iterations, False

@@ -218,6 +218,7 @@ def apply_adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:
 
 def sample_observables(n: int, M: int, seed) -> np.ndarray:
     """Codes of M distinct Pauli words drawn uniformly (without replacement)."""
+    _check_qubits(n)
     d2 = 4 ** n
     if not 1 <= M <= d2:
         raise ValueError(f"need 1 <= M <= {d2}, got {M}")
@@ -248,9 +249,10 @@ def sample_settings_until(n: int, target_M: int, seed):
     settings in order (their count is the circuit count T). Permutation entry
     i is the setting whose base-3 digits (0=X, 1=Y, 2=Z, leftmost first)
     spell i; its covered codes are those of ``covered_codes``."""
+    _check_qubits(n)
     d2 = 4 ** n
-    if n < 1 or not 1 <= target_M <= d2:
-        raise ValueError(f"need n >= 1 and 1 <= target_M <= {d2}, got {target_M}")
+    if not 1 <= target_M <= d2:
+        raise ValueError(f"need 1 <= target_M <= {d2}, got {target_M}")
     rng = as_rng(seed)
     place = np.arange(n - 1, -1, -1)
     digits = rng.permutation(3 ** n)[:, None] // 3 ** place % 3 + 1   # X=1, Y=2, Z=3

@@ -15,7 +15,6 @@ import pytest
 
 from ampqst.amp import AmpConfig, AmpTrace, run_amp
 from ampqst.cli import ExperimentConfig, cmd_noise_study
-from ampqst.errors import DivergenceError
 from ampqst.measure import (
     PhotonicNoise,
     apply_composite,
@@ -88,12 +87,10 @@ def test_criterion_1_flagship_ordering(flagship_problem):
     checks = []
 
     # (a) unnormalized SVT-AMP triggers the divergence signal
-    try:
-        run_amp(smap, y, AmpConfig(seed=17, denoiser="svt",
-                                   damping=1.0, normalize=False))
-        checks.append(("a diverges", False, "no divergence"))
-    except DivergenceError as err:
-        checks.append(("a diverges", True, f"at iter {err.iterations}"))
+    _, iters, diverged = run_amp(smap, y, AmpConfig(seed=17, denoiser="svt",
+                                                    damping=1.0, normalize=False))
+    checks.append(("a diverges", diverged,
+                   f"at iter {iters}" if diverged else "no divergence"))
 
     # (b) normalized SVT-AMP converges with final fidelity > 0.9
     truth = factor_density(rho)
@@ -249,10 +246,10 @@ def test_criterion_8_noiseless_exact_recovery():
     words = pauli_words_from_indices(smap.codes, n)
     oracle = sum(y[k] * kron_word(words[k]) for k in range(smap.M)) / d
 
-    rho_amp, _ = run_amp(smap, y, AmpConfig(seed=3))
+    rho_amp, _, _ = run_amp(smap, y, AmpConfig(seed=3))
     amp_nmse = nmse(oracle, rho_amp)
 
-    rho_mif, _ = run_mifgd(smap, y, MifgdConfig(rank_budget=1, mu=0.0, seed=5))
+    rho_mif, _, _ = run_mifgd(smap, y, MifgdConfig(rank_budget=1, mu=0.0, seed=5))
     mif_fid = state_fidelity(project_to_density(oracle),
                              project_to_density(rho_mif))
     ok = amp_nmse < 1e-6 and mif_fid > 0.99

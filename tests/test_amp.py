@@ -14,7 +14,6 @@ from ampqst.amp import (
     amp_step,
     run_amp,
 )
-from ampqst.errors import DivergenceError
 from ampqst.measure import build_measurements
 from ampqst.pauli import (
     MeasurementPlan,
@@ -455,6 +454,15 @@ class TestAmpStep:
         assert new.onsager == 0.0
         assert np.allclose(new.residual, expected_r, atol=1e-12)
 
+    def test_non_finite_iterate_raises_floating_point_error(self):
+        # the builtin error, carrying nothing: run_amp keeps the last state
+        rho, smap, y = make_problem(seed=1)
+        state = initial_state(smap)
+        state.rho[0, 0] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="at iteration 0"):
+            amp_step(state, smap, y, AmpConfig(seed=0), np.random.default_rng(0))
+
     def test_residual_is_real_vector(self):
         rho, smap, y = make_problem(seed=2, shots=256)
         state = initial_state(smap)
@@ -503,7 +511,7 @@ class TestAmpStep:
 class TestRunAmp:
     def test_noiseless_full_basis_recovery(self):
         rho, smap, y = make_problem(n=3, seed=5)
-        rho_hat, _ = run_amp(smap, y, AmpConfig(seed=1))
+        rho_hat, _, _ = run_amp(smap, y, AmpConfig(seed=1))
         oracle = sum(y[k] * kron_word(w) for k, w in enumerate(words_of(smap))) / smap.d
         assert nmse(oracle, rho_hat) < 1e-6
         assert nmse(rho, rho_hat) < 1e-6
@@ -522,18 +530,18 @@ class TestRunAmp:
         cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0,
                         normalize=False)
         trace = AmpTrace()
-        with pytest.raises(DivergenceError) as exc:
-            run_amp(smap, y, cfg, trace)
+        rho_hat, iterations, diverged = run_amp(smap, y, cfg, trace)
         assert len(trace) <= 200
-        assert trace.diverged
-        # the steps completed, the field MiFGD's failures fill too
-        assert exc.value.iterations == len(trace)
+        assert diverged is trace.diverged is True
+        assert np.isfinite(rho_hat).all()
+        # the updates completed, as MiFGD counts them
+        assert iterations == len(trace)
 
     def test_trace_lengths_and_tau_relation(self):
         rho, smap, y = make_problem(n=2, seed=7, shots=256)
         cfg = AmpConfig(seed=3, max_iter=40)
         trace = AmpTrace(factor_density(rho))
-        rho_hat, _ = run_amp(smap, y, cfg, trace)
+        rho_hat, _, _ = run_amp(smap, y, cfg, trace)
         assert len(trace) == 40
         assert len(trace.nmse) == 40 and len(trace.fidelity) == 40
         for col in (trace.sigma, trace.tau, trace.onsager, trace.residual_norm,
@@ -563,8 +571,8 @@ class TestRunAmp:
         rho, smap, y = make_problem(n=3, M=40, seed=14, shots=512, rank=2)
         cfg = AmpConfig(seed=9, max_iter=60)
         bare, full = AmpTrace(), AmpTrace(factor_density(rho))
-        plain, _ = run_amp(smap, y, cfg, bare)
-        judged, _ = run_amp(smap, y, cfg, full)
+        plain, _, _ = run_amp(smap, y, cfg, bare)
+        judged, _, _ = run_amp(smap, y, cfg, full)
         assert np.array_equal(plain, judged)
         for col in ("sigma", "tau", "onsager", "residual_norm"):
             assert np.array_equal(getattr(bare, col), getattr(full, col))
@@ -588,16 +596,15 @@ class TestRunAmp:
         rho, smap, y = make_problem(n=3, M=32, seed=6, shots=512)
         cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=False)
         trace = AmpTrace(factor_density(rho))
-        with pytest.raises(DivergenceError):
-            run_amp(smap, y, cfg, trace)
-        assert trace.diverged and len(trace) > 0
+        _, iterations, diverged = run_amp(smap, y, cfg, trace)
+        assert diverged and trace.diverged and iterations == len(trace) > 0
         for col in (trace.tau, trace.onsager, trace.residual_norm,
                     trace.nmse, trace.fidelity):
             assert len(col) == len(trace)
 
     def test_divergence_keeps_pending_fidelities(self, monkeypatch):
         # PSVT iterates stay bounded, so the failure is injected: the step
-        # after ten iterations raises, with ten fidelities still pending
+        # after ten iterations goes non-finite, with ten fidelities still pending
         rho, smap, y = make_problem(n=3, M=40, seed=16, shots=512, rank=2)
         cfg = AmpConfig(seed=4, max_iter=30)
         ref = AmpTrace(factor_density(rho))
@@ -606,13 +613,12 @@ class TestRunAmp:
 
         def failing_step(state, *args):
             if state.t == 10:
-                raise DivergenceError("injected", iterate=state.rho, iterations=state.t)
+                raise FloatingPointError("injected")
             return step(state, *args)
         monkeypatch.setattr(amp_module, "amp_step", failing_step)
         trace = AmpTrace(factor_density(rho))
-        with pytest.raises(DivergenceError):
-            run_amp(smap, y, cfg, trace)
-        assert trace.diverged and len(trace) == 10
+        _, iterations, diverged = run_amp(smap, y, cfg, trace)
+        assert diverged and trace.diverged and iterations == len(trace) == 10
         assert np.array_equal(trace.fidelity, ref.fidelity)
         assert np.array_equal(trace.nmse, ref.nmse)
 
@@ -658,8 +664,8 @@ class TestRunAmp:
     def test_untraced_run_returns_iterations(self):
         rho, smap, y = make_problem(n=3, M=40, seed=14, shots=512, rank=2)
         cfg = AmpConfig(seed=9, max_iter=25, denoiser="svt")
-        plain, iters = run_amp(smap, y, cfg)
-        judged, judged_iters = run_amp(smap, y, cfg, AmpTrace(factor_density(rho)))
+        plain, iters, _ = run_amp(smap, y, cfg)
+        judged, judged_iters, _ = run_amp(smap, y, cfg, AmpTrace(factor_density(rho)))
         assert iters == judged_iters == cfg.max_iter
         assert plain.tobytes() == judged.tobytes()
 
@@ -670,10 +676,8 @@ class TestRunAmp:
         cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=not diverge,
                         max_iter=300)
         trace = AmpTrace(factor_density(rho) if truth else None)
-        try:
-            run_amp(smap, y, cfg, trace)
-        except DivergenceError:
-            pass
+        _, iterations, diverged = run_amp(smap, y, cfg, trace)
+        assert diverged is diverge and iterations == len(trace)
         held = vars(trace)
         assert held.pop("diverged") is diverge
         columns = ["sigma", "tau", "onsager", "residual_norm"]
@@ -709,8 +713,8 @@ class TestRunAmp:
 
     def test_deterministic_per_seed(self):
         rho, smap, y = make_problem(n=2, seed=9, shots=128)
-        a, _ = run_amp(smap, y, AmpConfig(seed=5, max_iter=30))
-        b, _ = run_amp(smap, y, AmpConfig(seed=5, max_iter=30))
+        a, _, _ = run_amp(smap, y, AmpConfig(seed=5, max_iter=30))
+        b, _, _ = run_amp(smap, y, AmpConfig(seed=5, max_iter=30))
         assert np.array_equal(a, b)
 
     def test_sigma_stagnates_in_converged_run(self):

@@ -128,6 +128,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="fraction"):
             cfg.validate()
 
+    @pytest.mark.parametrize("knob, why", [
+        (dict(alpha=-1.0), "alpha"), (dict(damping=0.0), "damping"),
+        (dict(max_iter=0), "max_iter"), (dict(algorithm="mifgd", eta=0.0), "step size")])
+    def test_solver_knobs_checked_before_any_trial(self, knob, why):
+        # the solver's own config checks run in validate, not in trial 0
+        with pytest.raises(ValueError, match=why):
+            ExperimentConfig(observables=4, **knob).validate()
+
 
 # one value per setting, unlike its default, as a file value or flag text
 SETTING_TEXT = {
@@ -361,7 +369,7 @@ class TestReconstruct:
                      "--trials", "2", "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.open()))
         assert [r["nmse"] for r in rows] == ["1.9590341022980964", "1.8513103992153022"]
-        assert [r["iters"] for r in rows] == ["5", "5"]
+        assert [r["iters"] for r in rows] == ["4", "4"]   # updates completed
 
     def test_mifgd_divergence_reports_its_iteration(self):
         cfg = fast_cfg(qubits=3, observables=32, algorithm="mifgd", eta=1.0)
@@ -467,6 +475,16 @@ class TestSettingsTable:
         assert lines[0] == "n,fraction,M,mean_T,t_over_m_pct"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("flag, text, why", [
+        ("--qubits", "5-3", "range '5-3' runs backwards"),
+        ("--fractions", ",", "',' lists no value")])
+    def test_list_of_nothing_is_refused(self, flag, text, why, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["settings-table", flag, text, "--trials", "1",
+                     "--out", str(out)]) == 2
+        assert why in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5"])
     def test_fraction_bounded_as_reconstruct_bounds_it(self, fraction, tmp_path,
                                                        capsys):
@@ -536,6 +554,18 @@ class TestNoiseStudy:
         text = gp_path.read_text()
         assert "plot" in text and str(csv_path) in text
 
+
+    @pytest.mark.parametrize("levels", [",", ""])
+    def test_list_of_no_levels_is_refused(self, levels, tmp_path, capsys):
+        # an empty list runs no level; only a missing --levels takes the defaults
+        out = tmp_path / "ns.csv"
+        rc = main(["noise-study", "--channel", "readout", "--levels", levels,
+                   "--state", "ghz", "--qubits", "2", "--fraction", "1.0",
+                   "--max-iter", "10", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "lists no value" in captured.err and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--trace", "--timing"])
     def test_trace_and_timing_are_refused(self, tmp_path, capsys, flag):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ampqst.errors import DivergenceError
 from ampqst.mifgd import MifgdConfig, run_mifgd
 from ampqst.measure import build_measurements
 from ampqst.pauli import MeasurementPlan, apply_sensing
@@ -36,6 +35,13 @@ def full_basis_problem(n, seed, rank=1):
     return rho, smap, y
 
 
+def diverging_problem():
+    """A problem on which MiFGD at eta = 5 blows up."""
+    rho = make_random_state(3, 2, np.random.default_rng((4, 1)))
+    plan = MeasurementPlan(3, "observables", np.arange(0, 64, 2))
+    return build_measurements(rho, plan, shots=1024, seed=(4, 2))
+
+
 class TestMomentum:
     def test_default(self):
         assert MifgdConfig().mu == 0.75
@@ -52,7 +58,7 @@ class TestRunMifgd:
     def test_noiseless_pure_recovery(self):
         rho, smap, y = full_basis_problem(2, seed=0)
         oracle = sum(y[k] * kron_word(w) for k, w in enumerate(words_of(smap))) / smap.d
-        rho_hat, iters = run_mifgd(smap, y, MifgdConfig(rank_budget=1, mu=0.0, seed=3))
+        rho_hat, iters, _ = run_mifgd(smap, y, MifgdConfig(rank_budget=1, mu=0.0, seed=3))
         fid = state_fidelity(project_to_density(oracle),
                              project_to_density(rho_hat))
         assert fid > 0.99
@@ -60,7 +66,7 @@ class TestRunMifgd:
     def test_zero_step_size_freezes(self):
         rho, smap, y = full_basis_problem(2, seed=1)
         cfg = MifgdConfig(eta=1e-30, mu=0.0, rank_budget=2, max_iter=5, seed=7)
-        rho_hat, _ = run_mifgd(smap, y, cfg)
+        rho_hat, _, _ = run_mifgd(smap, y, cfg)
         # eta ~ 0: the iterate stays at U0 U0^dagger
         rng = np.random.default_rng(7)
         from ampqst.states import complex_normal
@@ -69,14 +75,14 @@ class TestRunMifgd:
 
     def test_output_is_psd_gram_form(self):
         rho, smap, y = full_basis_problem(2, seed=2, rank=3)
-        rho_hat, _ = run_mifgd(smap, y, MifgdConfig(rank_budget=3, seed=1,
+        rho_hat, _, _ = run_mifgd(smap, y, MifgdConfig(rank_budget=3, seed=1,
                                                     max_iter=50))
         assert np.linalg.eigvalsh(rho_hat).min() >= -1e-12
 
     def test_rank_bounded_by_budget(self):
         rho, smap, y = full_basis_problem(3, seed=3, rank=4)
         for r in (1, 2):
-            rho_hat, _ = run_mifgd(smap, y, MifgdConfig(rank_budget=r, seed=2,
+            rho_hat, _, _ = run_mifgd(smap, y, MifgdConfig(rank_budget=r, seed=2,
                                                         max_iter=40))
             assert numerical_rank(rho_hat, 1e-12) <= r
 
@@ -86,7 +92,7 @@ class TestRunMifgd:
         for t in range(1, 51):
             cfg = MifgdConfig(eta=5e-4, mu=0.0, rank_budget=1, max_iter=t,
                               rel_tol=1e-30, seed=5)
-            rho_hat, iters = run_mifgd(smap, y, cfg)
+            rho_hat, iters, _ = run_mifgd(smap, y, cfg)
             assert iters == t
             fits.append(np.linalg.norm(apply_sensing(smap, rho_hat) - y))
         diffs = np.diff(fits)
@@ -95,26 +101,31 @@ class TestRunMifgd:
     def test_stops_on_relative_tolerance(self):
         rho, smap, y = full_basis_problem(2, seed=6)
         cfg = MifgdConfig(rank_budget=1, mu=0.0, rel_tol=1e-3, seed=8)
-        _, iters = run_mifgd(smap, y, cfg)
+        _, iters, _ = run_mifgd(smap, y, cfg)
         assert iters < 1000
 
     def test_deterministic(self):
         rho, smap, y = full_basis_problem(2, seed=7)
         cfg = MifgdConfig(rank_budget=3, seed=11, max_iter=30)
-        a, _ = run_mifgd(smap, y, cfg)
-        b, _ = run_mifgd(smap, y, cfg)
+        a, _, _ = run_mifgd(smap, y, cfg)
+        b, _, _ = run_mifgd(smap, y, cfg)
         assert np.array_equal(a, b)
 
     def test_divergence_carries_a_finite_iterate(self):
         # rho = U U^dagger overflows an iteration before U itself does
-        rho = make_random_state(3, 2, np.random.default_rng((4, 1)))
-        plan = MeasurementPlan(3, "observables", np.arange(0, 64, 2))
-        smap, y = build_measurements(rho, plan, shots=1024, seed=(4, 2))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DivergenceError) as exc:
-            run_mifgd(smap, y, MifgdConfig(eta=5.0, seed=1))
-        assert np.isfinite(exc.value.iterate).all()
-        assert 0 < exc.value.iterations < 1000
+        smap, y = diverging_problem()
+        rho_hat, iterations, diverged = run_mifgd(smap, y, MifgdConfig(eta=5.0, seed=1))
+        assert diverged
+        assert np.isfinite(rho_hat).all()
+        assert 0 < iterations < 1000
+
+    def test_diverged_run_counts_the_updates_completed(self):
+        # a rerun capped at those updates ends on the same iterate, undiverged
+        smap, y = diverging_problem()
+        rho_hat, iterations, _ = run_mifgd(smap, y, MifgdConfig(eta=5.0, seed=1))
+        capped = run_mifgd(smap, y, MifgdConfig(eta=5.0, seed=1, max_iter=iterations))
+        assert capped[1:] == (iterations, False)
+        assert capped[0].tobytes() == rho_hat.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected_at_the_boundary(self, bad):

@@ -409,6 +409,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_observables(1, 5, 0)
 
+    @pytest.mark.parametrize("sample", [sample_observables, sample_settings_until])
+    def test_qubit_bound_checked_first(self, sample):
+        # n = 13 only: past the bound the settings sampler would permute all
+        # 3^n settings (3.5e9 of them at n = 20) before any other check
+        with pytest.raises(ValueError, match=f"qubits must lie in \\[1, {MAX_QUBITS}\\]"):
+            sample(13, 1, 0)
+
     def test_deterministic(self):
         a = sample_observables(3, 10, 7)
         b = sample_observables(3, 10, 7)
