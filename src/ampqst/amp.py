@@ -20,10 +20,14 @@ stay unscaled everywhere else. Without it (``normalize=False``, s = 1) the
 iteration blows up, which run_amp returns as a result with ``diverged`` True.
 
 This module holds the iteration only: config, state, trace, step and loop.
-The denoiser, ``svt`` or ``psvt`` with its derivative, is one ``eigh`` of the
-pseudo-data in ``states.spectral_denoise``, the only O(d^3) step; a probe of
-the derivative costs O(k d^2) for k kept eigenvalues. The map is applied
-unchecked to Hermitian iterates; ``AmpTrace`` takes fidelities from r x r grams.
+The denoiser, ``svt`` or ``psvt`` with its derivative, is
+``states.spectral_denoise`` of the pseudo-data, the only O(d^3) step: one
+``eigh`` below d = 128, for ``svt`` and at the first iteration. From d = 128
+on, ``psvt`` is warm-started from the previous step's derivative and finds
+only its k kept eigenpairs, certified by one Cholesky factorization, with
+``eigh`` whenever they cannot be certified; its probe then takes k shifted
+d x d solves. The map is applied unchecked to Hermitian iterates;
+``AmpTrace`` takes fidelities from r x r grams.
 
 Each run owns its mutable state; the shared SensingMap is read-only, so
 independent runs (trials, seeds) parallelize freely.
@@ -92,7 +96,8 @@ class AmpState:
 
     ``residual`` is r_{t-1} as seen from the next step (the residual computed
     while producing ``rho``); ``tau`` holds tau_{t-1}, and ``derivative`` the
-    denoiser's derivative at v_{t-1} that the next Onsager estimate probes.
+    denoiser's derivative at v_{t-1} that the next Onsager estimate probes
+    and the next denoiser call starts from.
     """
 
     rho: np.ndarray
@@ -176,7 +181,8 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
     tau = config.alpha * sigma * math.sqrt(d)
     v = state.rho + _adjoint(smap, s * r)
     try:    # the denoiser rejects a non-finite v or tau (r enters both)
-        rho_next, derivative = spectral_denoise(v, tau, config.denoiser == "psvt")
+        rho_next, derivative = spectral_denoise(v, tau, config.denoiser == "psvt",
+                                                state.derivative)
     except ValueError as err:
         raise FloatingPointError(f"non-finite values at iteration {state.t}") from err
     rho_next *= config.damping

@@ -165,6 +165,10 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         self.solver_config(0)   # the solver's config checks its own knobs
+        if self.algorithm == "mifgd" and self.rank_budget > 1 << self.qubits:
+            # run_mifgd's check, before any trial's data are simulated
+            raise ValueError(f"rank budget {self.rank_budget} exceeds dimension "
+                             f"{1 << self.qubits}")
 
     def solver_max_iter(self) -> int:
         if self.max_iter is not None:

@@ -19,6 +19,7 @@ concurrently; randomized constructors take a caller-owned seed or Generator.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -190,6 +191,16 @@ class SpectralDerivative:
     diagonal and doubled at (i in K, j not in K) for (j, i); on K,
     J = slope (I - c 1^T) with ``coupling`` c = w (psvt) or 0 (svt).
     ``vkh`` is V_K^dagger, the kept eigenvectors as contiguous rows.
+
+    The probe takes one of two forms. After a full ``eigh``, ``vecs`` is all
+    of V and ``gamma`` is k x d. After the kept pairs alone were found (psvt,
+    see ``spectral_denoise``), ``vecs`` is V_K, ``gamma`` the k x k block,
+    and ``deflated`` the certified positive definite
+    C = tau I - H + V_K diag(lam_K - lower) V_K^dagger; the unkept columns
+    then sum to 2 w_i b_i^dagger (C + (lam_i - tau) I)^-1 b_i per kept i,
+    with b_i the part of 2h v_i orthogonal to K, since C + (lam_i - tau) I
+    is lam_i - H on that complement. ``block`` holds the top eigenvectors
+    that warm-start the next psvt call at d >= ``_WARM_MIN_DIM``, else None.
     """
 
     vecs: np.ndarray
@@ -197,11 +208,14 @@ class SpectralDerivative:
     gamma: np.ndarray
     slope: float
     coupling: np.ndarray
+    block: np.ndarray | None = None
+    deflated: np.ndarray | None = None
 
     def probe(self, z: np.ndarray) -> float:
-        """Exact ``Re <h, Df(H)[h]>_F`` in O(k d^2), from the standard normals
+        """Exact ``Re <h, Df(H)[h]>_F`` from the standard normals
         ``z = (re, im)`` of shape (2, d, d) that give the Hermitian direction
-        ``h = ((re + re^T) + i (im - im^T)) / 2``."""
+        ``h = ((re + re^T) + i (im - im^T)) / 2``: O(k d^2) after a full
+        ``eigh``, plus k shifted d x d solves in the deflated form."""
         h2 = np.empty(z.shape[1:], dtype=np.complex128)      # 2h
         np.add(z[0], z[0].T, out=h2.real)
         np.subtract(z[1], z[1].T, out=h2.imag)
@@ -210,32 +224,160 @@ class SpectralDerivative:
         # Re of the K x K diagonal of 2 h~: row sums of left * conj(V_K^dagger)
         a = (left.view(np.float64) * self.vkh.view(np.float64)).sum(axis=1)
         value = np.vdot(rows, self.gamma * rows).real
+        if self.deflated is not None and a.size:
+            # b_i as rows: 2h v_i less its part in K, conjugated
+            b = left - rows @ self.vkh
+            # C + (lam_i - tau) I for each kept i; w_i / slope = lam_i - tau
+            shifted = np.repeat(self.deflated[None], a.size, axis=0)
+            shifted.reshape(a.size, -1)[:, ::len(h2) + 1] += self.coupling[:, None] / self.slope
+            y = np.linalg.solve(shifted, b.conj()[..., None])[..., 0]
+            value += 2.0 * self.coupling @ np.einsum("ij,ij->i", b, y).real
         return 0.25 * float(value + self.slope * (a @ (a - self.coupling @ a)))
 
 
-def spectral_denoise(H: np.ndarray, tau: float, project: bool):
+# From this dimension on, psvt's kept pairs are found by a warm-started
+# Chebyshev-filtered subspace iteration, not by a full eigh; at d = 64 the
+# search costs about as much as eigh.
+_WARM_MIN_DIM = 128
+_BLOCK_SPARE = 2          # block vectors beyond the kept ones
+# The probe's shifted solves cost a tenth of an eigh each at d = 128, so a
+# larger kept set is left to eigh.
+_MAX_KEPT = 4
+# Work of the sweeps before eigh takes over, in matrix-block products at
+# d = 128 (one filter degree; a sweep's QR and Rayleigh-Ritz count as
+# _SWEEP_COST); it grows with d as eigh's cost outgrows a product's.
+_SWEEP_BUDGET = 40
+_SWEEP_COST = 6
+_RESIDUAL_TOL = 1e-13     # kept residuals, relative to the spectral scale
+_LOWER_FACTOR = 1.2       # filter's lower end, in units of the bulk's top edge
+_EPS = np.finfo(np.float64).eps
+
+
+def _rayleigh_ritz(H: np.ndarray, basis: np.ndarray):
+    """Ritz values (ascending), Ritz vectors and residual norms of H on the
+    span of the orthonormal columns ``basis``."""
+    Hb = H @ basis
+    small = basis.conj().T @ Hb
+    theta, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
+    X = basis @ rot
+    R = Hb @ rot - X * theta
+    return theta, X, np.linalg.norm(R, axis=0)
+
+
+def _chebyshev_filter(H: np.ndarray, X: np.ndarray, degree: int,
+                      lower: float, upper: float) -> np.ndarray:
+    """T_degree((H - c) / e) X for the interval [lower, upper] = [c - e, c + e],
+    on which the Chebyshev polynomial stays within [-1, 1]; it grows fast
+    outside."""
+    scaled = (4.0 / (upper - lower)) * H               # 2 (H - c) / e
+    scaled.flat[::len(H) + 1] -= 2.0 * (upper + lower) / (upper - lower)
+    prev, cur = X, 0.5 * (scaled @ X)
+    for _ in range(degree - 1):
+        nxt = scaled @ cur
+        nxt -= prev
+        prev, cur = cur, nxt
+    return cur
+
+
+def _kept_pairs(H: np.ndarray, tau: float, block: np.ndarray):
+    """PSVT's kept eigenpairs of H, warm-started from the previous ``block``.
+
+    Returns ``(lam_K, V_K, block, C)``, the pairs ascending, or None when
+    ``eigh`` must take over: the block fills (all its Ritz values exceed
+    tau), more than ``_MAX_KEPT`` are kept, the sweeps would cost more than
+    their budget, or the certificate fails. Each sweep is a Chebyshev filter that damps [lower, upper] and
+    grows the kept end, then a Rayleigh-Ritz step; its degree is the one
+    the Ritz gap predicts to bring the worst kept residual under tolerance.
+    The certificate is one Cholesky factorization of
+    C = tau I - H + V_K diag(lam_K - lower) V_K^dagger: it exists only if no
+    eigenvalue of H beyond those k exceeds tau (Weyl), so the k Ritz pairs
+    above tau are the whole kept set.
+    """
+    d, p = block.shape
+    theta, X, res = _rayleigh_ritz(H, block)
+    spent, budget = 0, _SWEEP_BUDGET * d // _WARM_MIN_DIM
+    while True:
+        k = int(np.count_nonzero(theta > tau))
+        if k == p or k > _MAX_KEPT:
+            return None
+        # The unkept bulk is taken as symmetric about zero: its top edge, or
+        # tau above it, sets the lower end; the block's lowest Ritz value
+        # sets the upper end, past which the block's own vectors lie.
+        lower = -_LOWER_FACTOR * max(abs(theta[p - k - 1]), tau)
+        worst = res[p - k:].max(initial=0.0)
+        tol = _RESIDUAL_TOL * max(abs(theta[-1]), -lower)
+        if worst <= tol:
+            break
+        upper = theta[0] if theta[0] > lower else tau
+        if upper <= lower:
+            return None
+        # T_m grows like exp(m acosh t) at t = 1 + 2 (theta - upper) / width.
+        # The lowest kept Ritz value needs the degree that takes the worst
+        # residual to tolerance; per sweep, the top one may outgrow it only
+        # as far as round-off in the worst residual's leak can bear.
+        growth = np.arccosh(1.0 + 2.0 * (theta[[p - k, -1]] - upper) / (upper - lower))
+        needed = math.ceil(math.acosh(worst / tol) / growth[0])
+        spread = growth[1] - growth[0]
+        bearable = math.log(0.1 * tol / (_EPS * worst))
+        degree = needed if spread <= 0 else min(needed, max(1, int(bearable / spread)))
+        if spent + needed + _SWEEP_COST * math.ceil(needed / degree) > budget:
+            return None
+        spent += degree + _SWEEP_COST
+        theta, X, res = _rayleigh_ritz(
+            H, np.linalg.qr(_chebyshev_filter(H, X, degree, lower, upper))[0])
+    lam_k, vk = theta[p - k:], X[:, p - k:]
+    deflated = (vk * (lam_k - lower)) @ vk.conj().T
+    deflated -= H
+    deflated.flat[::len(H) + 1] += tau
+    try:
+        np.linalg.cholesky(deflated)
+    except np.linalg.LinAlgError:
+        return None
+    return lam_k, vk, X, deflated
+
+
+def spectral_denoise(H: np.ndarray, tau: float, project: bool,
+                     previous: SpectralDerivative | None = None):
     """``(f(H), SpectralDerivative)`` for ``svt`` or, with ``project``, ``psvt``.
 
-    One eigendecomposition: soft-threshold the eigenvalues to
-    ``s = sign(lam) (|lam| - tau)_+``; ``svt`` keeps ``w = s``, ``psvt`` keeps
-    the positive ``s`` divided by their sum, or returns I/d when none is
-    positive. Raises ValueError on a negative or non-finite threshold and on
-    a non-finite matrix; ``H`` is taken as Hermitian: ``svt`` and ``psvt``
-    pass a checked one, ``amp_step``'s v is Hermitian by construction.
+    Soft-threshold the eigenvalues to ``s = sign(lam) (|lam| - tau)_+``;
+    ``svt`` keeps ``w = s``, ``psvt`` keeps the positive ``s`` divided by
+    their sum, or returns I/d when none is positive. Raises ValueError on a
+    negative or non-finite threshold and on a non-finite matrix; ``H`` is
+    taken as Hermitian: ``svt`` and ``psvt`` pass a checked one, ``amp_step``'s
+    v is Hermitian by construction.
+
+    The eigenpairs come from one full ``eigh``, except for psvt at
+    d >= ``_WARM_MIN_DIM`` given the ``previous`` derivative of a call of the
+    same size: its ``block`` warm-starts ``_kept_pairs``, which finds and
+    certifies the kept pairs alone, and the derivative takes the deflated
+    form. ``eigh`` takes over whenever ``_kept_pairs`` cannot certify, and
+    for svt, whose kept set has two tails.
     """
     if not 0.0 <= tau < np.inf:
         raise ValueError("threshold must be nonnegative and finite")
     H = np.asarray(H, dtype=np.complex128)
     if not np.isfinite(H).all():
         raise ValueError("matrix holds non-finite values")
-    lam, vecs = np.linalg.eigh(H)
-    d = lam.size
-    # The eigenvalues ascend, so K is two tails, each on one linear piece of
-    # the threshold: lam[:lo] < -tau (svt only) and lam[hi:] > tau.
-    hi = int(lam.searchsorted(tau, "right"))
-    lo = 0 if project else int(lam.searchsorted(-tau))
-    kept = np.r_[:lo, hi:d] if lo else slice(hi, d)
-    lk, vk = lam[kept], vecs[:, kept]
+    d = len(H)
+    warm = project and d >= _WARM_MIN_DIM
+    found = None
+    if warm and previous is not None and previous.block is not None \
+            and len(previous.block) == d:
+        found = _kept_pairs(H, tau, previous.block)
+    if found is None:
+        lam, vecs = np.linalg.eigh(H)
+        # The eigenvalues ascend, so K is two tails, each on one linear piece
+        # of the threshold: lam[:lo] < -tau (svt only) and lam[hi:] > tau.
+        hi = int(lam.searchsorted(tau, "right"))
+        lo = 0 if project else int(lam.searchsorted(-tau))
+        kept = np.r_[:lo, hi:d] if lo else slice(hi, d)
+        lk, vk = lam[kept], vecs[:, kept]
+        block = vecs[:, hi - _BLOCK_SPARE:] if warm and d - hi <= _MAX_KEPT else None
+        deflated = None
+    else:
+        lk, vk, block, deflated = found
+        vecs, lo, hi = vk, 0, 0
     wk = lk - np.copysign(tau, lk)
     k, slope = wk.size, 1.0
     if project and k:
@@ -243,8 +385,9 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
         wk, slope = wk / total, 1.0 / total
     # Within one piece the divided difference is the slope; across pieces
     # the eigenvalues differ, so the quotients are safe from ties.
-    gamma = np.full((k, d), slope)
-    gamma[:, lo:hi] = 2.0 * wk[:, None] / (lk[:, None] - lam[lo:hi])  # for (j, i) too
+    gamma = np.full((k, vecs.shape[1]), slope)
+    if found is None:
+        gamma[:, lo:hi] = 2.0 * wk[:, None] / (lk[:, None] - lam[lo:hi])  # for (j, i) too
     if lo:
         gamma[:lo, hi:] = (wk[:lo, None] - wk[lo:]) / (lk[:lo, None] - lk[lo:])
         gamma[lo:, :lo] = gamma[:lo, hi:].T
@@ -252,7 +395,7 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool):
     np.fill_diagonal(gamma[lo:, hi:], 0.0)
     vkh = np.conjugate(vk.T, order="C")
     derivative = SpectralDerivative(vecs, vkh, gamma, slope,
-                                    wk if project else np.zeros(k))
+                                    wk if project else np.zeros(k), block, deflated)
     if project and not k:
         return np.eye(d, dtype=np.complex128) / d, derivative
     out = (vk * wk) @ vkh

@@ -73,6 +73,19 @@ def with_spectrum(rng, lam):
     return 0.5 * (H + H.conj().T)
 
 
+def amp_like(kept, tau=0.5, d=128, seed=31):
+    """A spectrum as AMP's pseudo-data show it: an unkept bulk in
+    [-0.8 tau, 0.95 tau] and the ``kept`` eigenvalues above tau."""
+    bulk = np.random.default_rng(seed).uniform(-0.8 * tau, 0.95 * tau, d - len(kept))
+    return np.concatenate([bulk, kept])
+
+
+def nearby(H, scale=1e-5, seed=16):
+    """H moved by a small Hermitian step, as pseudo-data move between
+    iterations: its derivative is the warm start of a call on H."""
+    return H + scale * random_hermitian(np.random.default_rng(seed), len(H))
+
+
 def hermitian(z):
     """The Hermitian direction ``((re + re^T) + i (im - im^T)) / 2`` that
     ``SpectralDerivative.probe`` takes from the normals ``z = (re, im)``."""
@@ -338,14 +351,16 @@ class TestSpectralDenoise:
         lambda d: np.resize([2.0, 2.0, 2.0 + 1e-12, 1.2, 1.2, -1.5, -1.5, 0.1, 0.1, 0.0], d),
         lambda d: np.resize([0.4, 0.3, 0.3, 0.0, -0.2, -0.45, 0.1, 0.1, -0.1, 0.25], d),
     ], ids=["generic", "tied", "all-killed"])
-    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    @pytest.mark.parametrize("d", [1, 2, 8, 64, 128])
     def test_probe_matches_dense_oracle(self, denoiser, spectrum, d):
-        # rows K of h~ from the normals against the full V^dagger h V
+        # rows K of h~ from the normals against the full V^dagger h V; the
+        # call is warm-started as amp_step's is, which psvt uses at d >= 128
         rng = np.random.default_rng(13)
         lam = spectrum(d)
         H = with_spectrum(rng, lam)
         tau, project = 0.5, denoiser is psvt
-        _, derivative = spectral_denoise(H, tau, project)
+        _, previous = spectral_denoise(nearby(H), tau, project)
+        _, derivative = spectral_denoise(H, tau, project, previous)
         _, dense = dense_spectral_denoise(H, tau, project)
         for _ in range(5):
             z = rng.standard_normal((2, d, d))
@@ -360,21 +375,32 @@ class TestSpectralDenoise:
         ([1.0, 0.0, 0.0, -0.7, 0.3, 0.0], 0.0, False),             # tau = 0
         ([-2.0, -1.5, -1.5, -0.1, 0.2, 1.1, 2.5, 2.5], 0.5, True),  # two tails
         ([0.4, -0.3, 0.0, 0.25, -0.45], 0.5, True),                # k = 0
-    ], ids=["at-tau", "tau-zero", "two-tails", "none-kept"])
-    def test_kept_tails_match_dense_oracle(self, project, lam, tau, rotate):
+        (amp_like([0.9, 1.7, 2.6]), 0.5, True),                     # d = 128
+        (amp_like([1.3, 1.3, 2.0]), 0.5, True),                     # tied, d = 128
+        (amp_like([]), 0.5, True),                                  # k = 0, d = 128
+    ], ids=["at-tau", "tau-zero", "two-tails", "none-kept",
+            "d128", "d128-tied", "d128-none-kept"])
+    def test_kept_tails_match_dense_oracle(self, project, lam, tau, rotate,
+                                           eigensolver_calls):
         # K is the tails lam > tau and, for svt, lam < -tau: an eigenvalue at
         # +-tau or at zero is not kept. Diagonal inputs keep their exact
-        # eigenvalues, so the boundary cases really sit on the boundary.
+        # eigenvalues, so the boundary cases really sit on the boundary. The
+        # call is warm-started as amp_step's is: psvt at d = 128 then finds
+        # the kept pairs with no d x d eigh, and svt still takes one.
         rng = np.random.default_rng(15)
         lam = np.asarray(lam)
+        d = lam.size
         H = with_spectrum(rng, lam) if rotate else np.diag(lam).astype(complex)
         if not rotate:
             assert np.array_equal(np.linalg.eigvalsh(H), np.sort(lam))
-        out, derivative = spectral_denoise(H, tau, project)
+        _, previous = spectral_denoise(nearby(H), tau, project)
+        eigensolver_calls.clear()
+        out, derivative = spectral_denoise(H, tau, project, previous)
+        assert (("eigh", (d, d)) in eigensolver_calls) == (not project or d < 128)
         ref, dense = dense_spectral_denoise(H, tau, project)
         k = np.count_nonzero(lam > tau if project else np.abs(lam) > tau)
-        assert derivative.gamma.shape == (k, lam.size)
-        assert np.max(np.abs(out - ref)) <= 1e-14
+        assert derivative.vkh.shape == (k, d)
+        assert np.max(np.abs(out - ref)) <= (1e-14 if d < 128 else 1e-12)
         for _ in range(5):
             z = rng.standard_normal((2, lam.size, lam.size))
             exact, oracle = derivative.probe(z), dense.probe(z)
@@ -413,6 +439,116 @@ class TestSpectralDenoise:
         _, derivative = spectral_denoise(H, tau, project=True)
         probes = [derivative.probe(rng.standard_normal((2, d, d))) for _ in range(2000)]
         assert abs(np.mean(probes) - div) < 0.03 * div
+
+
+class TestWarmKeptPairs:
+    """psvt at d >= 128 with a warm start: the kept pairs alone, certified,
+    or a full eigh whenever they cannot be; the result is then the cold
+    call's, bit for bit."""
+
+    TAU = 0.5
+
+    def warm_call(self, H, previous, calls):
+        calls.clear()
+        out, derivative = spectral_denoise(H, self.TAU, True, previous)
+        return out, derivative, list(calls)
+
+    def assert_is_the_cold_call(self, H, out, derivative, calls):
+        assert calls.count(("eigh", H.shape)) == 1
+        cold, cold_derivative = spectral_denoise(H, self.TAU, True)
+        assert np.array_equal(out, cold)
+        z = np.random.default_rng(3).standard_normal((2, *H.shape))
+        assert derivative.probe(z) == cold_derivative.probe(z)
+
+    @pytest.mark.parametrize("kept", [[0.8], [0.9, 1.7], [1.3, 1.3, 2.0, 3.5]],
+                             ids=["k1", "k2", "k4-tied"])
+    def test_successive_calls_match_dense_oracle(self, kept, eigensolver_calls):
+        # a run of nearby matrices, each warm-started from the last: no call
+        # after the first takes a d x d eigh, and each matches the oracle
+        rng = np.random.default_rng(17)
+        H = with_spectrum(rng, amp_like(kept, self.TAU))
+        _, previous = spectral_denoise(H, self.TAU, True)
+        for step in range(4):
+            H = nearby(H, 1e-5, seed=step)
+            out, previous, calls = self.warm_call(H, previous, eigensolver_calls)
+            assert ("eigh", H.shape) not in calls
+            ref, dense = dense_spectral_denoise(H, self.TAU, True)
+            assert np.max(np.abs(out - ref)) <= 1e-12
+            for _ in range(3):
+                z = rng.standard_normal((2, *H.shape))
+                exact, oracle = previous.probe(z), dense.probe(z)
+                assert abs(exact - oracle) <= 1e-12 * abs(oracle)
+
+    def test_none_kept_gives_the_maximally_mixed_state(self, eigensolver_calls):
+        H = with_spectrum(np.random.default_rng(18), amp_like([], self.TAU))
+        _, previous = spectral_denoise(nearby(H), self.TAU, True)
+        out, derivative, calls = self.warm_call(H, previous, eigensolver_calls)
+        assert ("eigh", H.shape) not in calls
+        assert np.array_equal(out, np.eye(128) / 128)
+        assert derivative.probe(np.random.default_rng(4).standard_normal((2, 128, 128))) == 0.0
+
+    def test_wrong_subspace_fails_the_certificate(self, eigensolver_calls):
+        # The warm block holds exact eigenvectors of H, but not the top one:
+        # its residuals converge at once and its two Ritz values above tau
+        # look like the whole kept set. Only the Cholesky certificate sees
+        # the third eigenvalue above tau.
+        rng = np.random.default_rng(19)
+        Q, _ = np.linalg.qr(rng.standard_normal((128, 128))
+                            + 1j * rng.standard_normal((128, 128)))
+        lam = np.sort(amp_like([0.9, 1.7, 2.6], self.TAU))
+        wrong = lam.copy()
+        wrong[[-1, 0]] = wrong[[0, -1]]         # the top eigenvector leaves the block
+        H, decoy = ((Q * x) @ Q.conj().T for x in (lam, wrong))
+        H, decoy = (0.5 * (A + A.conj().T) for A in (H, decoy))
+        _, previous = spectral_denoise(decoy, self.TAU, True)
+        out, derivative, calls = self.warm_call(H, previous, eigensolver_calls)
+        self.assert_is_the_cold_call(H, out, derivative, calls)
+
+    def test_full_block_goes_to_eigh(self, eigensolver_calls, function_calls):
+        # one kept pair seeds a block of three; H has four above tau, so all
+        # three Ritz values exceed tau and nothing is left to certify
+        function_calls.watch(np.linalg, "cholesky")
+        rng = np.random.default_rng(20)
+        H = with_spectrum(rng, amp_like([0.9, 1.2, 1.7, 2.6], self.TAU))
+        lam, V = np.linalg.eigh(H)
+        # the same eigenvectors in the same order, with one value above tau
+        few = (V * np.where(lam > 2.0, lam, lam * 0.49 / 1.7)) @ V.conj().T
+        _, previous = spectral_denoise(0.5 * (few + few.conj().T), self.TAU, True)
+        assert previous.block.shape == (128, 3)
+        out, derivative, calls = self.warm_call(H, previous, eigensolver_calls)
+        assert "cholesky" not in calls
+        self.assert_is_the_cold_call(H, out, derivative, calls)
+
+    def test_exhausted_budget_goes_to_eigh(self, eigensolver_calls, function_calls):
+        # the lowest kept eigenvalue sits 1e-4 above tau, an unkept one 1e-4
+        # below: no filter separates them within the sweep budget
+        function_calls.watch(np.linalg, "cholesky")
+        kept = [self.TAU + 1e-4, 1.7]
+        H = with_spectrum(np.random.default_rng(21), np.r_[amp_like(kept, self.TAU)[:-3],
+                                                           self.TAU - 1e-4, kept])
+        _, previous = spectral_denoise(nearby(H, 1e-4), self.TAU, True)
+        out, derivative, calls = self.warm_call(H, previous, eigensolver_calls)
+        assert "cholesky" not in calls
+        self.assert_is_the_cold_call(H, out, derivative, calls)
+
+    def test_more_than_four_kept_go_to_eigh(self, eigensolver_calls):
+        # each kept pair costs the probe one d x d solve, so five are left
+        # to eigh: no block is seeded
+        H = with_spectrum(np.random.default_rng(23),
+                          amp_like([0.9, 1.2, 1.7, 2.1, 2.6], self.TAU))
+        _, previous = spectral_denoise(nearby(H), self.TAU, True)
+        assert previous.block is None
+        out, derivative, calls = self.warm_call(H, previous, eigensolver_calls)
+        self.assert_is_the_cold_call(H, out, derivative, calls)
+
+    def test_public_rules_take_no_warm_start(self, eigensolver_calls):
+        # svt, psvt and the projection decompose in full at any size
+        H = with_spectrum(np.random.default_rng(22), amp_like([0.9, 1.7], self.TAU))
+        for rule in (lambda H: svt(H, self.TAU), lambda H: psvt(H, self.TAU),
+                     project_to_density):
+            eigensolver_calls.clear()
+            rule(H)
+            assert eigensolver_calls == [("eigh", H.shape)]
 
 
 def make_problem(n=3, M=None, seed=0, shots=None, rank=1, rho=None):
@@ -592,6 +728,19 @@ class TestRunAmp:
         assert calls.count(("eigvalsh", (iters, 2, 2))) == 1
         assert len(calls) == iters + 1
 
+    def test_warm_run_makes_one_full_eigh(self, eigensolver_calls):
+        # at n = 7 the cold start's 128 x 128 eigh seeds the block; every
+        # later step finds its kept pairs by the p x p Rayleigh-Ritz steps
+        # of the warm start, p = k + 2 = 4, and certifies them
+        _, smap, y = make_problem(n=7, M=4000, seed=3, shots=1024, rank=2)
+        calls = eigensolver_calls
+        calls.clear()
+        iters = 30
+        run_amp(smap, y, AmpConfig(seed=8, max_iter=iters))
+        assert calls.count(("eigh", (128, 128))) == 1
+        assert calls.count(("eigh", (4, 4))) >= iters - 1
+        assert len(calls) == 1 + calls.count(("eigh", (4, 4)))
+
     def test_diverging_trace_columns_agree(self):
         rho, smap, y = make_problem(n=3, M=32, seed=6, shots=512)
         cfg = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=False)
@@ -634,7 +783,7 @@ class TestRunAmp:
         run_amp(smap, y, cfg, fast)
         kept = []
 
-        def dense(H, tau, project):
+        def dense(H, tau, project, previous=None):    # the warm start is ignored
             out, derivative = dense_spectral_denoise(H, tau, project)
             kept.append(bool(derivative.gamma.any() or derivative.jac.any()))
             return out, derivative

@@ -82,9 +82,10 @@ def test_one_stream_rule():
     assert mentions("SeedSequence") == ["cli._seed_int"]
 
 
-@pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+@pytest.mark.parametrize("solver", ["eigh", "eigvalsh", "cholesky", "solve", "qr"])
 def test_one_home_for_eigensolvers(solver):
-    # every eigendecomposition of the package is a spectral rule of states
+    # every eigendecomposition of the package is a spectral rule of states,
+    # and so are the factorizations of psvt's kept-pair search
     assert mentions(solver)
     assert all(scope.startswith("states.") for scope in mentions(solver))
 

@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -135,6 +136,22 @@ class TestConfigParsing:
         # the solver's own config checks run in validate, not in trial 0
         with pytest.raises(ValueError, match=why):
             ExperimentConfig(observables=4, **knob).validate()
+
+    def test_rank_budget_checked_against_the_dimension(self, tmp_path, capsys):
+        # refused in validate: before, trial 0 simulated its data and then
+        # failed inside run_mifgd
+        out = tmp_path / "r.csv"
+        assert main(["reconstruct", "--algorithm", "mifgd", "--qubits", "2",
+                     "--observables", "10", "--rank-budget", "5",
+                     "--out", str(out)]) == 2
+        assert "rank budget 5 exceeds dimension 4" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="rank budget 5 exceeds dimension 4"):
+            ExperimentConfig(algorithm="mifgd", qubits=2, observables=10,
+                             rank_budget=5).validate()
+        ExperimentConfig(algorithm="mifgd", qubits=2, observables=10,
+                         rank_budget=4).validate()
+        ExperimentConfig(qubits=2, observables=10, rank_budget=5).validate()
 
 
 # one value per setting, unlike its default, as a file value or flag text
@@ -308,6 +325,33 @@ class TestReconstruct:
         cmd_reconstruct(fast_cfg(shots=64, trials=2, max_iter=80, seed=5,
                                  out=str(par), workers=2, **plan))
         assert seq.read_bytes() == par.read_bytes()
+
+    def test_worker_pool_matches_sequential_at_n7(self, tmp_path):
+        # d = 128: the workers run psvt's warm-started kept-pair search
+        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
+        for out, workers in ((seq, 1), (par, 2)):
+            cmd_reconstruct(ExperimentConfig(
+                state="random", qubits=7, rank=2, observables=4000, shots=1024,
+                max_iter=8, trials=2, seed=3, workers=workers, out=str(out)))
+        assert seq.read_bytes() == par.read_bytes()
+
+    def test_byte_identical_across_blas_thread_counts_at_n5(self, tmp_path):
+        # every product and decomposition at d = 32 gives the same bits with
+        # one BLAS thread or two; from d = 128 on they need not (README)
+        src = str(Path(ampqst.__file__).resolve().parents[1])
+        outs = [tmp_path / f"threads{n}.csv" for n in (1, 2)]
+        for out, threads in zip(outs, (1, 2)):
+            argv = ["reconstruct", "--state", "random", "--qubits", "5", "--rank", "3",
+                    "--observables", "384", "--max-iter", "300", "--trials", "2",
+                    "--seed", "3", "--out", str(out)]
+            code = (f"import sys; sys.path.insert(0, {src!r}); "
+                    f"from ampqst.cli import main; sys.exit(main({argv!r}))")
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_infidelity_one_on_divergence(self, tmp_path):
         cfg = fast_cfg(qubits=3, observables=32, shots=256, normalize=False,
