@@ -15,11 +15,15 @@ first bad word) and the one decoder ``pauli_words_from_indices``.
 The sensing map for an ordered list of ``M`` Pauli words sends a Hermitian
 ``X`` to the vector of expectation values ``Tr[P_k X]``. A word whose X/Y bits
 are ``x`` and Y/Z bits ``z`` reads ``X[j, j^x]`` with signs ``(-1)**|j & z|``,
-so all 4^n expectations are one Walsh-Hadamard product ``H @ G`` of the real
-d x 2d ``G[j, (x, re/im)] = X[j, j^x]``, ``H`` the +-1 Sylvester matrix. The
-map stores O(d^2 + M) numbers: the d^2 gather from X to G (an involution, used
-by the adjoint too), and per word its code, its entry of ``H @ G`` and a +-1
-weight. AMP's sqrt(d/M) rescaling is applied by the solver, not by the map.
+so all 4^n expectations are one Walsh-Hadamard product ``H_n @ G`` of the
+real d x 2d ``G[j, (x, re/im)] = X[j, j^x]``, ``H_n`` the +-1 Sylvester
+matrix. Above n = 5 the product is taken in factored form, H_n = H_4 (x)
+H_{n-4}: two small products on G reshaped, (32 + d/8) d^2 multiply-adds
+where the one d x d product takes 2 d^3. The map stores O(d^2 + M)
+numbers: the d^2 gather from X to G (an involution, used by the adjoint
+too), per word its code, its entry of ``H_n @ G`` and a +-1 weight, and the
+Sylvester factors, none larger than 32 x 32 or (d/16) x (d/16). AMP's
+sqrt(d/M) rescaling is applied by the solver, not by the map.
 
 A SensingMap is immutable after construction; applying a shared map from
 several threads is safe. Sampling functions take caller-owned seeds or
@@ -51,8 +55,9 @@ __all__ = [
 
 LETTERS = "IXYZ"
 
-# Largest n anything reads or builds: a sensing map holds O(d^2) entries,
-# about 0.8 GB at n=12.
+# Largest n anything reads or builds: a sensing map holds O(d^2 + M) entries;
+# the map of all 4^n words (codes, take, weight and gather, 8 bytes each) is
+# about 0.54 GB at n=12.
 MAX_QUBITS = 12
 
 
@@ -120,8 +125,10 @@ class SensingMap:
     """Distinct Pauli words in order, as codes, with their map's index form.
 
     ``gather`` (d^2) sends the flat X to ``G[j, x] = X[j, j^x]`` and back;
-    word k reads entry ``take[k]`` of the d x 2d product ``H @ G`` (``H`` the
-    d x d Sylvester matrix) with sign ``weight[k]``. All arrays are read-only.
+    word k reads entry ``take[k]`` of the d x 2d product ``H_n @ G`` with sign
+    ``weight[k]``. ``factors`` holds the Sylvester matrices whose Kronecker
+    product is ``H_n``: ``(H_n,)`` up to n = 5, where the one product is the
+    faster, and ``(H_4, H_{n-4})`` above. All arrays are read-only.
     """
 
     codes: np.ndarray
@@ -131,7 +138,7 @@ class SensingMap:
     gather: np.ndarray
     take: np.ndarray
     weight: np.ndarray
-    H: np.ndarray
+    factors: tuple
 
 
 def sensing_map_from_indices(codes, n: int) -> SensingMap:
@@ -139,14 +146,25 @@ def sensing_map_from_indices(codes, n: int) -> SensingMap:
     codes = _check_codes(codes, n)
     if np.unique(codes).size != codes.size:
         raise ValueError("duplicate Pauli observables in sensing map")
-    arrays = _index_form(codes, n)
-    for a in arrays:
-        a.flags.writeable = False
-    return SensingMap(codes, n, 1 << n, codes.size, *arrays)
+    return SensingMap(codes, n, 1 << n, codes.size, *_index_form(codes, n))
+
+
+# Up to this n the one d x d Sylvester product beats the two factored ones.
+_DENSE_MAX_QUBITS = 5
+_TOP_QUBITS = 4           # qubits of the leading factor H_4 above it
+
+
+def _sylvester(n: int) -> np.ndarray:
+    """The 2^n x 2^n +-1 matrix ``(-1)**|i & j|``, read-only."""
+    rows = np.arange(1 << n)
+    H = 1.0 - 2.0 * (np.bitwise_count(rows[:, None] & rows) & 1)
+    H.flags.writeable = False
+    return H
 
 
 def _index_form(codes: np.ndarray, n: int) -> tuple:
-    """``(gather, take, weight, H)`` of the map of ``codes``, in one pass."""
+    """``(gather, take, weight, factors)`` of the map of ``codes``, in one
+    pass, all read-only."""
     place = np.arange(n - 1, -1, -1)
     digits = (codes[:, None] >> 2 * place) & 3
     flip = ((digits == 1) | (digits == 2)) @ (1 << place)
@@ -158,8 +176,10 @@ def _index_form(codes: np.ndarray, n: int) -> tuple:
     # Tr[P_k X] = (-1)**(y + y // 2) * (H @ G)[z, 2x + y % 2], y = y_count
     take = phase * (2 * d) + 2 * flip + (y_counts & 1)
     weight = 1.0 - 2.0 * (((y_counts & 1) + (y_counts >> 1)) & 1)
-    H = 1.0 - 2.0 * (np.bitwise_count(rows[:, None] & rows) & 1)
-    return gather, take, weight, H
+    for a in (gather, take, weight):
+        a.flags.writeable = False
+    top = _TOP_QUBITS if n > _DENSE_MAX_QUBITS else n
+    return gather, take, weight, tuple(_sylvester(m) for m in (top, n - top) if m)
 
 
 def apply_sensing(smap: SensingMap, X: np.ndarray) -> np.ndarray:
@@ -188,17 +208,27 @@ def _hermitian_input(X: np.ndarray, d: int) -> np.ndarray:
     return check_hermitian(X, 1e-10 * max(1.0, float(np.max(np.abs(X)))))
 
 
+def _walsh_hadamard(factors: tuple, G: np.ndarray) -> np.ndarray:
+    """``H_n @ G`` for a d x 2d ``G``, H_n the Kronecker product of ``factors``:
+    the low factor on each of G's row blocks, then the top one across them."""
+    if len(factors) == 1:
+        return factors[0] @ G
+    top, low = factors
+    blocks = np.matmul(low, G.reshape(len(top), len(low), -1))
+    return (top @ blocks.reshape(len(top), -1)).reshape(G.shape)
+
+
 def _sense(smap: SensingMap, X: np.ndarray) -> np.ndarray:
     """``apply_sensing`` unchecked, for iterates Hermitian by construction."""
     G = X.reshape(-1)[smap.gather].view(np.float64).reshape(smap.d, 2 * smap.d)
-    return (smap.H @ G).reshape(-1)[smap.take] * smap.weight
+    return _walsh_hadamard(smap.factors, G).reshape(-1)[smap.take] * smap.weight
 
 
 def _adjoint(smap: SensingMap, y: np.ndarray) -> np.ndarray:
     """``apply_adjoint`` unchecked, for float64 vectors of length M."""
     C = np.zeros((smap.d, 2 * smap.d))
     C.reshape(-1)[smap.take] = y * smap.weight
-    X = (smap.H @ C).view(np.complex128).reshape(-1)
+    X = _walsh_hadamard(smap.factors, C).view(np.complex128).reshape(-1)
     return X[smap.gather].reshape(smap.d, smap.d)
 
 

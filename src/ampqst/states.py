@@ -44,7 +44,6 @@ __all__ = [
     "project_to_density",
     "as_density",
     "factor_density",
-    "numerical_rank",
     "nmse",
     "state_fidelity",
     "gram_fidelities",
@@ -199,7 +198,8 @@ class SpectralDerivative:
     C = tau I - H + V_K diag(lam_K - lower) V_K^dagger; the unkept columns
     then sum to 2 w_i b_i^dagger (C + (lam_i - tau) I)^-1 b_i per kept i,
     with b_i the part of 2h v_i orthogonal to K, since C + (lam_i - tau) I
-    is lam_i - H on that complement. ``block`` holds the top eigenvectors
+    is lam_i - H on that complement; one batched Cholesky of bordered
+    matrices gives the k terms. ``block`` holds the top eigenvectors
     that warm-start the next psvt call at d >= ``_WARM_MIN_DIM``, else None.
     """
 
@@ -215,7 +215,8 @@ class SpectralDerivative:
         """Exact ``Re <h, Df(H)[h]>_F`` from the standard normals
         ``z = (re, im)`` of shape (2, d, d) that give the Hermitian direction
         ``h = ((re + re^T) + i (im - im^T)) / 2``: O(k d^2) after a full
-        ``eigh``, plus k shifted d x d solves in the deflated form."""
+        ``eigh``, plus one batched Cholesky of k (d + 1) x (d + 1) matrices
+        in the deflated form."""
         h2 = np.empty(z.shape[1:], dtype=np.complex128)      # 2h
         np.add(z[0], z[0].T, out=h2.real)
         np.subtract(z[1], z[1].T, out=h2.imag)
@@ -225,14 +226,26 @@ class SpectralDerivative:
         a = (left.view(np.float64) * self.vkh.view(np.float64)).sum(axis=1)
         value = np.vdot(rows, self.gamma * rows).real
         if self.deflated is not None and a.size:
-            # b_i as rows: 2h v_i less its part in K, conjugated
-            b = left - rows @ self.vkh
-            # C + (lam_i - tau) I for each kept i; w_i / slope = lam_i - tau
-            shifted = np.repeat(self.deflated[None], a.size, axis=0)
-            shifted.reshape(a.size, -1)[:, ::len(h2) + 1] += self.coupling[:, None] / self.slope
-            y = np.linalg.solve(shifted, b.conj()[..., None])[..., 0]
-            value += 2.0 * self.coupling @ np.einsum("ij,ij->i", b, y).real
+            value += 2.0 * self.coupling @ self._resolvent_terms(left - rows @ self.vkh)
         return 0.25 * float(value + self.slope * (a @ (a - self.coupling @ a)))
+
+    def _resolvent_terms(self, b: np.ndarray) -> np.ndarray:
+        """``u_i^dagger (C + s_i I)^-1 u_i`` for the rows ``b_i = conj(u_i)``,
+        s_i = lam_i - tau = w_i / slope, from one batched Cholesky of the
+        bordered matrices [[C + s_i I, u_i], [u_i^dagger, beta_i]]: the last
+        row of each factor is (l_i^dagger, delta_i) with L l_i = u_i, so
+        ||l_i||^2 is the term. beta_i = 2 ||u_i||^2 / s_i + 1 exceeds it,
+        since C is positive definite, so the factorization exists for any
+        s_i > 0 and any u_i, zero included. LAPACK reads the lower triangle."""
+        k, d = b.shape
+        shift = self.coupling / self.slope
+        bordered = np.empty((k, d + 1, d + 1), dtype=np.complex128)
+        bordered[:, :d, :d] = self.deflated
+        bordered.reshape(k, -1)[:, :d * (d + 2):d + 2] += shift[:, None]
+        bordered[:, d, :d] = b
+        bordered[:, d, d] = 2.0 * np.einsum("ij,ij->i", b, b.conj()).real / shift + 1.0
+        last = np.linalg.cholesky(bordered)[:, d, :d]
+        return np.einsum("ij,ij->i", last, last.conj()).real
 
 
 # From this dimension on, psvt's kept pairs are found by a warm-started
@@ -240,8 +253,8 @@ class SpectralDerivative:
 # search costs about as much as eigh.
 _WARM_MIN_DIM = 128
 _BLOCK_SPARE = 2          # block vectors beyond the kept ones
-# The probe's shifted solves cost a tenth of an eigh each at d = 128, so a
-# larger kept set is left to eigh.
+# Each kept pair adds a (d + 1) x (d + 1) Cholesky factorization to the
+# probe, a tenth of an eigh at d = 128, so a larger kept set is left to eigh.
 _MAX_KEPT = 4
 # Work of the sweeps before eigh takes over, in matrix-block products at
 # d = 128 (one filter degree; a sweep's QR and Rayleigh-Ritz count as
@@ -433,11 +446,6 @@ def project_to_density(H: np.ndarray) -> np.ndarray:
     the positive eigenvalues divided by their sum, or I/d when none is
     positive, so that downstream solvers stay total."""
     return psvt(H, 0.0)
-
-
-def numerical_rank(H: np.ndarray, tol: float = 1e-9) -> int:
-    """Number of eigenvalues exceeding ``tol`` (Hermitian input)."""
-    return int(np.count_nonzero(np.linalg.eigvalsh(np.asarray(H, np.complex128)) > tol))
 
 
 # ---------------------------------------------------------------------------

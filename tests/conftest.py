@@ -33,6 +33,11 @@ def plan_of(n, mode, words):
     return MeasurementPlan(n, mode, codes_of(words, n))
 
 
+def numerical_rank(H, tol=1e-9):
+    """Number of eigenvalues of the Hermitian ``H`` exceeding ``tol``."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(np.asarray(H, np.complex128)) > tol))
+
+
 def words_of(held):
     """The words of a sensing map or plan, decoded from its codes."""
     return pauli_words_from_indices(held.codes, held.n)

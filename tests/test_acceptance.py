@@ -40,14 +40,13 @@ from ampqst.states import (
     make_named_state,
     make_random_state,
     nmse,
-    numerical_rank,
     project_to_density,
     psvt,
     pure_density,
     state_fidelity,
     svt,
 )
-from conftest import codes_of
+from conftest import codes_of, numerical_rank
 from test_amp import estimate_onsager
 
 I2 = np.eye(2, dtype=complex)

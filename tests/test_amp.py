@@ -1,4 +1,8 @@
 import gc
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import dataclass
 
@@ -532,7 +536,7 @@ class TestWarmKeptPairs:
         self.assert_is_the_cold_call(H, out, derivative, calls)
 
     def test_more_than_four_kept_go_to_eigh(self, eigensolver_calls):
-        # each kept pair costs the probe one d x d solve, so five are left
+        # each kept pair costs the probe one d x d factorization, so five are left
         # to eigh: no block is seeded
         H = with_spectrum(np.random.default_rng(23),
                           amp_like([0.9, 1.2, 1.7, 2.1, 2.6], self.TAU))
@@ -549,6 +553,70 @@ class TestWarmKeptPairs:
             eigensolver_calls.clear()
             rule(H)
             assert eigensolver_calls == [("eigh", H.shape)]
+
+
+class TestBorderedProbe:
+    """The deflated probe's k resolvent terms come from one batched Cholesky
+    of bordered matrices. At its hardest inputs, a kept eigenvalue barely
+    above tau (s_i about 1e-12 of the spectral scale) and a zero b_i, it
+    neither raises nor overflows and matches the dense oracle within the
+    d = 128 bound."""
+
+    TAU = 0.5
+    BARELY = [TAU + 1e-12 * 1.7, 1.7]
+
+    def warm(self, H, calls):
+        # the cold call's block holds H's exact top eigenvectors, so the warm
+        # call certifies them at once and takes the deflated form
+        _, previous = spectral_denoise(H, self.TAU, True)
+        calls.clear()
+        with np.errstate(all="raise"):
+            out, derivative = spectral_denoise(H, self.TAU, True, previous)
+        assert derivative.deflated is not None and ("eigh", H.shape) not in calls
+        ref, dense = dense_spectral_denoise(H, self.TAU, True)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+        return derivative, dense
+
+    def assert_matches(self, derivative, dense, z):
+        with np.errstate(all="raise"):
+            exact = derivative.probe(z)
+        oracle = dense.probe(z)
+        assert np.isfinite(exact) and abs(exact - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize("kept", [[0.9, 1.7], BARELY], ids=["apart", "barely-above"])
+    @pytest.mark.parametrize("direction", ["random", "zero-b", "one-zero-b"])
+    def test_diagonal_matches_dense_oracle(self, kept, direction, eigensolver_calls):
+        # in the standard basis the kept vectors are exact, so a direction
+        # that keeps K in K gives exactly zero b_i
+        rng = np.random.default_rng(41)
+        lam = rng.permutation(amp_like(kept, self.TAU))
+        H = np.diag(lam).astype(np.complex128)
+        derivative, dense = self.warm(H, eigensolver_calls)
+        low, high = np.argsort(lam)[-2:]
+        if direction == "random":
+            h = hermitian(rng.standard_normal((2, 128, 128)))
+        else:
+            h = np.zeros((128, 128), dtype=np.complex128)
+            h[np.ix_([low, high], [low, high])] = random_hermitian(rng, 2)
+            if direction == "one-zero-b":
+                # 2h v_high leaves K, 2h v_low (the barely kept one) stays in it
+                j = np.argmin(lam)
+                h[high, j] = h[j, high] = 0.7
+        z = np.stack([h.real, h.imag])
+        b = derivative.vkh @ (2 * h) - (derivative.vkh @ (2 * h) @ derivative.vecs) \
+            @ derivative.vkh
+        zero = {"random": [], "zero-b": [0, 1], "one-zero-b": [0]}[direction]
+        assert [i for i in range(2) if not b[i].any()] == zero
+        self.assert_matches(derivative, dense, z)
+
+    def test_rotated_barely_above_matches_dense_oracle(self, eigensolver_calls):
+        rng = np.random.default_rng(42)
+        H = with_spectrum(rng, amp_like(self.BARELY, self.TAU))
+        derivative, dense = self.warm(H, eigensolver_calls)
+        assert len(derivative.coupling) == 2
+        assert derivative.coupling[0] / derivative.slope < 1e-11
+        for _ in range(3):
+            self.assert_matches(derivative, dense, rng.standard_normal((2, 128, 128)))
 
 
 def make_problem(n=3, M=None, seed=0, shots=None, rank=1, rho=None):
@@ -891,3 +959,122 @@ class TestRunAmp:
         with pytest.raises(ValueError):
             AmpConfig(denoiser="hard")
         assert AmpConfig(denoiser="SVT").denoiser == "svt"
+
+
+def serial_run(smap, y, config):
+    """``run_amp`` as one thread: ``amp_step`` on a plain Generator seeded by
+    ``config.seed``, with run_amp's stopping rules. Returns rho_hat, the
+    iterations, diverged and each step's (sigma, tau, onsager)."""
+    rng = np.random.default_rng(config.seed)
+    state, steps, diverged = initial_state(smap), [], False
+    for _ in range(config.max_iter):
+        try:
+            state = amp_step(state, smap, y, config, rng)
+        except FloatingPointError:
+            diverged = True
+            break
+        steps.append((state.sigma, state.tau, state.onsager))
+        diverged = steps[0][0] > 0 and state.sigma > amp_module._SIGMA_BLOWUP * steps[0][0]
+        if diverged:
+            break
+    return state.rho, state.t, diverged, np.array(steps).reshape(-1, 3)
+
+
+class WatchedTrace(AmpTrace):
+    """A trace that notes the names of the live threads at each record, and
+    raises at record ``fail_at`` if given."""
+
+    def __init__(self, fail_at=None):
+        super().__init__()
+        self.threads, self.fail_at = [], fail_at
+
+    def record(self, state, physical):
+        self.threads.append({t.name for t in threading.enumerate()})
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError("record failed")
+        super().record(state, physical)
+
+
+class TestDrawAhead:
+    """From d = 128 run_amp draws each probe's normals one step ahead on a
+    helper thread; every output is still the serial loop's, bit for bit."""
+
+    RAN = AmpConfig(seed=3, max_iter=30)
+    DIVERGED = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=False, max_iter=60)
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        _, smap, y = make_problem(n=7, M=3000, seed=31, shots=1024)
+        return smap, y
+
+    @pytest.mark.parametrize("config", [RAN, DIVERGED], ids=["ran", "diverged"])
+    def test_run_is_the_serial_loop(self, problem, config):
+        smap, y = problem
+        before = threading.active_count()
+        trace = WatchedTrace()
+        rho_hat, iterations, diverged = run_amp(smap, y, config, trace)
+        assert threading.active_count() == before
+        assert "amp-normals" in trace.threads[0]
+        ref_rho, ref_iterations, ref_diverged, steps = serial_run(smap, y, config)
+        assert diverged == ref_diverged == (config is self.DIVERGED)
+        assert iterations == ref_iterations == len(trace) >= 3   # two probes at least
+        assert rho_hat.tobytes() == ref_rho.tobytes()
+        for k, column in enumerate(("sigma", "tau", "onsager")):
+            assert getattr(trace, column).tobytes() == steps[:, k].tobytes()
+
+    def test_a_failing_record_joins_the_helper(self, problem):
+        smap, y = problem
+        before = threading.active_count()
+        trace = WatchedTrace(fail_at=3)
+        with pytest.raises(RuntimeError, match="record failed"):
+            run_amp(smap, y, self.RAN, trace)
+        assert "amp-normals" in trace.threads[-1]
+        assert threading.active_count() == before
+
+    def test_smaller_runs_start_no_thread(self):
+        _, smap, y = make_problem(n=6, M=600, seed=32, shots=1024)
+        trace = WatchedTrace()
+        run_amp(smap, y, AmpConfig(seed=1, max_iter=5), trace)
+        assert not any("amp-normals" in names for names in trace.threads)
+
+    def test_a_failed_draw_is_raised_in_the_stepping_thread(self):
+        class Failing:
+            def standard_normal(self, shape):
+                raise MemoryError("no room")
+
+        before = threading.active_count()
+        ahead = amp_module._DrawAhead(Failing(), (2, 4, 4), 3)
+        try:
+            with pytest.raises(RuntimeError) as info:
+                ahead.standard_normal((2, 4, 4))
+            assert isinstance(info.value.__cause__, MemoryError)
+        finally:
+            ahead.close()
+        assert threading.active_count() == before
+
+    def test_concurrent_runs_under_a_short_switch_interval(self, problem):
+        # more runs than cores, each with its helper, switching threads every
+        # microsecond: each run still equals its serial loop
+        smap, y = problem
+        configs = [AmpConfig(seed=seed, max_iter=8) for seed in range((os.cpu_count() or 1) + 2)]
+        expected = [serial_run(smap, y, config)[:3] for config in configs]
+        results = [None] * len(configs)
+
+        def work(k):
+            results[k] = run_amp(smap, y, configs[k])
+
+        runs = [threading.Thread(target=work, args=(k,)) for k in range(len(configs))]
+        interval, start = sys.getswitchinterval(), time.monotonic()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=max(1.0, 120.0 - (time.monotonic() - start)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        for (rho_hat, iterations, diverged), (ref, ref_iterations, ref_diverged) \
+                in zip(results, expected):
+            assert rho_hat.tobytes() == ref.tobytes()
+            assert (iterations, diverged) == (ref_iterations, ref_diverged)

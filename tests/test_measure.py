@@ -41,10 +41,9 @@ from ampqst.states import (
     is_density,
     make_named_state,
     make_random_state,
-    numerical_rank,
     pure_density,
 )
-from conftest import codes_of, map_of, plan_of, words_of
+from conftest import codes_of, map_of, numerical_rank, plan_of, words_of
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

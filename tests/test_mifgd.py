@@ -6,11 +6,10 @@ from ampqst.measure import build_measurements
 from ampqst.pauli import MeasurementPlan, apply_sensing
 from ampqst.states import (
     make_random_state,
-    numerical_rank,
     project_to_density,
     state_fidelity,
 )
-from conftest import words_of
+from conftest import numerical_rank, words_of
 
 
 PAULI1 = {

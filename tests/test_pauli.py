@@ -11,6 +11,7 @@ from ampqst.measure import outcome_probabilities, read_shots
 from ampqst.pauli import (
     MAX_QUBITS,
     MeasurementPlan,
+    _all_expectations,
     apply_adjoint,
     apply_sensing,
     covered_codes,
@@ -223,16 +224,20 @@ class TestSensingMap:
     def test_memory_contract(self):
         # O(d^2 + M) numbers: no array of the map has M*d entries; per word
         # the map holds its code, its take and its weight, and it holds
-        # nothing outside these arrays but three ints (no per-word objects)
-        n, M = 4, 200
-        smap = sensing_map_from_indices(sample_observables(n, M, 0), n)
-        d = smap.d
-        arrays = [v for v in vars(smap).values() if isinstance(v, np.ndarray)]
-        assert arrays and all(a.size < M * d for a in arrays)
-        assert sum(a.nbytes for a in arrays) <= 8 * (2 * d * d + 3 * M)
-        assert all(not a.flags.writeable for a in arrays)
-        others = [v for v in vars(smap).values() if not isinstance(v, np.ndarray)]
-        assert others == [n, d, M] and all(type(v) is int for v in others)
+        # nothing outside these arrays but three ints (no per-word objects).
+        # Above n = 5 the Sylvester factors are small: no d x d matrix.
+        for n, M, factors in [(4, 200, [16]), (7, 2000, [16, 8])]:
+            smap = sensing_map_from_indices(sample_observables(n, M, 0), n)
+            d = smap.d
+            assert [len(H) for H in smap.factors] == factors
+            held = [v for v in vars(smap).values() if not isinstance(v, tuple)]
+            arrays = [v for v in held if isinstance(v, np.ndarray)] + list(smap.factors)
+            assert arrays and all(a.size < M * d for a in arrays)
+            assert sum(a.nbytes for a in arrays) \
+                <= 8 * (d * d + 3 * M + sum(f * f for f in factors))
+            assert all(not a.flags.writeable for a in arrays)
+            others = [v for v in held if not isinstance(v, np.ndarray)]
+            assert others == [n, d, M] and all(type(v) is int for v in others)
 
     def test_build_peak_memory(self):
         # n=7 with 8192 distinct words: the map is built without any (M, d)
@@ -369,6 +374,86 @@ class TestSensingMap:
             adj_of_fwd = apply_adjoint(smap, apply_sensing(smap, Xh))
             dense = (B.conj().T @ (B @ Xh.reshape(-1))).reshape(d, d)
             assert np.max(np.abs(adj_of_fwd - dense)) < 1e-10
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def sylvester(n):
+    """The dense 2^n x 2^n Walsh-Hadamard matrix, entry by entry."""
+    d = 1 << n
+    return np.array([[(-1.0) ** bin(i & j).count("1") for j in range(d)]
+                     for i in range(d)])
+
+
+def dense_sense(smap, X):
+    """The map through the one dense Sylvester product ``H_n @ G``."""
+    G = X.reshape(-1)[smap.gather].view(np.float64).reshape(smap.d, 2 * smap.d)
+    return (sylvester(smap.n) @ G).reshape(-1)[smap.take] * smap.weight
+
+
+def dense_adjoint(smap, y):
+    C = np.zeros((smap.d, 2 * smap.d))
+    C.reshape(-1)[smap.take] = y * smap.weight
+    X = (sylvester(smap.n) @ C).view(np.complex128).reshape(-1)
+    return X[smap.gather].reshape(smap.d, smap.d)
+
+
+def transform_tol(d, scale):
+    """Entries of ``H_n @ G`` are sums of d terms of size at most ``scale``;
+    float64 adds them, in any order, to within d eps times the sum of their
+    magnitudes, so the factored and the dense product differ by at most
+    twice that."""
+    return 2.0 * d * EPS * d * scale
+
+
+class TestFactoredTransform:
+    """Above n = 5 the map takes H_n = H_4 (x) H_{n-4} as two small products;
+    the dense Sylvester product is the oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_factors_are_the_sylvester_matrix(self, n):
+        smap = sensing_map_from_indices(sample_observables(n, 4, 0), n)
+        assert [len(H) for H in smap.factors] == ([1 << n] if n <= 5 else [16, 1 << (n - 4)])
+        assert np.array_equal(np.kron(*smap.factors) if n > 5 else smap.factors[0],
+                              sylvester(n))
+        # each map builds its own read-only factors: nothing is cached
+        other = sensing_map_from_indices(sample_observables(n, 4, 1), n)
+        for mine, theirs in zip(smap.factors, other.factors):
+            assert not mine.flags.writeable and not np.shares_memory(mine, theirs)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_sensing_and_adjoint_match_the_dense_product(self, n):
+        rng = np.random.default_rng(100 + n)
+        smap = sensing_map_from_indices(sample_observables(n, min(4 ** n, 3000), rng), n)
+        X = random_hermitian(rng, smap.d)
+        y = rng.standard_normal(smap.M)
+        tol = transform_tol(smap.d, np.max(np.abs(X)))
+        assert np.max(np.abs(apply_sensing(smap, X) - dense_sense(smap, X))) <= tol
+        out = apply_adjoint(smap, y)
+        assert np.array_equal(out, out.conj().T)
+        tol = transform_tol(smap.d, np.max(np.abs(y)))
+        assert np.max(np.abs(out - dense_adjoint(smap, y))) <= tol
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_all_expectations_match_the_dense_product(self, n):
+        X = random_hermitian(np.random.default_rng(200 + n), 1 << n)
+        every = sensing_map_from_indices(np.arange(4 ** n), n)
+        tol = transform_tol(every.d, np.max(np.abs(X)))
+        assert np.max(np.abs(_all_expectations(X, n) - dense_sense(every, X))) <= tol
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_adjoint_identity(self, n):
+        # <A(X), y> == <X, A^dagger(y)>_F: each side sums products of at most
+        # d + M terms, 2 d ||y||_1 max|X| in magnitude
+        rng = np.random.default_rng(300 + n)
+        smap = sensing_map_from_indices(sample_observables(n, 2000, rng), n)
+        X = random_hermitian(rng, smap.d)
+        y = rng.standard_normal(smap.M)
+        lhs = float(apply_sensing(smap, X) @ y)
+        rhs = float(np.sum(X.conj() * apply_adjoint(smap, y)).real)
+        tol = 2.0 * (smap.d + smap.M) * EPS * 2 * smap.d * np.abs(y).sum() * np.max(np.abs(X))
+        assert abs(lhs - rhs) <= tol
 
 
 class TestSensingMapProperties:

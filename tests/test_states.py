@@ -16,7 +16,6 @@ from ampqst.states import (
     make_named_state,
     make_random_state,
     nmse,
-    numerical_rank,
     project_to_density,
     psvt,
     pure_density,
@@ -24,6 +23,8 @@ from ampqst.states import (
     state_fidelity,
     write_density,
 )
+
+from conftest import numerical_rank
 
 RT2 = 1.0 / np.sqrt(2.0)
 
