@@ -24,18 +24,19 @@ The denoiser, ``svt`` or ``psvt`` with its derivative, is
 ``states.spectral_denoise`` of the pseudo-data, the only O(d^3) step: one
 ``eigh`` below d = 128, for ``svt`` and at the first iteration. From d = 128
 on, ``psvt`` is warm-started from the previous step's derivative and finds
-only its k kept eigenpairs, certified by one Cholesky factorization, with
-``eigh`` whenever they cannot be certified; its probe then takes one batched
-Cholesky of k bordered matrices. The map is applied unchecked to Hermitian
-iterates; ``AmpTrace`` takes fidelities from r x r grams.
+only its k kept eigenpairs within a cap on its sweeps, certified by one
+Cholesky factorization, with ``eigh`` whenever they cannot be certified; its
+probe then takes one batched Cholesky of k bordered matrices. The map is
+applied unchecked to Hermitian iterates; ``AmpTrace`` takes fidelities from
+r x r grams.
 
 Each step's probe takes 2 d^2 standard normals from the run's generator.
 ``amp_step`` draws them itself; ``run_amp`` at d >= 128, where a draw costs
-more than handing it between threads, draws step t + 1's normals on one
-helper thread while step t runs: the same generator in the same order, at
-most one draw ahead, so every output is the serial run's, bit for bit. No
-other code of the package makes a thread; the helper is started by
-``run_amp`` and joined before it returns, whatever ends the run.
+more than handing it between threads, draws step t + 1's normals on a
+one-worker ``ThreadPoolExecutor`` while step t runs: the same generator in
+the same order, at most one draw ahead, so every output is the serial run's,
+bit for bit. No other code of the package makes a thread; the executor is
+made by ``run_amp`` and shut down before it returns, whatever ends the run.
 
 Each run owns its mutable state; the shared SensingMap is read-only, so
 independent runs (trials, seeds) parallelize freely.
@@ -44,7 +45,6 @@ independent runs (trials, seeds) parallelize freely.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +65,7 @@ __all__ = [
 _SIGMA_BLOWUP = 1e6   # sigma_t above this multiple of sigma_0 counts as divergence
 _PENDING_GRAM_ENTRIES = 2 ** 16   # bounds the r x r grams awaiting one eigvalsh
 # From this dimension on, run_amp draws each probe's normals a step ahead on
-# a helper thread: a draw of 2 d^2 normals then costs more than the handoff.
+# an executor's thread: a draw of 2 d^2 normals then costs more than the handoff.
 _DRAW_AHEAD_MIN_DIM = 128
 DENOISERS = ("svt", "psvt")
 
@@ -217,44 +217,29 @@ class _DrawAhead:
 
     Stands in for the run's generator in ``amp_step``, which asks for at
     most ``count`` draws of ``shape``: ``standard_normal`` returns the draw
-    the helper made while the previous step ran and lets it start the next.
-    The helper is the only user of the generator, so the draws come in the
-    serial order. ``close`` stops and joins the helper; a run that ends early
-    leaves the generator at most one draw further on.
+    the one-worker executor made while the previous step ran and submits the
+    next. The worker is the only user of the generator, so the draws come in
+    the serial order. ``close`` cancels a draw not yet started and joins the
+    worker; a run that ends early leaves the generator at most one draw
+    further on. The executor is imported here, at d >= 128 only: the CLI's
+    start-up loads no ``concurrent`` module.
     """
 
     def __init__(self, rng: np.random.Generator, shape: tuple, count: int):
-        self._rng, self._shape = rng, shape
-        self._wanted, self._ready = threading.Semaphore(1), threading.Semaphore(0)
-        self._closed, self._next = False, None
-        self._helper = threading.Thread(target=self._draw, args=(count,),
-                                        name="amp-normals")
-        self._helper.start()
-
-    def _draw(self, count: int) -> None:
-        for _ in range(count):
-            self._wanted.acquire()
-            if self._closed:
-                return
-            try:
-                self._next = self._rng.standard_normal(self._shape)
-            except Exception as err:     # raised in the stepping thread instead
-                self._next = err
-            finally:
-                self._ready.release()
+        from concurrent.futures import ThreadPoolExecutor
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="amp-normals")
+        self._draws = (self._pool.submit(rng.standard_normal, shape) for _ in range(count))
+        self._next = next(self._draws, None)
 
     def standard_normal(self, shape: tuple) -> np.ndarray:
-        self._ready.acquire()
-        z, self._next = self._next, None
-        self._wanted.release()
-        if not isinstance(z, np.ndarray):
-            raise RuntimeError("the helper thread's draw failed") from z
-        return z
+        drawn, self._next = self._next, next(self._draws, None)
+        try:
+            return drawn.result()
+        except Exception as err:     # raised in the stepping thread instead
+            raise RuntimeError("the helper thread's draw failed") from err
 
     def close(self) -> None:
-        self._closed = True
-        self._wanted.release()
-        self._helper.join()
+        self._pool.shutdown(cancel_futures=True)
 
 
 def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
@@ -268,8 +253,8 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
     step, or sigma_t far above sigma_0. ``rho_hat`` is the last finite
     iterate and ``iterations`` the updates completed. A ``trace`` records
     each state and is closed once, with ``diverged``. From d = 128 on, the
-    probes' normals are drawn a step ahead on a helper thread, joined before
-    the run returns or raises.
+    probes' normals are drawn a step ahead by a one-worker executor, shut
+    down before the run returns or raises.
     """
     y = _check_data(smap, y)
     rng = as_rng(config.seed)

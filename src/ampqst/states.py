@@ -1,7 +1,10 @@
 """Benchmark states, the spectral rules on density matrices, fidelity
 metrics, and the DMAT v1 text format. The spectral rules hold every
 eigendecomposition of the package: the SVT/PSVT denoisers with their exact
-derivative, the projection (PSVT at threshold 0) and the factorization.
+derivative, the projection (PSVT at threshold 0) and the factorization. From
+d = 128 on, PSVT inside AMP finds its kept eigenpairs by a warm-started
+search of at most ``_MAX_SWEEPS`` sweeps, with ``eigh`` whenever they cannot
+be certified.
 
 Conventions used throughout the package:
 
@@ -200,7 +203,8 @@ class SpectralDerivative:
     with b_i the part of 2h v_i orthogonal to K, since C + (lam_i - tau) I
     is lam_i - H on that complement; one batched Cholesky of bordered
     matrices gives the k terms. ``block`` holds the top eigenvectors
-    that warm-start the next psvt call at d >= ``_WARM_MIN_DIM``, else None.
+    that warm-start the next psvt call's sweeps at d >= ``_WARM_MIN_DIM``,
+    else None.
     """
 
     vecs: np.ndarray
@@ -256,11 +260,11 @@ _BLOCK_SPARE = 2          # block vectors beyond the kept ones
 # Each kept pair adds a (d + 1) x (d + 1) Cholesky factorization to the
 # probe, a tenth of an eigh at d = 128, so a larger kept set is left to eigh.
 _MAX_KEPT = 4
-# Work of the sweeps before eigh takes over, in matrix-block products at
-# d = 128 (one filter degree; a sweep's QR and Rayleigh-Ritz count as
-# _SWEEP_COST); it grows with d as eigh's cost outgrows a product's.
-_SWEEP_BUDGET = 40
-_SWEEP_COST = 6
+# Sweeps before eigh takes over. Warm steps of GHZ n = 7 and n = 8 trials at
+# fraction 0.5 certify within 8 sweeps at d = 128 and 12 at d = 256. A sweep
+# costs about a fourteenth of an eigh at d = 128, so a step that stops at the
+# cap costs about two.
+_MAX_SWEEPS = 12
 _RESIDUAL_TOL = 1e-13     # kept residuals, relative to the spectral scale
 _LOWER_FACTOR = 1.2       # filter's lower end, in units of the bulk's top edge
 _EPS = np.finfo(np.float64).eps
@@ -297,19 +301,19 @@ def _kept_pairs(H: np.ndarray, tau: float, block: np.ndarray):
 
     Returns ``(lam_K, V_K, block, C)``, the pairs ascending, or None when
     ``eigh`` must take over: the block fills (all its Ritz values exceed
-    tau), more than ``_MAX_KEPT`` are kept, the sweeps would cost more than
-    their budget, or the certificate fails. Each sweep is a Chebyshev filter that damps [lower, upper] and
-    grows the kept end, then a Rayleigh-Ritz step; its degree is the one
-    the Ritz gap predicts to bring the worst kept residual under tolerance.
+    tau), more than ``_MAX_KEPT`` are kept, ``_MAX_SWEEPS`` sweeps leave a
+    kept residual above tolerance, or the certificate fails. Each sweep is a
+    Chebyshev filter that damps [lower, upper] and grows the kept end, then a
+    Rayleigh-Ritz step; its degree is the one the Ritz gap predicts to bring
+    the worst kept residual under tolerance.
     The certificate is one Cholesky factorization of
     C = tau I - H + V_K diag(lam_K - lower) V_K^dagger: it exists only if no
     eigenvalue of H beyond those k exceeds tau (Weyl), so the k Ritz pairs
     above tau are the whole kept set.
     """
-    d, p = block.shape
+    p = block.shape[1]
     theta, X, res = _rayleigh_ritz(H, block)
-    spent, budget = 0, _SWEEP_BUDGET * d // _WARM_MIN_DIM
-    while True:
+    for sweep in range(_MAX_SWEEPS + 1):
         k = int(np.count_nonzero(theta > tau))
         if k == p or k > _MAX_KEPT:
             return None
@@ -321,6 +325,8 @@ def _kept_pairs(H: np.ndarray, tau: float, block: np.ndarray):
         tol = _RESIDUAL_TOL * max(abs(theta[-1]), -lower)
         if worst <= tol:
             break
+        if sweep == _MAX_SWEEPS:
+            return None
         upper = theta[0] if theta[0] > lower else tau
         if upper <= lower:
             return None
@@ -333,9 +339,6 @@ def _kept_pairs(H: np.ndarray, tau: float, block: np.ndarray):
         spread = growth[1] - growth[0]
         bearable = math.log(0.1 * tol / (_EPS * worst))
         degree = needed if spread <= 0 else min(needed, max(1, int(bearable / spread)))
-        if spent + needed + _SWEEP_COST * math.ceil(needed / degree) > budget:
-            return None
-        spent += degree + _SWEEP_COST
         theta, X, res = _rayleigh_ritz(
             H, np.linalg.qr(_chebyshev_filter(H, X, degree, lower, upper))[0])
     lam_k, vk = theta[p - k:], X[:, p - k:]
@@ -362,10 +365,10 @@ def spectral_denoise(H: np.ndarray, tau: float, project: bool,
 
     The eigenpairs come from one full ``eigh``, except for psvt at
     d >= ``_WARM_MIN_DIM`` given the ``previous`` derivative of a call of the
-    same size: its ``block`` warm-starts ``_kept_pairs``, which finds and
-    certifies the kept pairs alone, and the derivative takes the deflated
-    form. ``eigh`` takes over whenever ``_kept_pairs`` cannot certify, and
-    for svt, whose kept set has two tails.
+    same size: its ``block`` warm-starts ``_kept_pairs``, which finds the
+    kept pairs alone within ``_MAX_SWEEPS`` sweeps and certifies them, and the
+    derivative takes the deflated form. ``eigh`` takes over whenever
+    ``_kept_pairs`` cannot certify, and for svt, whose kept set has two tails.
     """
     if not 0.0 <= tau < np.inf:
         raise ValueError("threshold must be nonnegative and finite")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ampqst import amp as amp_module
+from ampqst import states as states_module
 from ampqst.amp import (
     AmpConfig,
     AmpState,
@@ -464,11 +465,14 @@ class TestWarmKeptPairs:
         z = np.random.default_rng(3).standard_normal((2, *H.shape))
         assert derivative.probe(z) == cold_derivative.probe(z)
 
-    @pytest.mark.parametrize("kept", [[0.8], [0.9, 1.7], [1.3, 1.3, 2.0, 3.5]],
-                             ids=["k1", "k2", "k4-tied"])
+    @pytest.mark.parametrize("kept", [[0.8], [0.9, 1.7], [1.3, 1.3, 2.0, 3.5],
+                                      [TAU + 0.004, 0.9, 3.5], [TAU + 0.018, 0.9, 3.5]],
+                             ids=["k1", "k2", "k4-tied", "k3-4e-3-above", "k3-1.8e-2-above"])
     def test_successive_calls_match_dense_oracle(self, kept, eigensolver_calls):
         # a run of nearby matrices, each warm-started from the last: no call
-        # after the first takes a d x d eigh, and each matches the oracle
+        # after the first takes a d x d eigh, and each matches the oracle. The
+        # k3 spectra mimic the k = 3 steps of GHZ n = 7 trials at fraction 0.5:
+        # the lowest kept eigenvalue, just above tau, needs several sweeps.
         rng = np.random.default_rng(17)
         H = with_spectrum(rng, amp_like(kept, self.TAU))
         _, previous = spectral_denoise(H, self.TAU, True)
@@ -523,16 +527,20 @@ class TestWarmKeptPairs:
         assert "cholesky" not in calls
         self.assert_is_the_cold_call(H, out, derivative, calls)
 
-    def test_exhausted_budget_goes_to_eigh(self, eigensolver_calls, function_calls):
-        # the lowest kept eigenvalue sits 1e-4 above tau, an unkept one 1e-4
-        # below: no filter separates them within the sweep budget
+    def test_exhausted_sweep_cap_goes_to_eigh(self, eigensolver_calls, function_calls):
+        # the lowest kept eigenvalue sits 1e-4 above tau, two unkept ones 1e-4
+        # and 2e-4 below: the filter separates them in about 80 sweeps, so the
+        # search stops at the cap, after its first Rayleigh-Ritz step and
+        # one per sweep
         function_calls.watch(np.linalg, "cholesky")
         kept = [self.TAU + 1e-4, 1.7]
-        H = with_spectrum(np.random.default_rng(21), np.r_[amp_like(kept, self.TAU)[:-3],
-                                                           self.TAU - 1e-4, kept])
+        H = with_spectrum(np.random.default_rng(21), np.r_[amp_like(kept, self.TAU)[:-4],
+                                                           self.TAU - 2e-4, self.TAU - 1e-4,
+                                                           kept])
         _, previous = spectral_denoise(nearby(H, 1e-4), self.TAU, True)
         out, derivative, calls = self.warm_call(H, previous, eigensolver_calls)
         assert "cholesky" not in calls
+        assert calls.count(("eigh", (4, 4))) == states_module._MAX_SWEEPS + 1
         self.assert_is_the_cold_call(H, out, derivative, calls)
 
     def test_more_than_four_kept_go_to_eigh(self, eigensolver_calls):
@@ -980,6 +988,11 @@ def serial_run(smap, y, config):
     return state.rho, state.t, diverged, np.array(steps).reshape(-1, 3)
 
 
+def helper_alive(names):
+    """Whether a draw-ahead worker is among the thread ``names``."""
+    return any(name.startswith("amp-normals") for name in names)
+
+
 class WatchedTrace(AmpTrace):
     """A trace that notes the names of the live threads at each record, and
     raises at record ``fail_at`` if given."""
@@ -997,7 +1010,7 @@ class WatchedTrace(AmpTrace):
 
 class TestDrawAhead:
     """From d = 128 run_amp draws each probe's normals one step ahead on a
-    helper thread; every output is still the serial loop's, bit for bit."""
+    one-worker executor; every output is still the serial loop's, bit for bit."""
 
     RAN = AmpConfig(seed=3, max_iter=30)
     DIVERGED = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=False, max_iter=60)
@@ -1014,7 +1027,7 @@ class TestDrawAhead:
         trace = WatchedTrace()
         rho_hat, iterations, diverged = run_amp(smap, y, config, trace)
         assert threading.active_count() == before
-        assert "amp-normals" in trace.threads[0]
+        assert helper_alive(trace.threads[0])
         ref_rho, ref_iterations, ref_diverged, steps = serial_run(smap, y, config)
         assert diverged == ref_diverged == (config is self.DIVERGED)
         assert iterations == ref_iterations == len(trace) >= 3   # two probes at least
@@ -1028,14 +1041,14 @@ class TestDrawAhead:
         trace = WatchedTrace(fail_at=3)
         with pytest.raises(RuntimeError, match="record failed"):
             run_amp(smap, y, self.RAN, trace)
-        assert "amp-normals" in trace.threads[-1]
+        assert helper_alive(trace.threads[-1])
         assert threading.active_count() == before
 
     def test_smaller_runs_start_no_thread(self):
         _, smap, y = make_problem(n=6, M=600, seed=32, shots=1024)
         trace = WatchedTrace()
         run_amp(smap, y, AmpConfig(seed=1, max_iter=5), trace)
-        assert not any("amp-normals" in names for names in trace.threads)
+        assert not any(helper_alive(names) for names in trace.threads)
 
     def test_a_failed_draw_is_raised_in_the_stepping_thread(self):
         class Failing:
@@ -1051,6 +1064,24 @@ class TestDrawAhead:
         finally:
             ahead.close()
         assert threading.active_count() == before
+
+    def test_at_most_one_draw_ahead_and_count_in_all(self):
+        drawn = []
+
+        class Counting:
+            def standard_normal(self, shape):
+                drawn.append(shape)
+                return np.full(shape, float(len(drawn)))
+
+        ahead = amp_module._DrawAhead(Counting(), (2, 4, 4), 3)
+        try:
+            for k in range(1, 4):
+                time.sleep(0.05)         # time for a worker that runs ahead
+                assert len(drawn) <= k
+                assert ahead.standard_normal((2, 4, 4))[0, 0, 0] == k   # serial order
+        finally:
+            ahead.close()
+        assert len(drawn) == 3
 
     def test_concurrent_runs_under_a_short_switch_interval(self, problem):
         # more runs than cores, each with its helper, switching threads every

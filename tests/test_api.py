@@ -91,12 +91,12 @@ def test_one_home_for_eigensolvers(solver):
 
 
 def test_one_home_for_threads():
-    # run_amp's draw-ahead helper is the only thread the package makes itself:
-    # threading is named in amp alone, and a Thread is made only inside a
-    # function, so importing no module starts one
-    assert mentions("threading") and mentions("Thread")
-    assert all(scope.split(".")[0] == "amp" for scope in mentions("threading"))
-    assert all(scope.startswith("amp.") for scope in mentions("Thread"))
+    # run_amp's draw-ahead executor is the only thread the package makes
+    # itself: the executor is named only inside an amp function, so importing
+    # no module starts one, and no module makes a thread by hand
+    assert mentions("ThreadPoolExecutor")
+    assert all(scope.startswith("amp.") for scope in mentions("ThreadPoolExecutor"))
+    assert not mentions("threading") and not mentions("Thread")
 
 
 def test_amp_loop_does_only_amp():

@@ -718,12 +718,13 @@ def test_qubits_beyond_the_bound_rejected_before_allocating(argv, tmp_path,
 
 
 def test_cli_import_loads_no_scipy():
-    # the library uses numpy only; scipy would add to every CLI start-up, and
-    # multiprocessing to every run with one worker
+    # the library uses numpy only; scipy or concurrent.futures (which loads
+    # logging) would add to every CLI start-up, and multiprocessing to every
+    # run with one worker
     src = str(Path(ampqst.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import ampqst.cli; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
-            "('scipy', 'multiprocessing')))")
+            "('scipy', 'multiprocessing', 'concurrent', 'logging')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
