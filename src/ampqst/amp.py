@@ -30,13 +30,10 @@ probe then takes one batched Cholesky of k bordered matrices. The map is
 applied unchecked to Hermitian iterates; ``AmpTrace`` takes fidelities from
 r x r grams.
 
-Each step's probe takes 2 d^2 standard normals from the run's generator.
-``amp_step`` draws them itself; ``run_amp`` at d >= 128, where a draw costs
-more than handing it between threads, draws step t + 1's normals on a
-one-worker ``ThreadPoolExecutor`` while step t runs: the same generator in
-the same order, at most one draw ahead, so every output is the serial run's,
-bit for bit. No other code of the package makes a thread; the executor is
-made by ``run_amp`` and shut down before it returns, whatever ends the run.
+Each step's probe takes its standard normals from the run's generator:
+2 d^2 of them below d = 128, and from d = 128 on 2 k (k + d), which draw
+only the k x d rows of the probe's direction that the derivative reads
+(``SpectralDerivative.probe_shape``). The package makes no thread.
 
 Each run owns its mutable state; the shared SensingMap is read-only, so
 independent runs (trials, seeds) parallelize freely.
@@ -64,9 +61,6 @@ __all__ = [
 
 _SIGMA_BLOWUP = 1e6   # sigma_t above this multiple of sigma_0 counts as divergence
 _PENDING_GRAM_ENTRIES = 2 ** 16   # bounds the r x r grams awaiting one eigvalsh
-# From this dimension on, run_amp draws each probe's normals a step ahead on
-# an executor's thread: a draw of 2 d^2 normals then costs more than the handoff.
-_DRAW_AHEAD_MIN_DIM = 128
 DENOISERS = ("svt", "psvt")
 
 
@@ -185,8 +179,10 @@ def amp_step(state: AmpState, smap: SensingMap, y: np.ndarray,
         # matrix space (2 d^2 real coordinates), which for a spectral denoiser
         # is twice that. Without the factor the damped and undamped dynamics
         # collapse onto each other and the damping step loses its effect.
-        # Normals are drawn even when nothing is kept: one stream for all k.
-        c_hat = 2.0 * state.derivative.probe(rng.standard_normal((2, d, d))) / M
+        # Below d = 128, normals are drawn even when nothing is kept: one
+        # stream for all k.
+        derivative = state.derivative
+        c_hat = 2.0 * derivative.probe(rng.standard_normal(derivative.probe_shape)) / M
 
     r = s * y - s * _sense(smap, state.rho) + c_hat * state.residual
     sigma = math.sqrt(r @ r) / math.sqrt(M)
@@ -212,36 +208,6 @@ def initial_state(smap: SensingMap) -> AmpState:
                     residual=np.zeros(M), onsager=0.0, sigma=0.0, tau=0.0, t=0)
 
 
-class _DrawAhead:
-    """The normals of a run's probes, drawn one step ahead on a helper thread.
-
-    Stands in for the run's generator in ``amp_step``, which asks for at
-    most ``count`` draws of ``shape``: ``standard_normal`` returns the draw
-    the one-worker executor made while the previous step ran and submits the
-    next. The worker is the only user of the generator, so the draws come in
-    the serial order. ``close`` cancels a draw not yet started and joins the
-    worker; a run that ends early leaves the generator at most one draw
-    further on. The executor is imported here, at d >= 128 only: the CLI's
-    start-up loads no ``concurrent`` module.
-    """
-
-    def __init__(self, rng: np.random.Generator, shape: tuple, count: int):
-        from concurrent.futures import ThreadPoolExecutor
-        self._pool = ThreadPoolExecutor(1, thread_name_prefix="amp-normals")
-        self._draws = (self._pool.submit(rng.standard_normal, shape) for _ in range(count))
-        self._next = next(self._draws, None)
-
-    def standard_normal(self, shape: tuple) -> np.ndarray:
-        drawn, self._next = self._next, next(self._draws, None)
-        try:
-            return drawn.result()
-        except Exception as err:     # raised in the stepping thread instead
-            raise RuntimeError("the helper thread's draw failed") from err
-
-    def close(self) -> None:
-        self._pool.shutdown(cancel_futures=True)
-
-
 def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
             trace: AmpTrace | None = None):
     """Run the AMP solver; returns ``(rho_hat, iterations, diverged)``.
@@ -252,33 +218,24 @@ def run_amp(smap: SensingMap, y: np.ndarray, config: AmpConfig,
     stops after ``config.max_iter`` updates or when it blows up: a non-finite
     step, or sigma_t far above sigma_0. ``rho_hat`` is the last finite
     iterate and ``iterations`` the updates completed. A ``trace`` records
-    each state and is closed once, with ``diverged``. From d = 128 on, the
-    probes' normals are drawn a step ahead by a one-worker executor, shut
-    down before the run returns or raises.
+    each state and is closed once, with ``diverged``.
     """
     y = _check_data(smap, y)
     rng = as_rng(config.seed)
     state = initial_state(smap)
     diverged = False
-    # steps 1 .. max_iter - 1 probe: step 0 has no derivative yet
-    ahead = None if smap.d < _DRAW_AHEAD_MIN_DIM else \
-        _DrawAhead(rng, (2, smap.d, smap.d), config.max_iter - 1)
-    try:
-        for _ in range(config.max_iter):
-            try:
-                state = amp_step(state, smap, y, config, ahead or rng)
-            except FloatingPointError:
-                diverged = True
-                break
-            if trace is not None:
-                trace.record(state, config.denoiser == "psvt")   # PSVT's are states
-            sigma0 = state.sigma if state.t == 1 else sigma0
-            diverged = sigma0 > 0 and state.sigma > _SIGMA_BLOWUP * sigma0
-            if diverged:
-                break
-    finally:
-        if ahead is not None:
-            ahead.close()
+    for _ in range(config.max_iter):
+        try:
+            state = amp_step(state, smap, y, config, rng)
+        except FloatingPointError:
+            diverged = True
+            break
+        if trace is not None:
+            trace.record(state, config.denoiser == "psvt")   # PSVT's are states
+        sigma0 = state.sigma if state.t == 1 else sigma0
+        diverged = sigma0 > 0 and state.sigma > _SIGMA_BLOWUP * sigma0
+        if diverged:
+            break
     if trace is not None:
         trace.close(smap.M, diverged)
     return state.rho, state.t, diverged

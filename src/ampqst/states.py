@@ -215,16 +215,36 @@ class SpectralDerivative:
     block: np.ndarray | None = None
     deflated: np.ndarray | None = None
 
+    @property
+    def probe_shape(self) -> tuple:
+        """The shape of the standard normals ``probe`` takes from a run's
+        generator: (2, d, d), or (2, k, k + d) from d = ``_WARM_MIN_DIM`` on."""
+        k, d = self.vkh.shape
+        return (2, k, k + d) if d >= _WARM_MIN_DIM else (2, d, d)
+
     def probe(self, z: np.ndarray) -> float:
-        """Exact ``Re <h, Df(H)[h]>_F`` from the standard normals
-        ``z = (re, im)`` of shape (2, d, d) that give the Hermitian direction
-        ``h = ((re + re^T) + i (im - im^T)) / 2``: O(k d^2) after a full
-        ``eigh``, plus one batched Cholesky of k (d + 1) x (d + 1) matrices
-        in the deflated form."""
-        h2 = np.empty(z.shape[1:], dtype=np.complex128)      # 2h
-        np.add(z[0], z[0].T, out=h2.real)
-        np.subtract(z[1], z[1].T, out=h2.imag)
-        left = self.vkh @ h2                                  # rows K of 2 V^dagger h
+        """Exact ``Re <h, Df(H)[h]>_F`` along a GUE direction h drawn from
+        the standard normals ``z = (re, im)``: O(k d^2) after a full ``eigh``,
+        plus one batched Cholesky of k (d + 1) x (d + 1) matrices in the
+        deflated form.
+
+        For z of shape (2, d, d), ``h = ((re + re^T) + i (im - im^T)) / 2``.
+        The probe reads only the rows K of 2 V^dagger h, so z of shape
+        (2, k, k + d) draws them alone. By the GUE's unitary invariance,
+        V_K^dagger 2h V_K is the k x k GUE ``g`` of the first k columns, drawn
+        as above, and V_K^dagger 2h P_perp, with P_perp = I - V_K V_K^dagger,
+        has the law of sqrt(2) Z P_perp, independent of g, with Z = re + i im
+        over the other d columns: the same probe law from 2 k (k + d)
+        normals in place of 2 d^2."""
+        m = z.shape[1]
+        g = np.empty((m, m), dtype=np.complex128)             # 2h, or V_K^dagger 2h V_K
+        np.add(z[0, :, :m], z[0, :, :m].T, out=g.real)
+        np.subtract(z[1, :, :m], z[1, :, :m].T, out=g.imag)
+        if m == z.shape[2]:
+            left = self.vkh @ g                               # rows K of 2 V^dagger h
+        else:
+            Z = z[0, :, m:] + 1j * z[1, :, m:]
+            left = g @ self.vkh + math.sqrt(2.0) * (Z - (Z @ self.vkh.conj().T) @ self.vkh)
         rows = left @ self.vecs                               # rows K of 2 h~
         # Re of the K x K diagonal of 2 h~: row sums of left * conj(V_K^dagger)
         a = (left.view(np.float64) * self.vkh.view(np.float64)).sum(axis=1)

@@ -100,6 +100,23 @@ def hermitian(z):
     return h
 
 
+def rebuilt_direction(derivative, z, rng):
+    """The (2, d, d) normals ``(Re 2h / 2, Im 2h / 2)`` of a full direction
+    whose rows K are those the subspace normals ``z`` of shape (2, k, k + d)
+    give: 2h = V_K g V_K^dagger + sqrt(2) (V_K Z P + P Z^dagger V_K^dagger)
+    + P W P, with g the k x k GUE and Z = re + i im of the last d columns,
+    P = I - V_K V_K^dagger and W any Hermitian matrix."""
+    vkh = derivative.vkh
+    k, d = vkh.shape
+    vk = vkh.conj().T
+    P = np.eye(d) - vk @ vkh
+    off = np.sqrt(2.0) * vk @ (z[0, :, k:] + 1j * z[1, :, k:]) @ P
+    h2 = vk @ (2.0 * hermitian(z[:, :, :k])) @ vkh + off + off.conj().T \
+        + P @ random_hermitian(rng, d) @ P
+    h2 = 0.5 * (h2 + h2.conj().T)
+    return np.stack([h2.real / 2.0, h2.imag / 2.0])
+
+
 def hermitian_probe(rng, d):
     """Hermitian random probe with unit second moment in every entry.
 
@@ -118,6 +135,10 @@ class DenseDerivative:
     vecs: np.ndarray
     gamma: np.ndarray
     jac: np.ndarray
+
+    @property
+    def probe_shape(self):
+        return (2, *self.vecs.shape)     # the full draw: the oracle runs below d = 128
 
     def probe(self, z):
         ht = self.vecs.conj().T @ hermitian(z) @ self.vecs
@@ -627,6 +648,52 @@ class TestBorderedProbe:
             self.assert_matches(derivative, dense, rng.standard_normal((2, 128, 128)))
 
 
+class TestSubspaceProbe:
+    """From d = 128 on, a probe's normals give only the rows K of its
+    direction, 2 k (k + d) of them in place of 2 d^2: the same probe of a
+    full direction rebuilt from them, and the same law as the full draw."""
+
+    TAU = 0.5
+    FORMS = ["deflated", "eigh", "svt", "k0-deflated", "k0-eigh"]
+
+    def derivative(self, form):
+        lam = amp_like([] if form.startswith("k0") else [0.9, 1.7], self.TAU)
+        if form == "svt":
+            lam[0] = -1.2          # a kept tail below -tau as well
+        H = with_spectrum(np.random.default_rng(43), lam)
+        _, derivative = spectral_denoise(H, self.TAU, form != "svt")
+        if form.endswith("deflated"):
+            _, derivative = spectral_denoise(H, self.TAU, True, derivative)
+        assert (derivative.deflated is not None) == form.endswith("deflated")
+        return derivative
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_matches_the_probe_of_the_rebuilt_direction(self, form):
+        derivative = self.derivative(form)
+        k, d = derivative.vkh.shape
+        assert derivative.probe_shape == (2, k, k + d)
+        assert k == {"svt": 3, "deflated": 2, "eigh": 2}.get(form, 0)
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            z = rng.standard_normal(derivative.probe_shape)
+            exact = derivative.probe(z)
+            oracle = derivative.probe(rebuilt_direction(derivative, z, rng))
+            assert abs(exact - oracle) <= 1e-12 * abs(oracle)
+            assert (exact == 0.0) == (k == 0)
+
+    @pytest.mark.parametrize("form", ["deflated", "svt"])
+    def test_law_matches_the_full_draw(self, form):
+        # mean and variance of the probe from 2 k (k + d) normals against
+        # those from 2 d^2, within 4 standard errors of their differences
+        derivative, rng, n = self.derivative(form), np.random.default_rng(45), 500
+        sub, full = (np.array([derivative.probe(rng.standard_normal(shape))
+                               for _ in range(n)])
+                     for shape in (derivative.probe_shape, (2, 128, 128)))
+        assert abs(sub.mean() - full.mean()) <= 4 * np.sqrt((sub.var() + full.var()) / n)
+        sub, full = (sub - sub.mean()) ** 2, (full - full.mean()) ** 2
+        assert abs(sub.mean() - full.mean()) <= 4 * np.sqrt((sub.var() + full.var()) / n)
+
+
 def make_problem(n=3, M=None, seed=0, shots=None, rank=1, rho=None):
     if rho is None:
         rho = make_random_state(n, rank, np.random.default_rng((seed, 1)))
@@ -886,6 +953,25 @@ class TestRunAmp:
         fresh.standard_normal(2 * d * d * (iters - 1))
         assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
 
+    @pytest.mark.parametrize("alpha", [2.0, 50.0], ids=["kept", "none-kept"])
+    def test_probes_take_2k_k_plus_d_normals_each_at_d128(self, monkeypatch, alpha):
+        # from d = 128 on, a probe draws 2 k (k + d) normals for the k pairs
+        # its derivative keeps, so none at all when nothing is kept
+        _, smap, y = make_problem(n=7, M=3000, seed=31, shots=1024)
+        kept, denoise = [], amp_module.spectral_denoise
+
+        def counting(*args):
+            out, derivative = denoise(*args)
+            kept.append(len(derivative.vkh))
+            return out, derivative
+        monkeypatch.setattr(amp_module, "spectral_denoise", counting)
+        rng, iters, d = np.random.default_rng(21), 10, smap.d
+        run_amp(smap, y, AmpConfig(seed=rng, max_iter=iters, alpha=alpha))
+        assert len(kept) == iters and any(kept) == (alpha == 2.0)
+        fresh = np.random.default_rng(21)
+        fresh.standard_normal(sum(2 * k * (k + d) for k in kept[:-1]))
+        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+
     def test_untraced_run_returns_iterations(self):
         rho, smap, y = make_problem(n=3, M=40, seed=14, shots=512, rank=2)
         cfg = AmpConfig(seed=9, max_iter=25, denoiser="svt")
@@ -942,6 +1028,33 @@ class TestRunAmp:
         b, _, _ = run_amp(smap, y, AmpConfig(seed=5, max_iter=30))
         assert np.array_equal(a, b)
 
+    def test_concurrent_runs_under_a_short_switch_interval(self):
+        # more runs than cores in the caller's threads, switching every
+        # microsecond: each run still equals the same run made alone
+        _, smap, y = make_problem(n=7, M=3000, seed=31, shots=1024)
+        configs = [AmpConfig(seed=seed, max_iter=8) for seed in range((os.cpu_count() or 1) + 2)]
+        expected = [run_amp(smap, y, config) for config in configs]
+        results = [None] * len(configs)
+
+        def work(k):
+            results[k] = run_amp(smap, y, configs[k])
+
+        runs = [threading.Thread(target=work, args=(k,)) for k in range(len(configs))]
+        interval, start = sys.getswitchinterval(), time.monotonic()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=max(1.0, 120.0 - (time.monotonic() - start)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        for (rho_hat, iterations, diverged), (ref, ref_iterations, ref_diverged) \
+                in zip(results, expected):
+            assert rho_hat.tobytes() == ref.tobytes()
+            assert (iterations, diverged) == (ref_iterations, ref_diverged)
+
     def test_sigma_stagnates_in_converged_run(self):
         # the Monte Carlo Onsager coefficient jitters the plateau, so the
         # stagnation check is on the windowed trend, not per-step order
@@ -967,145 +1080,3 @@ class TestRunAmp:
         with pytest.raises(ValueError):
             AmpConfig(denoiser="hard")
         assert AmpConfig(denoiser="SVT").denoiser == "svt"
-
-
-def serial_run(smap, y, config):
-    """``run_amp`` as one thread: ``amp_step`` on a plain Generator seeded by
-    ``config.seed``, with run_amp's stopping rules. Returns rho_hat, the
-    iterations, diverged and each step's (sigma, tau, onsager)."""
-    rng = np.random.default_rng(config.seed)
-    state, steps, diverged = initial_state(smap), [], False
-    for _ in range(config.max_iter):
-        try:
-            state = amp_step(state, smap, y, config, rng)
-        except FloatingPointError:
-            diverged = True
-            break
-        steps.append((state.sigma, state.tau, state.onsager))
-        diverged = steps[0][0] > 0 and state.sigma > amp_module._SIGMA_BLOWUP * steps[0][0]
-        if diverged:
-            break
-    return state.rho, state.t, diverged, np.array(steps).reshape(-1, 3)
-
-
-def helper_alive(names):
-    """Whether a draw-ahead worker is among the thread ``names``."""
-    return any(name.startswith("amp-normals") for name in names)
-
-
-class WatchedTrace(AmpTrace):
-    """A trace that notes the names of the live threads at each record, and
-    raises at record ``fail_at`` if given."""
-
-    def __init__(self, fail_at=None):
-        super().__init__()
-        self.threads, self.fail_at = [], fail_at
-
-    def record(self, state, physical):
-        self.threads.append({t.name for t in threading.enumerate()})
-        if len(self.threads) == self.fail_at:
-            raise RuntimeError("record failed")
-        super().record(state, physical)
-
-
-class TestDrawAhead:
-    """From d = 128 run_amp draws each probe's normals one step ahead on a
-    one-worker executor; every output is still the serial loop's, bit for bit."""
-
-    RAN = AmpConfig(seed=3, max_iter=30)
-    DIVERGED = AmpConfig(seed=2, denoiser="svt", damping=1.0, normalize=False, max_iter=60)
-
-    @pytest.fixture(scope="class")
-    def problem(self):
-        _, smap, y = make_problem(n=7, M=3000, seed=31, shots=1024)
-        return smap, y
-
-    @pytest.mark.parametrize("config", [RAN, DIVERGED], ids=["ran", "diverged"])
-    def test_run_is_the_serial_loop(self, problem, config):
-        smap, y = problem
-        before = threading.active_count()
-        trace = WatchedTrace()
-        rho_hat, iterations, diverged = run_amp(smap, y, config, trace)
-        assert threading.active_count() == before
-        assert helper_alive(trace.threads[0])
-        ref_rho, ref_iterations, ref_diverged, steps = serial_run(smap, y, config)
-        assert diverged == ref_diverged == (config is self.DIVERGED)
-        assert iterations == ref_iterations == len(trace) >= 3   # two probes at least
-        assert rho_hat.tobytes() == ref_rho.tobytes()
-        for k, column in enumerate(("sigma", "tau", "onsager")):
-            assert getattr(trace, column).tobytes() == steps[:, k].tobytes()
-
-    def test_a_failing_record_joins_the_helper(self, problem):
-        smap, y = problem
-        before = threading.active_count()
-        trace = WatchedTrace(fail_at=3)
-        with pytest.raises(RuntimeError, match="record failed"):
-            run_amp(smap, y, self.RAN, trace)
-        assert helper_alive(trace.threads[-1])
-        assert threading.active_count() == before
-
-    def test_smaller_runs_start_no_thread(self):
-        _, smap, y = make_problem(n=6, M=600, seed=32, shots=1024)
-        trace = WatchedTrace()
-        run_amp(smap, y, AmpConfig(seed=1, max_iter=5), trace)
-        assert not any(helper_alive(names) for names in trace.threads)
-
-    def test_a_failed_draw_is_raised_in_the_stepping_thread(self):
-        class Failing:
-            def standard_normal(self, shape):
-                raise MemoryError("no room")
-
-        before = threading.active_count()
-        ahead = amp_module._DrawAhead(Failing(), (2, 4, 4), 3)
-        try:
-            with pytest.raises(RuntimeError) as info:
-                ahead.standard_normal((2, 4, 4))
-            assert isinstance(info.value.__cause__, MemoryError)
-        finally:
-            ahead.close()
-        assert threading.active_count() == before
-
-    def test_at_most_one_draw_ahead_and_count_in_all(self):
-        drawn = []
-
-        class Counting:
-            def standard_normal(self, shape):
-                drawn.append(shape)
-                return np.full(shape, float(len(drawn)))
-
-        ahead = amp_module._DrawAhead(Counting(), (2, 4, 4), 3)
-        try:
-            for k in range(1, 4):
-                time.sleep(0.05)         # time for a worker that runs ahead
-                assert len(drawn) <= k
-                assert ahead.standard_normal((2, 4, 4))[0, 0, 0] == k   # serial order
-        finally:
-            ahead.close()
-        assert len(drawn) == 3
-
-    def test_concurrent_runs_under_a_short_switch_interval(self, problem):
-        # more runs than cores, each with its helper, switching threads every
-        # microsecond: each run still equals its serial loop
-        smap, y = problem
-        configs = [AmpConfig(seed=seed, max_iter=8) for seed in range((os.cpu_count() or 1) + 2)]
-        expected = [serial_run(smap, y, config)[:3] for config in configs]
-        results = [None] * len(configs)
-
-        def work(k):
-            results[k] = run_amp(smap, y, configs[k])
-
-        runs = [threading.Thread(target=work, args=(k,)) for k in range(len(configs))]
-        interval, start = sys.getswitchinterval(), time.monotonic()
-        sys.setswitchinterval(1e-6)
-        try:
-            for run in runs:
-                run.start()
-            for run in runs:
-                run.join(timeout=max(1.0, 120.0 - (time.monotonic() - start)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(run.is_alive() for run in runs)
-        for (rho_hat, iterations, diverged), (ref, ref_iterations, ref_diverged) \
-                in zip(results, expected):
-            assert rho_hat.tobytes() == ref.tobytes()
-            assert (iterations, diverged) == (ref_iterations, ref_diverged)

@@ -411,7 +411,8 @@ class TestReconstruct:
         assert main(["reconstruct", "--state", "random", "--qubits", "3", "--rank", "2",
                      "--observables", "32", "--algorithm", "mifgd", "--eta", "5",
                      "--trials", "2", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
         assert [r["nmse"] for r in rows] == ["1.9590341022980964", "1.8513103992153022"]
         assert [r["iters"] for r in rows] == ["4", "4"]   # updates completed
 
@@ -725,6 +726,25 @@ def test_cli_import_loads_no_scipy():
     code = (f"import sys; sys.path.insert(0, {src!r}); import ampqst.cli; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
             "('scipy', 'multiprocessing', 'concurrent', 'logging')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_amp_run_at_n7_loads_no_concurrent_module():
+    # from d = 128 on the probe draws its normals in the stepping thread, so
+    # a run loads no thread pool
+    src = str(Path(ampqst.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
+            "from ampqst.amp import AmpConfig, run_amp; "
+            "from ampqst.measure import build_measurements; "
+            "from ampqst.pauli import MeasurementPlan, sample_observables; "
+            "from ampqst.states import make_named_state, pure_density; "
+            "plan = MeasurementPlan(7, 'observables', sample_observables(7, 2000, 1)); "
+            "smap, y = build_measurements(pure_density(make_named_state('ghz', 7)), "
+            "plan, shots=1024, seed=2); "
+            "assert run_amp(smap, y, AmpConfig(max_iter=3))[1] == 3; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'concurrent'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
